@@ -209,9 +209,10 @@ def evaluate_annulus(m: AnnulusMapLift, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     lo, hi = m.domain_band if m.domain_band else (0.0, 1.0)
-    if np.any(x <= lo) or np.any(x >= hi):
-        if m.domain_band or np.any(x <= 0.0) or np.any(x >= 1.0):
-            raise OutOfDomain(f"x outside domain ({lo}, {hi})")
+    if not ((x > lo) & (x < hi)).all():
+        raise OutOfDomain(f"x outside domain ({lo}, {hi})")
+    if not np.isfinite(y).all():
+        raise OutOfDomain("fiber coordinate must be finite")
     k = np.floor(y)
     y0 = y - k
     out_y = np.asarray(m.fiber(x, y0)) + k * m.degree

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegreeTooSmall, NonIntegerDegree, NotACovering
-from .numerics import bisect_brackets, circle_dist, frac, sign_changes
+from .numerics import (bisect_brackets, circle_dist, frac, periodic_gather, periodic_plan,
+                       sign_changes)
 
 DEGREE_TOL = 1e-9
 MIN_SAMPLES = 16
@@ -38,13 +39,7 @@ class LiftedCircleMap:
 
     def __call__(self, x):
         """Evaluate the lift, extended by F(x + k) = F(x) + k*degree."""
-        x = np.asarray(x, dtype=float)
-        k = np.floor(x)
-        pos = (x - k) * self.grid
-        i = np.minimum(pos.astype(np.int64), self.grid - 1)
-        w = pos - i
-        val = self.samples[i] * (1.0 - w) + self.samples[i + 1] * w
-        val = val + k * self.degree
+        val = periodic_gather(self.samples, periodic_plan(x, self.grid, self.degree))
         return val if val.ndim else float(val)
 
     def iterate(self, x, n: int):

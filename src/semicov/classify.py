@@ -694,17 +694,6 @@ def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12,
         "depth": depth,
         "insertions": [{"base_angle": str(s.base_angle), "length": s.length,
                         "kind": s.kind} for s in specs],
-        "atom_count": len(order),
-        "expected_records": _expected_records(specs, d, forward_cap),
     }
     return make_lift(samples, meta)
 
-
-def _expected_records(specs: list[Insertion], d: int, forward_cap: int) -> list[dict]:
-    out = []
-    for ins in specs:
-        cls = classify_circle_point(ins.base_angle, d, max_period=forward_cap,
-                                    max_depth=forward_cap)
-        out.append({"base_angle": float(ins.base_angle), "kind": cls.kind,
-                    "period": cls.period, "insert": ins.kind})
-    return out

@@ -74,15 +74,18 @@ def parse_config(text_or_obj) -> RunConfig:
             if not isinstance(value, (int, float)) or value <= 0:
                 raise ValidationError(f"{key} must be positive, got {value!r}")
         if key == "band" and value is not None:
-            a, b = value
-            if not 0.0 < a < b < 1.0:
-                raise ValidationError(f"band must satisfy 0 < a < b < 1, got {value}")
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(isinstance(v, (int, float)) for v in value)
+                    and 0.0 < value[0] < value[1] < 1.0):
+                raise ValidationError(f"band must be two numbers 0 < a < b < 1, got {value}")
         if key == "orientation" and value not in (1, -1):
             raise ValidationError(f"orientation must be +1 or -1, got {value!r}")
         if key in _MAP_KEYS or key in ("connector", "epsilon"):
             maps[key] = value
         else:
             params[key] = value
+    if command == "counterexample-table" and params["nmax"] < 2:
+        raise ValidationError(f"nmax must be at least 2, got {params['nmax']!r}")
     return RunConfig(command, maps, params, out)
 
 
@@ -305,8 +308,10 @@ def _namespace_to_config(ns) -> RunConfig:
         elif key == "orientation":
             obj[key] = 1 if value == "+" else -1
         elif key == "band":
-            a, b = value.split(",")
-            obj[key] = [float(a), float(b)]
+            try:
+                obj[key] = [float(v) for v in value.split(",")]
+            except ValueError:
+                raise ValidationError(f"band must be a,b, got {value!r}") from None
         else:
             obj[key] = value
     return parse_config(obj)

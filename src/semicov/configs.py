@@ -68,6 +68,13 @@ def _positive(value, name: str):
 
 
 def circle_map_from_config(cfg: dict) -> LiftedCircleMap:
+    try:
+        return _circle_map(cfg)
+    except ValueError as e:        # samples the lift validation rejects
+        raise ValidationError(f"invalid circle map: {e}") from None
+
+
+def _circle_map(cfg: dict) -> LiftedCircleMap:
     family = cfg.get("family")
     if family not in CIRCLE_FAMILIES:
         raise ValidationError(f"unknown circle family {family!r}; "
@@ -89,7 +96,7 @@ def circle_map_from_config(cfg: dict) -> LiftedCircleMap:
                              {"family": "sine", "degree": d, "amplitude": a, "offset": c})
     if family == "samples":
         p = _take(cfg, {"family": REQUIRED, "values": REQUIRED}, "sampled map")
-        return make_lift(np.asarray(p["values"], dtype=float), {"family": "samples"})
+        return make_lift(p["values"], {"family": "samples"})
     p = _take(cfg, {"family": REQUIRED, "degree": REQUIRED, "insertions": REQUIRED,
                     "grid": 4096, "depth": 12}, "blowup map")
     _positive(p["grid"], "grid")

@@ -63,11 +63,6 @@ class ConnectorCurve:
         v = np.interp(x, self.xs, self.heights)
         return v if v.ndim else float(v)
 
-    def translate(self, t: int) -> "ConnectorCurve":
-        return ConnectorCurve(self.xs.copy(), self.heights + t, self.margin,
-                              None if self.value is None else self.value + t,
-                              dict(self.metadata))
-
 
 def constant_connector(height: float, margin: float = 1e-3,
                        n: int = 1024) -> ConnectorCurve:

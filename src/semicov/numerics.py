@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import OutOfDomain
+
 
 def frac(x):
     """Fractional part in [0, 1)."""
@@ -36,15 +38,6 @@ def bisect_brackets(fn, lo, hi, xtol=1e-13, max_iter=200):
     return 0.5 * (lo + hi)
 
 
-def solve_increasing(fn, targets, lo, hi, xtol=1e-13, max_iter=200):
-    """Solve fn(y) = target for an increasing vectorized fn, per component.
-
-    lo/hi must bracket every target (fn(lo) <= target <= fn(hi)).
-    """
-    targets = np.asarray(targets, dtype=float)
-    return bisect_brackets(lambda y: fn(y) - targets, lo, hi, xtol, max_iter)
-
-
 def max_circular_gap(values):
     """Largest gap left on the circle by the given angles (mod 1)."""
     v = np.sort(frac(np.asarray(values, dtype=float)))
@@ -59,3 +52,65 @@ def sign_changes(values):
     """Indices i where values[i] and values[i+1] straddle zero strictly."""
     v = np.asarray(values, dtype=float)
     return np.nonzero(v[:-1] * v[1:] < 0)[0]
+
+
+def periodic_plan(x, grid: int, period):
+    """Plan (i, 1-w, w, k*period) for periodic_gather; rejects NaN and inf.
+
+    The piecewise-linear function on the uniform grid of [0, 1] is extended
+    by f(x + k) = f(x) + k*period.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise OutOfDomain("evaluation points must be finite")
+    k = np.floor(x)
+    pos = (x - k) * grid
+    i = np.minimum(pos.astype(np.int64), grid - 1)
+    w = pos - i
+    return i, 1.0 - w, w, k * period
+
+
+def periodic_gather(samples, plan):
+    """Values samples[i]*(1-w) + samples[i+1]*w + k*period of a periodic plan."""
+    i, ow, w, shift = plan
+    return samples[i] * ow + samples[i + 1] * w + shift
+
+
+def band_plan(x, y, band: tuple[float, float], nx: int, ny: int, period):
+    """Bilinear plan on the (nx+1) x (ny+1) nodes of band x [0, 1]; x clipped, y periodic."""
+    a, b = band
+    px = np.clip((np.asarray(x, dtype=float) - a) / (b - a) * nx, 0.0, nx)
+    i = np.minimum(px.astype(np.int64), nx - 1)
+    wx = px - i
+    j, oy, wy, shift = periodic_plan(y, ny, period)
+    return i, j, 1.0 - wx, wx, oy, wy, shift
+
+
+def band_gather(values, plan):
+    """Bilinear values of a band plan, the four corner terms summed in order."""
+    i, j, ox, wx, oy, wy, shift = plan
+    return (values[i, j] * ox * oy + values[i + 1, j] * wx * oy
+            + values[i, j + 1] * ox * wy + values[i + 1, j + 1] * wx * wy + shift)
+
+
+def contract(lifted, start, degree: int, orientation: int, tol: float,
+             max_iter: int | None = None):
+    """Iterate T(H) = lifted(H) / degree from start, gluing H[..., -1] = H[..., 0] + orientation.
+
+    Stops once a step is at most tol*(1 - 1/|degree|), which bounds the
+    distance to the fixed point by tol; max_iter defaults to twice the steps
+    a 1/|degree| contraction needs, plus 60.  Returns (H, iterations, converged).
+    """
+    ad = abs(degree)
+    if max_iter is None:
+        max_iter = 2 * int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad))) + 60
+    stop = tol * (1.0 - 1.0 / ad)
+    cur = start
+    for it in range(1, max_iter + 1):
+        new = lifted(cur) / degree
+        new[..., -1] = new[..., 0] + orientation
+        change = float(np.max(np.abs(new - cur)))
+        cur = new
+        if change <= stop:
+            return cur, it, True
+    return cur, max_iter, False

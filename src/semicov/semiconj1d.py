@@ -14,7 +14,7 @@ import numpy as np
 
 from .circle import LiftedCircleMap
 from .errors import DegreeMismatch, MaxIterExceeded, NoRelator
-from .numerics import circle_dist, frac
+from .numerics import circle_dist, contract, frac, periodic_gather, periodic_plan
 
 
 @dataclass(eq=False)
@@ -38,13 +38,7 @@ class SemiconjugacyField1D:
         return len(self.samples) - 1
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        k = np.floor(x)
-        pos = (x - k) * self.grid
-        i = np.minimum(pos.astype(np.int64), self.grid - 1)
-        w = pos - i
-        val = self.samples[i] * (1.0 - w) + self.samples[i + 1] * w
-        val = val + k * self.orientation
+        val = periodic_gather(self.samples, periodic_plan(x, self.grid, self.orientation))
         return val if val.ndim else float(val)
 
     def angle(self, x):
@@ -57,11 +51,6 @@ class SemiconjugacyField1D:
         return float(np.max(np.abs(self.samples - self.orientation * xs)))
 
 
-def _identity_field(m: LiftedCircleMap, orientation: int) -> SemiconjugacyField1D:
-    xs = np.linspace(0.0, 1.0, m.grid + 1)
-    return SemiconjugacyField1D(orientation * xs, orientation, m.degree)
-
-
 def contraction_step(h: SemiconjugacyField1D, m: LiftedCircleMap) -> SemiconjugacyField1D:
     """One application of T(H) = H(F(.)) / d.
 
@@ -70,12 +59,17 @@ def contraction_step(h: SemiconjugacyField1D, m: LiftedCircleMap) -> Semiconjuga
     """
     if h.degree != m.degree:
         raise DegreeMismatch(f"field degree {h.degree} vs map degree {m.degree}")
-    xs = np.linspace(0.0, 1.0, h.grid + 1)
-    new = h(m(xs)) / m.degree
-    new[-1] = new[0] + h.orientation
+    new, _, _ = contract(_pullback(m, h.grid, h.orientation), h.samples, m.degree,
+                         h.orientation, 0.0, 1)
     out = SemiconjugacyField1D(new, h.orientation, h.degree)
     out.residual = _grid_residual(out, m)
     return out
+
+
+def _pullback(m: LiftedCircleMap, grid: int, orientation: int):
+    """H -> H(F(.)) on the grid nodes, gathering through a plan built once."""
+    plan = periodic_plan(m(np.linspace(0.0, 1.0, grid + 1)), grid, orientation)
+    return lambda samples: periodic_gather(samples, plan)
 
 
 def _grid_residual(h: SemiconjugacyField1D, m: LiftedCircleMap) -> float:
@@ -92,33 +86,14 @@ def solve_semiconjugacy(m: LiftedCircleMap, orientation: int = 1,
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    ad = abs(m.degree)
-    guaranteed = int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad)))
-    if max_iter is None:
-        max_iter = 2 * guaranteed + 60
-    xs = np.linspace(0.0, 1.0, m.grid + 1)
-    fx = m(xs)
-    cur = orientation * xs
-    stop = tol * (1.0 - 1.0 / ad)
-    d = m.degree
-    grid = m.grid
-    # gather indices/weights for evaluating the field at F(grid) are fixed
-    k = np.floor(fx)
-    pos = (fx - k) * grid
-    i = np.minimum(pos.astype(np.int64), grid - 1)
-    w = pos - i
-    shift = k * orientation
-
-    for it in range(1, max_iter + 1):
-        new = (cur[i] * (1.0 - w) + cur[i + 1] * w + shift) / d
-        new[-1] = new[0] + orientation
-        change = float(np.max(np.abs(new - cur)))
-        cur = new
-        if change <= stop:
-            out = SemiconjugacyField1D(cur, orientation, m.degree, tol=tol, iterations=it)
-            out.residual = _grid_residual(out, m)
-            return out
-    raise MaxIterExceeded(f"no convergence to {tol} within {max_iter} iterations")
+    start = orientation * np.linspace(0.0, 1.0, m.grid + 1)
+    cur, it, converged = contract(_pullback(m, m.grid, orientation), start, m.degree,
+                                  orientation, tol, max_iter)
+    if not converged:
+        raise MaxIterExceeded(f"no convergence to {tol} within {it} iterations")
+    out = SemiconjugacyField1D(cur, orientation, m.degree, tol=tol, iterations=it)
+    out.residual = _grid_residual(out, m)
+    return out
 
 
 def rotation_number(m: LiftedCircleMap, x, tol: float = 1e-10):

@@ -15,7 +15,7 @@ import numpy as np
 from .annulus import AnnulusMapLift, displacement_bound
 from .errors import (BandNotInvariant, DisplacementDiverges, MaxIterExceeded, NotFixed,
                      OutOfDomain)
-from .numerics import circle_dist, frac, max_circular_gap
+from .numerics import band_gather, band_plan, circle_dist, contract, frac, max_circular_gap
 
 
 @dataclass(eq=False)
@@ -43,44 +43,41 @@ class BandField2D:
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         a, b = self.band
-        if np.any(x < a - 1e-12) or np.any(x > b + 1e-12):
+        if not np.all((x >= a - 1e-12) & (x <= b + 1e-12)):
             raise OutOfDomain(f"x outside band [{a}, {b}]")
-        nx = len(self.x_samples) - 1
-        px = np.clip((x - a) / (b - a) * nx, 0.0, nx)
-        i = np.minimum(px.astype(np.int64), nx - 1)
-        wx = px - i
-        k = np.floor(y)
-        py = (y - k) * self.ny
-        j = np.minimum(py.astype(np.int64), self.ny - 1)
-        wy = py - j
-        v = (self.values[i, j] * (1 - wx) * (1 - wy)
-             + self.values[i + 1, j] * wx * (1 - wy)
-             + self.values[i, j + 1] * (1 - wx) * wy
-             + self.values[i + 1, j + 1] * wx * wy)
-        v = v + k * self.orientation
+        plan = band_plan(x, y, self.band, len(self.x_samples) - 1, self.ny, self.orientation)
+        v = band_gather(self.values, plan)
         return v if v.ndim else float(v)
 
     def angle(self, x, y):
         return frac(self.__call__(x, y))
 
 
-def _measure(field: BandField2D, m: AnnulusMapLift, closure=None) -> float:
-    """Sup residual |H(F(p)) - d H(p)| over the field's own grid."""
-    xg, yg = np.meshgrid(field.x_samples, np.linspace(0.0, 1.0, field.ny, endpoint=False),
-                         indexing="ij")
+def _measure(field: BandField2D, m: AnnulusMapLift, closure=None, window=None) -> float:
+    """Sup residual |H(F(p)) - d H(p)| over the field's grid rows inside window.
+
+    Images leaving the band take the closure's value, or are skipped without one.
+    """
+    xs = field.x_samples
+    if window is not None:
+        xs = xs[(xs >= window[0]) & (xs <= window[1])]
+    xg, yg = np.meshgrid(xs, np.linspace(0.0, 1.0, field.ny, endpoint=False), indexing="ij")
     fx, fy = m(xg, yg)
     a, b = field.band
     inside = (fx >= a) & (fx <= b)
-    h_there = np.where(inside, _safe_eval(field, fx, fy),
+    h_there = np.where(inside, field(np.clip(fx, a, b), fy),
                        closure(fx, fy) if closure else np.nan)
-    return float(np.nanmax(np.abs(h_there - m.degree * field(xg, yg))))
+    return float(np.nanmax(np.abs(h_there - m.degree * field(xg, yg)), initial=0.0))
 
 
-def _safe_eval(field: BandField2D, x, y):
-    a, b = field.band
-    return field(np.clip(x, a, b), y)
+def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int,
+               orientation: int):
+    """Nodes xs, y grid, image (fx, fy) and the gather plan of H at F(nodes)."""
+    xs = np.linspace(band[0], band[1], nx)
+    xg, yg = np.meshgrid(xs, np.linspace(0.0, 1.0, ny + 1), indexing="ij")
+    fx, fy = m(xg, yg)
+    return xs, yg, fx, fy, band_plan(fx, fy, band, nx - 1, ny, orientation)
 
 
 def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
@@ -94,39 +91,13 @@ def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
     iteration step is below tol*(1 - 1/|d|).
     """
     a, b = band
-    ad = abs(m.degree)
-    xs = np.linspace(a, b, nx)
-    bx = np.asarray(m.base(xs))
-    if bx.min() < a - 1e-12 or bx.max() > b + 1e-12:
-        raise BandNotInvariant(f"base image [{bx.min()}, {bx.max()}] leaves [{a}, {b}]")
-    if max_iter is None:
-        max_iter = 2 * int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad))) + 60
-
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    fx, fy = m(xg, yg)
-    # precompute bilinear gather indices for the fixed point evaluation
-    px = np.clip((fx - a) / (b - a) * (nx - 1), 0.0, nx - 1)
-    i = np.minimum(px.astype(np.int64), nx - 2)
-    wx = px - i
-    ky = np.floor(fy)
-    py = (fy - ky) * ny
-    j = np.minimum(py.astype(np.int64), ny - 1)
-    wy = py - j
-
-    cur = orientation * yg.copy()
-    stop = tol * (1.0 - 1.0 / ad)
-    for it in range(1, max_iter + 1):
-        gathered = (cur[i, j] * (1 - wx) * (1 - wy) + cur[i + 1, j] * wx * (1 - wy)
-                    + cur[i, j + 1] * (1 - wx) * wy + cur[i + 1, j + 1] * wx * wy)
-        new = (gathered + ky * orientation) / m.degree
-        new[:, -1] = new[:, 0] + orientation
-        change = float(np.max(np.abs(new - cur)))
-        cur = new
-        if change <= stop:
-            break
-    else:
-        raise MaxIterExceeded(f"no convergence to {tol} within {max_iter} iterations")
+    xs, yg, fx, _, plan = _band_grid(m, (a, b), nx, ny, orientation)
+    if fx.min() < a - 1e-12 or fx.max() > b + 1e-12:
+        raise BandNotInvariant(f"base image [{fx.min()}, {fx.max()}] leaves [{a}, {b}]")
+    cur, it, converged = contract(lambda v: band_gather(v, plan), orientation * yg,
+                                  m.degree, orientation, tol, max_iter)
+    if not converged:
+        raise MaxIterExceeded(f"no convergence to {tol} within {it} iterations")
 
     out = BandField2D((a, b), xs, cur, orientation, m.degree, tol=tol, iterations=it)
     out.residual = _measure(out, m)
@@ -143,70 +114,37 @@ def solve_bounded_semiconjugacy(m: AnnulusMapLift, truncation: tuple[float, floa
     Where the map leaves the truncated domain, H(F(p)) is closed by the
     ansatz H(x,y) ~ y + (mean measured deviation); the truncation is then
     widened until the residual on the interior of the original window is
-    below tol.  Convergence is declared from that interior residual only.
+    below tol.  Convergence is declared from that interior residual only;
+    metadata["inner_converged"] records whether the fixed-point iteration
+    itself met its stop rule within max_iter steps.
     """
     a0, b0 = truncation
     diag = displacement_bound(m, (min(a0, 0.05), max(b0, 0.95)))
     if diag["diverges"]:
         raise DisplacementDiverges(f"margin sups {diag['margin_sups']}")
 
-    last = None
     for k in range(max_widenings + 1):
         a = a0 * 0.5 ** k
         b = 1.0 - (1.0 - b0) * 0.5 ** k
-        xs = np.linspace(a, b, nx)
-        ys = np.linspace(0.0, 1.0, ny + 1)
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        fx, fy = m(xg, yg)
+        xs, yg, fx, fy, plan = _band_grid(m, (a, b), nx, ny, 1)
         inside = (fx >= a) & (fx <= b)
-        pxc = np.clip((fx - a) / (b - a) * (nx - 1), 0.0, nx - 1)
-        i = np.minimum(pxc.astype(np.int64), nx - 2)
-        wx = pxc - i
-        ky = np.floor(fy)
-        py = (fy - ky) * ny
-        j = np.minimum(py.astype(np.int64), ny - 1)
-        wy = py - j
 
-        cur = yg.copy()
-        for it in range(1, max_iter + 1):
-            dev_mean = float(np.mean(cur - yg))
-            gathered = (cur[i, j] * (1 - wx) * (1 - wy) + cur[i + 1, j] * wx * (1 - wy)
-                        + cur[i, j + 1] * (1 - wx) * wy + cur[i + 1, j + 1] * wx * wy)
-            lifted = np.where(inside, gathered + ky, fy + dev_mean)
-            new = lifted / m.degree
-            new[:, -1] = new[:, 0] + 1.0
-            change = float(np.max(np.abs(new - cur)))
-            cur = new
-            if change <= tol * (1.0 - 1.0 / abs(m.degree)):
-                break
+        def lifted(v):
+            return np.where(inside, band_gather(v, plan), fy + float(np.mean(v - yg)))
 
+        cur, it, converged = contract(lifted, yg.copy(), m.degree, 1, tol, max_iter)
         field = BandField2D((a, b), xs, cur, 1, m.degree, tol=tol, iterations=it)
         field.deviation_bound = float(np.max(np.abs(cur - yg)))
         dev_mean = float(np.mean(cur - yg))
         field.residual = _measure(field, m, closure=lambda x, y: y + dev_mean)
-        interior = _interior_residual(field, m, (a0, b0))
+        interior = _measure(field, m, window=(a0, b0))
         field.metadata["interior_residual"] = interior
         field.metadata["widenings"] = k
+        field.metadata["inner_converged"] = converged
         if interior <= tol:
             return field
-        last = field
     raise MaxIterExceeded(
-        f"interior residual {last.metadata['interior_residual']} > {tol} "
-        f"after {max_widenings} widenings")
-
-
-def _interior_residual(field: BandField2D, m: AnnulusMapLift,
-                       window: tuple[float, float]) -> float:
-    a, b = window
-    xs = field.x_samples
-    keep = (xs >= a) & (xs <= b)
-    xg, yg = np.meshgrid(xs[keep], np.linspace(0.0, 1.0, field.ny, endpoint=False),
-                         indexing="ij")
-    fx, fy = m(xg, yg)
-    lo, hi = field.band
-    ok = (fx >= lo) & (fx <= hi)
-    vals = np.where(ok, _safe_eval(field, fx, fy) - m.degree * field(xg, yg), 0.0)
-    return float(np.max(np.abs(vals)))
+        f"interior residual {interior} > {tol} after {max_widenings} widenings")
 
 
 def check_fiber_surjectivity(h: BandField2D, x_level: float, max_gap: float = 0.01,

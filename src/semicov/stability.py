@@ -31,13 +31,16 @@ def bump_phi(rho: float, rho_p: float, t):
     """
     if not 0.0 < rho_p <= rho:
         raise BadParams(f"need 0 < rho' <= rho, got rho={rho}, rho'={rho_p}")
-    t = np.asarray(t, dtype=float)
+    out = _bump(rho, rho_p, np.asarray(t, dtype=float))
+    return out if out.ndim else float(out)
+
+
+def _bump(rho, rho_p, t):
+    """bump_phi's arithmetic, elementwise over arrays of rho, rho' and t."""
     a = np.abs(t)
     inner = a * (rho_p / rho)
     mid = rho_p + (a - rho) * (4.0 * rho - rho_p) / rho
-    out = np.where(a <= rho, inner, np.where(a <= 2.0 * rho, mid, 2.0 * a))
-    out = np.sign(t) * out
-    return out if out.ndim else float(out)
+    return np.sign(t) * np.where(a <= rho, inner, np.where(a <= 2.0 * rho, mid, 2.0 * a))
 
 
 @dataclass(frozen=True)
@@ -145,13 +148,7 @@ def perturb_p2(eps: EpsilonSpec, x_min: float = 1e-12) -> PerturbationSpec:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         wrap = y - np.round(y)                  # fundamental angle in turns
-        t = TWO_PI * wrap
-        r = np.asarray(rho(x))
-        rp = np.asarray(rho(x ** 2))
-        a = np.abs(t)
-        inner = a * (rp / r)
-        mid = rp + (a - r) * (4.0 * r - rp) / r
-        phi = np.sign(t) * np.where(a <= r, inner, np.where(a <= 2.0 * r, mid, 2.0 * a))
+        phi = _bump(np.asarray(rho(x)), np.asarray(rho(x ** 2)), TWO_PI * wrap)
         return phi / TWO_PI + 2.0 * (y - wrap)
 
     fiber = FiberMap(2, fn=fiber_fn, tag="angular-bump")

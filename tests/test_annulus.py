@@ -108,3 +108,9 @@ def test_rotation_estimate_diverging_tau(example_map):
 def test_rotation_estimate_escapes(example_map):
     with pytest.raises(OrbitEscapes):
         estimate_annulus_rotation(example_map, (0.5, 0.2), 200)
+
+
+@pytest.mark.parametrize("x, y", [(np.nan, 0.5), (-np.inf, 0.5), (0.5, np.nan), (0.5, np.inf)])
+def test_evaluate_rejects_non_finite(product_z2, x, y):
+    with pytest.raises(OutOfDomain):
+        product_z2(x, y)

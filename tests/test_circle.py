@@ -3,7 +3,7 @@ import pytest
 
 from semicov.circle import find_periodic_points, from_function, model_lift
 from semicov.classify import blow_up
-from semicov.errors import DegreeTooSmall, NonIntegerDegree, NotACovering
+from semicov.errors import DegreeTooSmall, NonIntegerDegree, NotACovering, OutOfDomain
 
 
 def test_make_lift_linear_model(m2):
@@ -116,3 +116,9 @@ def test_periodic_points_requires_covering():
     m = from_function(lambda x: 2 * x + 0.6 * np.sin(2 * np.pi * x))
     with pytest.raises(NotACovering):
         find_periodic_points(m, 1)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, [0.25, np.nan]])
+def test_lift_rejects_non_finite(m2, x):
+    with pytest.raises(OutOfDomain):
+        m2(x)

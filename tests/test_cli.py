@@ -151,3 +151,20 @@ def test_run_config_roundtrip(tmp_path):
                         "out": str(tmp_path / "t.json")})
     assert run(cfg) == 0
     assert (tmp_path / "t.json").exists()
+
+
+BAND_MAP = '{"base": {"family": "identity"}, "fiber": {"family": "linear", "degree": 2}}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["semiconj1d", "--map", '{"family": "samples", "values": [0, 1, 2]}'],
+    ["semiconj1d", "--map", '{"family": "sine", "degree": 2, "grid": 8}'],
+    ["semiconj1d", "--map", '{"family": "sine", "degree": 2, "amplitude": NaN}'],
+    ["semiconj2d", "--map", BAND_MAP, "--band", "0.2,0.5,0.8"],
+    ["semiconj2d", "--map", BAND_MAP, "--band", "0.2"],
+    ["counterexample-table", "--nmax", "1"],
+])
+def test_malformed_input_exits_3_with_one_line(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError") and err.count("\n") == 1

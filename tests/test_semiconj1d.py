@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicov.circle import from_function
-from semicov.errors import DegreeMismatch, NoRelator
+from semicov.errors import DegreeMismatch, NoRelator, OutOfDomain
 from semicov.numerics import circle_dist
 from semicov.semiconj1d import (SemiconjugacyField1D, contraction_step,
                                 relate_semiconjugacies, rotation_number,
@@ -195,3 +195,10 @@ def test_relate_rejects_unrelated_fields(m2, sine2):
     h2 = solve_semiconjugacy(m2, 1, 1e-9)
     with pytest.raises(NoRelator):
         relate_semiconjugacies(h1, h2, 1e-9)
+
+
+@pytest.mark.parametrize("x", [np.nan, [0.5, np.inf]])
+def test_field_rejects_non_finite(sine2, x):
+    h = solve_semiconjugacy(sine2)
+    with pytest.raises(OutOfDomain):
+        h(x)

@@ -138,3 +138,21 @@ def test_fixed_point_equality_rejects_non_fixed(product_z2):
     h = solve_band_semiconjugacy(product_z2, (0.2, 0.8), 1e-10)
     with pytest.raises(NotFixed):
         fixed_point_h_equality(product_z2, h, (0.5, 0.0), (0.5, 1 / 3), 1e-8)
+
+
+@pytest.mark.parametrize("x, y", [(np.nan, 0.5), (0.5, np.nan), (0.5, np.inf)])
+def test_band_field_rejects_non_finite(product_z2, x, y):
+    h = solve_band_semiconjugacy(product_z2, (0.2, 0.8), 1e-10)
+    with pytest.raises(OutOfDomain):
+        h(x, y)
+
+
+def test_bounded_solver_records_inner_exhaustion():
+    # H0 = y steps to y + 0.0075: above the stop 0.005, but the interior
+    # residual 0.0075 already meets tol, so one step returns a field.
+    m = make_skew_product(BaseMap("power", (2.0,)), FiberMap(2, tau=TauSpec("const", 0.015)))
+    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-2, max_iter=1)
+    assert h.iterations == 1
+    assert h.metadata["inner_converged"] is False
+    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-2)
+    assert h.metadata["inner_converged"] is True
