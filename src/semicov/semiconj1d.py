@@ -60,7 +60,7 @@ def contraction_step(h: SemiconjugacyField1D, m: LiftedCircleMap) -> Semiconjuga
     if h.degree != m.degree:
         raise DegreeMismatch(f"field degree {h.degree} vs map degree {m.degree}")
     new, _, _ = contract(_pullback(m, h.grid, h.orientation), h.samples, m.degree,
-                         h.orientation, 0.0, 1)
+                         h.orientation, tol=0.0, max_iter=1)
     out = SemiconjugacyField1D(new, h.orientation, h.degree)
     out.residual = _grid_residual(out, m)
     return out
