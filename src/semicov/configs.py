@@ -61,9 +61,11 @@ def _take(cfg: dict, allowed: dict, where: str) -> dict:
 REQUIRED = object()
 
 
-def _positive(value, name: str):
-    if not (isinstance(value, (int, float)) and value > 0):
-        raise ValidationError(f"{name} must be positive, got {value!r}")
+def _number(value, name: str, positive: bool = False):
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value)
+            or (positive and value <= 0)):
+        raise ValidationError(f"{name} must be a {'positive' if positive else 'finite'} "
+                              f"number, got {value!r}")
     return value
 
 
@@ -82,15 +84,15 @@ def _circle_map(cfg: dict) -> LiftedCircleMap:
     if family == "linear":
         p = _take(cfg, {"family": REQUIRED, "degree": REQUIRED, "offset": 0.0,
                         "grid": 4096}, "linear map")
-        _positive(p["grid"], "grid")
-        d, c = p["degree"], p["offset"]
+        _number(p["grid"], "grid", positive=True)
+        d, c = _number(p["degree"], "degree"), p["offset"]
         return from_function(lambda x: d * x + c, int(p["grid"]),
                              {"family": "linear", "degree": d, "offset": c})
     if family == "sine":
         p = _take(cfg, {"family": REQUIRED, "degree": REQUIRED, "amplitude": 0.1,
                         "offset": 0.0, "grid": 4096}, "sine map")
-        _positive(p["grid"], "grid")
-        d, a, c = p["degree"], p["amplitude"], p["offset"]
+        _number(p["grid"], "grid", positive=True)
+        d, a, c = _number(p["degree"], "degree"), p["amplitude"], p["offset"]
         return from_function(lambda x: d * x + a * np.sin(2 * np.pi * x) + c,
                              int(p["grid"]),
                              {"family": "sine", "degree": d, "amplitude": a, "offset": c})
@@ -99,8 +101,8 @@ def _circle_map(cfg: dict) -> LiftedCircleMap:
         return make_lift(p["values"], {"family": "samples"})
     p = _take(cfg, {"family": REQUIRED, "degree": REQUIRED, "insertions": REQUIRED,
                     "grid": 4096, "depth": 12}, "blowup map")
-    _positive(p["grid"], "grid")
-    _positive(p["depth"], "depth")
+    _number(p["grid"], "grid", positive=True)
+    _number(p["depth"], "depth", positive=True)
     return classify.blow_up(int(p["degree"]), p["insertions"],
                             grid=int(p["grid"]), depth=int(p["depth"]))
 
@@ -114,7 +116,7 @@ def base_from_config(cfg: dict) -> BaseMap:
         return BaseMap("identity")
     if family == "power":
         p = _take(cfg, {"family": REQUIRED, "exponent": REQUIRED}, "base map")
-        _positive(p["exponent"], "exponent")
+        _number(p["exponent"], "exponent", positive=True)
         return BaseMap("power", (float(p["exponent"]),))
     if family == "affine_to_one":
         _take(cfg, {"family": REQUIRED}, "base map")
@@ -135,7 +137,7 @@ def tau_from_config(cfg: dict | None) -> TauSpec:
     if family not in TAU_FAMILIES:
         raise ValidationError(f"unknown tau family {family!r}; known: {list(TAU_FAMILIES)}")
     p = _take(cfg, {"family": REQUIRED, "scale": 1.0}, "tau term")
-    return TauSpec(family, float(p["scale"]))
+    return TauSpec(family, float(_number(p["scale"], "tau scale")))
 
 
 def annulus_map_from_config(cfg: dict) -> AnnulusMapLift:
@@ -162,7 +164,7 @@ def connector_from_config(cfg: dict, m: AnnulusMapLift) -> ConnectorCurve:
     if kind == "const":
         p = _take(cfg, {"kind": REQUIRED, "height": REQUIRED, "margin": 1e-3,
                         "samples": 1024}, "connector")
-        _positive(p["margin"], "margin")
+        _number(p["margin"], "margin", positive=True)
         return constant_connector(float(p["height"]), float(p["margin"]), int(p["samples"]))
     p = _take(cfg, {"kind": REQUIRED, "p": REQUIRED, "n_back": 8, "n_fwd": 14,
                     "margin": 1e-5, "value": None}, "connector")
@@ -179,5 +181,5 @@ def epsilon_from_config(cfg: dict) -> EpsilonSpec:
         raise ValidationError(f"unknown epsilon family {family!r}; "
                               f"known: {list(EPSILON_FAMILIES)}")
     p = _take(cfg, {"family": REQUIRED, "value": 0.1, "power": 1.0}, "epsilon profile")
-    _positive(p["value"], "value")
+    _number(p["value"], "value", positive=True)
     return EpsilonSpec(family, float(p["value"]), float(p["power"]))

@@ -13,6 +13,7 @@ preimage curve families codes a semiconjugacy with z -> z^d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -71,51 +72,66 @@ def constant_connector(height: float, margin: float = 1e-3,
     return ConnectorCurve(xs, np.full(n, float(height)), margin)
 
 
+def _interp_rows(x, xp, fp):
+    """np.interp(x, xp, row) for every row of fp, with np.interp's arithmetic.
+
+    xp must be strictly increasing; points outside it take the end values.
+    """
+    j = np.searchsorted(xp, x, side="right") - 1
+    jc = np.clip(j, 0, len(xp) - 2)
+    v = (fp[..., jc + 1] - fp[..., jc]) / (xp[jc + 1] - xp[jc]) * (x - xp[jc]) + fp[..., jc]
+    node = (j < 0) | (j == len(xp) - 1) | (xp[jc] == x)
+    return np.where(node, fp[..., np.clip(j, 0, len(xp) - 1)], v)
+
+
+def _preimage_block(m: AnnulusMapLift, xs: np.ndarray, heights: np.ndarray,
+                    margin: float, n_samples: int | None = None):
+    """Preimages of a block of curves (rows of heights) on shared nodes xs.
+
+    Branch k solves g_x(w) = c(base(x)) + offset + k; fiber monotonicity
+    separates the branches, which are continuous in x.  Children are sampled
+    at the base preimages of the parent's nodes, so the recursion never
+    interpolates the parent (steepening curves keep their node refinement)
+    and a block's children share nodes.  Returns those nodes, the children's
+    heights (|d| rows per parent, sorted by mean height) and branch offsets.
+    """
+    lo_img = float(np.asarray(m.base(margin)))
+    hi_img = float(np.asarray(m.base(1.0 - margin)))
+    mask = (xs >= lo_img - 1e-15) & (xs <= hi_img + 1e-15)
+    if mask.sum() < 2:
+        raise OutOfDomain("preimage range is empty inside the margins")
+    base_pts, targets = xs[mask], heights[:, mask]
+    if n_samples is not None and len(base_pts) < n_samples:
+        extra = np.linspace(base_pts[0], base_pts[-1], n_samples)
+        targets = _interp_rows(extra, base_pts, targets)
+        base_pts = extra
+    cx = np.asarray(m.base.inverse(base_pts))
+    keep = (cx >= margin - 1e-15) & (cx <= 1.0 - margin + 1e-15)
+    if keep.sum() < 2:
+        raise OutOfDomain("preimage range is empty inside the margins")
+    cx, targets = cx[keep], targets[:, keep]
+    anchor = float(np.asarray(m.fiber(cx[0], 0.0)))
+    ad = abs(m.degree)
+    start = (np.ceil(anchor - targets[:, 0]) if m.degree > 0
+             else np.floor(anchor - targets[:, 0]) - ad + 1)
+    offsets = start[:, None] + np.arange(ad)
+    w = m.fiber.inverse(cx, targets[:, None, :] + offsets[..., None])
+    order = np.argsort(np.mean(w, axis=2), axis=1, kind="stable")
+    w = np.take_along_axis(w, order[..., None], axis=1)
+    gap = float(np.min(np.diff(w, axis=1), initial=np.inf))
+    if gap <= 1e-9:
+        raise BranchCollision(f"branch separation {gap} below resolution")
+    return cx, w.reshape(-1, len(cx)), np.take_along_axis(offsets, order, axis=1).ravel()
+
+
 def preimage_connectors(m: AnnulusMapLift, c: ConnectorCurve,
                         n_samples: int | None = None,
                         margin: float | None = None) -> list[ConnectorCurve]:
-    """The |d| preimage curves of a graph connector, sorted by height.
-
-    Branch k solves g_x(w) = c(base(x)) + offset + k; fiber monotonicity
-    separates the branches, which are continuous in x.  The new curves are
-    sampled at the base preimages of the parent's own nodes, so the
-    recursion never interpolates the parent (curves steepening toward the
-    boundary keep their geometric node refinement).
-    """
+    """The |d| preimage curves of a graph connector, sorted by height (see _preimage_block)."""
     margin = c.margin if margin is None else margin
-    lo_img = float(np.asarray(m.base(margin)))
-    hi_img = float(np.asarray(m.base(1.0 - margin)))
-    mask = (c.xs >= lo_img - 1e-15) & (c.xs <= hi_img + 1e-15)
-    if mask.sum() < 2:
-        raise OutOfDomain("preimage range is empty inside the margins")
-    base_pts = c.xs[mask]
-    targets = c.heights[mask]
-    if n_samples is not None and len(base_pts) < n_samples:
-        extra = np.linspace(base_pts[0], base_pts[-1], n_samples)
-        targets = np.interp(extra, base_pts, targets)
-        base_pts = extra
-    xs = np.asarray(m.base.inverse(base_pts))
-    keep = (xs >= margin - 1e-15) & (xs <= 1.0 - margin + 1e-15)
-    if keep.sum() < 2:
-        raise OutOfDomain("preimage range is empty inside the margins")
-    xs, targets = xs[keep], targets[keep]
-    anchor = float(np.asarray(m.fiber(xs[0], 0.0)))
-    ad = abs(m.degree)
-    if m.degree > 0:
-        start = int(np.ceil(anchor - targets[0]))
-    else:
-        start = int(np.floor(anchor - targets[0])) - ad + 1
-    curves = []
-    for k in range(ad):
-        w = m.fiber.inverse(xs, targets + (start + k))
-        curves.append(ConnectorCurve(xs.copy(), w, margin,
-                                     metadata={"offset": start + k}))
-    curves.sort(key=lambda cv: float(np.mean(cv.heights)))
-    gaps = [float(np.min(b.heights - a.heights))
-            for a, b in zip(curves, curves[1:])]
-    if gaps and min(gaps) <= 1e-9:
-        raise BranchCollision(f"branch separation {min(gaps)} below resolution")
-    return curves
+    xs, hs, offsets = _preimage_block(m, c.xs, c.heights[None, :], margin, n_samples)
+    return [ConnectorCurve(xs.copy(), h, margin, metadata={"offset": int(k)})
+            for h, k in zip(hs, offsets)]
 
 
 def connector_image(m: AnnulusMapLift, c: ConnectorCurve) -> ConnectorCurve:
@@ -276,11 +292,9 @@ def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve, depth: int = 10,
 def _gap_structure(m: AnnulusMapLift, c: ConnectorCurve, n_samples: int):
     """Preimage curves on the margin window plus the index of the gap holding c."""
     margin = c.margin
-    pre = preimage_connectors(m, c, n_samples=n_samples, margin=margin)
-    lo = max([margin, c.xs[0]] + [cv.xs[0] for cv in pre])
-    hi = min([1.0 - margin, c.xs[-1]] + [cv.xs[-1] for cv in pre])
-    xs = np.linspace(lo, hi, n_samples)
-    heights = [cv.height_at(xs) for cv in pre]
+    px, ph, _ = _preimage_block(m, c.xs, c.heights[None, :], margin, n_samples)
+    xs = np.linspace(max(margin, c.xs[0], px[0]), min(1.0 - margin, c.xs[-1], px[-1]), n_samples)
+    heights = list(_interp_rows(xs, px, ph))
     cc = c.height_at(xs)
     shift = np.ceil(heights[0] - cc)
     u = cc + shift                                 # representative inside the stack
@@ -332,13 +346,11 @@ def _nest_negative(m: AnnulusMapLift, c: ConnectorCurve, depth: int,
     c_prime = stage1[0]
     # c_prime is invariant, so it coincides with one of its own preimage
     # curves; its two neighboring gaps need the extra refinement level
-    pre = preimage_connectors(m, c_prime, n_samples=n_samples, margin=c.margin)
-    lo = max([c_prime.xs[0]] + [cv.xs[0] for cv in pre])
-    hi = min([c_prime.xs[-1]] + [cv.xs[-1] for cv in pre])
-    xs_cmp = np.linspace(lo, hi, 257)
+    px, ph, _ = _preimage_block(m, c_prime.xs, c_prime.heights[None, :], c.margin, n_samples)
+    xs_cmp = np.linspace(max(c_prime.xs[0], px[0]), min(c_prime.xs[-1], px[-1]), 257)
     ref = c_prime.height_at(xs_cmp)
-    dists = [float(np.min([np.max(np.abs(cv.height_at(xs_cmp) - ref - t))
-                           for t in (-1, 0, 1)])) for cv in pre]
+    dists = [float(np.min([np.max(np.abs(h - ref - t)) for t in (-1, 0, 1)]))
+             for h in _interp_rows(xs_cmp, px, ph)]
     j_self = int(np.argmin(dists))
     d0 = abs(m.degree)
     adjacent = {j_self % d0, (j_self - 1) % d0}
@@ -362,13 +374,11 @@ def semiconjugacy_from_repellers(m: AnnulusMapLift, repellers: list[ConnectorCur
     interval of their enclosing pair of curves, so the field residual is
     bounded by the circle length d^{-depth+1}.
     """
-    d = m.degree
-    seeds = []
-    for j, r in enumerate(sorted(repellers, key=lambda cv: float(np.mean(cv.heights)))):
-        v = j / (d - 1) if abs(d - 1) > 0 else 0.0
-        v = v + round(float(np.mean(r.heights)) - v)      # align the lift branch
-        cv = ConnectorCurve(r.xs.copy(), r.heights.copy(), r.margin, value=float(v))
-        seeds.append(cv)
+    reps = sorted(repellers, key=lambda cv: float(np.mean(cv.heights)))
+    roots = [j / (m.degree - 1) for j in range(len(reps))]
+    seeds = [ConnectorCurve(r.xs, r.heights, r.margin,      # value on the repeller's lift branch
+                            value=float(v + round(float(np.mean(r.heights)) - v)))
+             for r, v in zip(reps, roots)]
     return semiconjugacy_from_connectors(m, seeds, depth, band, nx, ny)
 
 
@@ -381,56 +391,61 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
     (repellers with roots of unity, or an invariant connector with a fixed
     value).  Works for bases that move the window, at the cost of curve
     ranges shrinking with depth.
+
+    A level is a list of blocks (xs, heights (n_curves, n_nodes), values,
+    margin); a block's children share the base preimages of its nodes, so
+    they form one block.  Every level is kept (8 bytes x curves x nodes)
+    until one gather per block, in family order, so tie-breaks are kept.
+    metadata["level_curves"] counts curves per level, seeds first, and
+    metadata["dropped_blocks"] the blocks whose preimages left the margins.
     """
     if any(s.value is None for s in seeds):
         raise ValueError("seed curves need declared lifted values")
     d = m.degree
-    families: list[ConnectorCurve] = list(seeds)
-    frontier = list(seeds)
+    groups = [list(g) for _, g in groupby(seeds, lambda s: (s.margin, s.xs.tobytes()))]
+    frontier = [(g[0].xs, np.array([s.heights for s in g]),
+                 np.array([s.value for s in g], dtype=float), g[0].margin) for g in groups]
+    levels, dropped = [frontier], 0
     for _ in range(depth):
         new = []
-        for cv in frontier:
+        for xs, hs, vs, mg in frontier:
             try:
-                pres = preimage_connectors(m, cv)
+                cx, ch, offsets = _preimage_block(m, xs, hs, mg)
             except OutOfDomain:
+                dropped += 1
                 continue
-            for p in pres:
-                p.value = (cv.value + p.metadata["offset"]) / d
-                new.append(p)
+            new.append((cx, ch, (np.repeat(vs, abs(d)) + offsets) / d, mg))
         if not new:
             break
-        families.extend(new)
+        levels.append(new)
         frontier = new
 
     if band is None:
-        band = (max(cv.x_range[0] for cv in frontier),
-                min(cv.x_range[1] for cv in frontier))
+        band = (max(float(b[0][0]) for b in frontier), min(float(b[0][-1]) for b in frontier))
     xs = np.linspace(band[0], band[1], nx)
     ys = np.linspace(0.0, 1.0, ny + 1)
-    values = np.empty((nx, ny + 1))
+    blocks = [b for level in levels for b in level]
+    heights = np.concatenate([_interp_rows(xs, b[0], b[1]) for b in blocks])
+    vals = np.concatenate([b[2] for b in blocks])
+    inside = np.repeat([(xs >= b[0][0] - 1e-12) & (xs <= b[0][-1] + 1e-12) for b in blocks],
+                       [len(b[1]) for b in blocks], axis=0)
+    values, rows = np.empty((nx, ny + 1)), np.arange(ny + 1)
     for i, x in enumerate(xs):
-        hs, vs = [], []
-        for cv in families:
-            if cv.xs[0] - 1e-12 <= x <= cv.xs[-1] + 1e-12:
-                hs.append(float(cv.height_at(x)))
-                vs.append(cv.value)
-        hs = np.asarray(hs)
-        vs = np.asarray(vs)
+        hs, vs = heights[inside[:, i], i], vals[inside[:, i]]
         if len(hs) == 0:
             raise OutOfDomain(f"no coding curves over x = {x}; lower the depth "
                               "or shrink the band")
-        below = hs[None, :] + np.floor(ys[:, None] - hs[None, :])
-        vals_b = vs[None, :] + np.floor(ys[:, None] - hs[None, :])
-        pick_b = np.argmax(below, axis=1)
-        pick_a = np.argmin(below + 1.0, axis=1)
-        v_lo = vals_b[np.arange(len(ys)), pick_b]
-        v_hi = vals_b[np.arange(len(ys)), pick_a] + 1.0
+        shift = np.floor(ys[:, None] - hs[None, :])
+        below, vals_b = hs + shift, vs + shift
+        v_lo = vals_b[rows, np.argmax(below, axis=1)]
+        v_hi = vals_b[rows, np.argmin(below + 1.0, axis=1)] + 1.0
         values[i] = 0.5 * (v_lo + v_hi)
     values[:, -1] = values[:, 0] + 1.0
 
     field = BandField2D(band, xs, values, 1, d,
-                        metadata={"depth": depth, "curves": len(families),
-                                  "coding": "repeller-preimage"})
+                        metadata={"depth": depth, "curves": len(vals),
+                                  "coding": "repeller-preimage", "dropped_blocks": dropped,
+                                  "level_curves": [sum(len(b[1]) for b in lv) for lv in levels]})
     # residual measured where the image stays in the band
     xg, yg = np.meshgrid(xs, ys[:-1], indexing="ij")
     fx, fy = m(xg, yg)

@@ -54,10 +54,12 @@ class BandField2D:
         return frac(self.__call__(x, y))
 
 
-def _measure(field: BandField2D, m: AnnulusMapLift, closure=None, window=None) -> float:
+def _measure(field: BandField2D, m: AnnulusMapLift, closure=None,
+             window=None) -> tuple[float, int]:
     """Sup residual |H(F(p)) - d H(p)| over the field's grid rows inside window.
 
-    Images leaving the band take the closure's value, or are skipped without one.
+    Images leaving the band take the closure's value, or are skipped without
+    one.  Returns the sup (0.0 over no points) and the number of points checked.
     """
     xs = field.x_samples
     if window is not None:
@@ -68,7 +70,8 @@ def _measure(field: BandField2D, m: AnnulusMapLift, closure=None, window=None) -
     inside = (fx >= a) & (fx <= b)
     h_there = np.where(inside, field(np.clip(fx, a, b), fy),
                        closure(fx, fy) if closure else np.nan)
-    return float(np.nanmax(np.abs(h_there - m.degree * field(xg, yg)), initial=0.0))
+    r = np.abs(h_there - m.degree * field(xg, yg))
+    return float(np.nanmax(r, initial=0.0)), int(np.count_nonzero(~np.isnan(r)))
 
 
 def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int,
@@ -100,7 +103,7 @@ def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
         raise MaxIterExceeded(f"no convergence to {tol} within {it} iterations")
 
     out = BandField2D((a, b), xs, cur, orientation, m.degree, tol=tol, iterations=it)
-    out.residual = _measure(out, m)
+    out.residual = _measure(out, m)[0]
     out.deviation_bound = float(np.max(np.abs(cur - orientation * yg)))
     return out
 
@@ -114,7 +117,8 @@ def solve_bounded_semiconjugacy(m: AnnulusMapLift, truncation: tuple[float, floa
     Where the map leaves the truncated domain, H(F(p)) is closed by the
     ansatz H(x,y) ~ y + (mean measured deviation); the truncation is then
     widened until the residual on the interior of the original window is
-    below tol.  Convergence is declared from that interior residual only;
+    below tol on at least one checked point (metadata["interior_points"]).
+    Convergence is declared from that interior residual only;
     metadata["inner_converged"] records whether the fixed-point iteration
     itself met its stop rule within max_iter steps.
     """
@@ -136,15 +140,14 @@ def solve_bounded_semiconjugacy(m: AnnulusMapLift, truncation: tuple[float, floa
         field = BandField2D((a, b), xs, cur, 1, m.degree, tol=tol, iterations=it)
         field.deviation_bound = float(np.max(np.abs(cur - yg)))
         dev_mean = float(np.mean(cur - yg))
-        field.residual = _measure(field, m, closure=lambda x, y: y + dev_mean)
-        interior = _measure(field, m, window=(a0, b0))
-        field.metadata["interior_residual"] = interior
-        field.metadata["widenings"] = k
-        field.metadata["inner_converged"] = converged
-        if interior <= tol:
+        field.residual = _measure(field, m, closure=lambda x, y: y + dev_mean)[0]
+        interior, points = _measure(field, m, window=(a0, b0))
+        field.metadata.update(interior_residual=interior, interior_points=points,
+                              widenings=k, inner_converged=converged)
+        if points and interior <= tol:
             return field
-    raise MaxIterExceeded(
-        f"interior residual {interior} > {tol} after {max_widenings} widenings")
+    raise MaxIterExceeded(f"interior residual {interior} over {points} points not "
+                          f"below {tol} after {max_widenings} widenings")
 
 
 def check_fiber_surjectivity(h: BandField2D, x_level: float, max_gap: float = 0.01,

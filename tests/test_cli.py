@@ -163,6 +163,9 @@ BAND_MAP = '{"base": {"family": "identity"}, "fiber": {"family": "linear", "degr
     ["semiconj2d", "--map", BAND_MAP, "--band", "0.2,0.5,0.8"],
     ["semiconj2d", "--map", BAND_MAP, "--band", "0.2"],
     ["counterexample-table", "--nmax", "1"],
+    ["semiconj1d", "--map", '{"family": "sine", "degree": "2"}'],
+    ["semiconj2d", "--map", '{"base": {"family": "identity"}, "fiber": {"family": "linear", '
+     '"degree": 2, "tau": {"family": "const", "scale": NaN}}}', "--band", "0.2,0.8"],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     assert main(argv) == 3

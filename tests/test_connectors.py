@@ -3,12 +3,12 @@ import pytest
 
 from semicov.annulus import BaseMap, FiberMap, make_skew_product
 from semicov.circle import from_function
-from semicov.connectors import (constant_connector,
+from semicov.connectors import (ConnectorCurve, _interp_rows, constant_connector,
                                 invariant_connector_from_arc, is_free,
                                 preimage_connectors, repelling_connectors,
                                 semiconjugacy_from_connectors,
                                 semiconjugacy_from_repellers)
-from semicov.errors import NoExpansion, NotFree, NotMonotoneBase
+from semicov.errors import NoExpansion, NotFree, NotMonotoneBase, OutOfDomain
 from semicov.numerics import circle_dist
 from semicov.semiconj1d import self_conjugacies
 from semicov.semiconj2d import solve_band_semiconjugacy
@@ -188,3 +188,95 @@ def test_coded_field_from_invariant_connector(example_map):
         assert np.max(np.abs(field(np.full_like(ys, x), ys) - expected)) < 5e-3
     assert field.residual < 0.05           # limited by curve interpolation
     assert field.deviation_bound > 1.0     # the true lift deviates a lot here
+
+
+def test_interp_rows_is_np_interp_bit_for_bit():
+    rng = np.random.default_rng(3)
+    xp = np.sort(rng.uniform(0.0, 1.0, 50))
+    fp = rng.normal(size=(4, 50))
+    x = np.concatenate([rng.uniform(-0.1, 1.1, 2000), xp])       # outside, inside, on nodes
+    got = _interp_rows(x, xp, fp)
+    for row, want in zip(got, fp):
+        assert np.array_equal(row, np.interp(x, xp, want))
+
+
+def reference_coding(m, seeds, depth, band, nx, ny):
+    """Per-curve coding: one preimage_connectors call per curve, np.interp per column."""
+    families, frontier = list(seeds), list(seeds)
+    for _ in range(depth):
+        new = []
+        for cv in frontier:
+            try:
+                pres = preimage_connectors(m, cv)
+            except OutOfDomain:
+                continue
+            for p in pres:
+                p.value = (cv.value + p.metadata["offset"]) / m.degree
+            new.extend(pres)
+        if not new:
+            break
+        families.extend(new)
+        frontier = new
+    xs = np.linspace(band[0], band[1], nx)
+    ys = np.linspace(0.0, 1.0, ny + 1)
+    values = np.empty((nx, ny + 1))
+    for i, x in enumerate(xs):
+        on = [cv for cv in families if cv.xs[0] - 1e-12 <= x <= cv.xs[-1] + 1e-12]
+        hs = np.array([np.interp(x, cv.xs, cv.heights) for cv in on])
+        vs = np.array([cv.value for cv in on])
+        below = hs[None, :] + np.floor(ys[:, None] - hs[None, :])
+        vals_b = vs[None, :] + np.floor(ys[:, None] - hs[None, :])
+        rows = np.arange(len(ys))
+        v_hi = vals_b[rows, np.argmin(below + 1.0, axis=1)] + 1.0
+        values[i] = 0.5 * (vals_b[rows, np.argmax(below, axis=1)] + v_hi)
+    values[:, -1] = values[:, 0] + 1.0
+    return values, len(families)
+
+
+def seeded(m, height, rep_depth=8):
+    reps = repelling_connectors(m, constant_connector(height), depth=rep_depth)
+    d = m.degree
+    seeds = []
+    for j, r in enumerate(sorted(reps, key=mean_height)):
+        v = j / (d - 1)
+        seeds.append(ConnectorCurve(r.xs, r.heights, r.margin,
+                                    value=v + round(mean_height(r) - v)))
+    return seeds
+
+
+@pytest.mark.parametrize("d, depth, height", [(2, 5, 0.25), (3, 3, 1 / 6), (-2, 4, 0.25)])
+def test_batched_coding_matches_per_curve_reference(d, depth, height):
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.9)), FiberMap(d))
+    seeds = seeded(m, height)
+    field = semiconjugacy_from_connectors(m, seeds, depth=depth, band=(0.2, 0.8),
+                                          nx=17, ny=32)
+    values, curves = reference_coding(m, seeds, depth, (0.2, 0.8), 17, 32)
+    assert np.array_equal(field.values, values)
+    assert field.metadata["curves"] == curves
+    levels = field.metadata["level_curves"]
+    assert levels == [len(seeds) * abs(d) ** k for k in range(depth + 1)]
+    assert sum(levels) == curves and field.metadata["dropped_blocks"] == 0
+
+
+def test_batched_coding_sine_fiber_matches_reference():
+    # batched bisection stops on the widest bracket of the whole level
+    wobble = from_function(lambda x: 2 * x + 0.05 * np.sin(2 * np.pi * x))
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.9)), FiberMap(2, circle=wobble))
+    seeds = seeded(m, 0.25, rep_depth=6)
+    field = semiconjugacy_from_connectors(m, seeds, depth=4, band=(0.2, 0.8), nx=17, ny=32)
+    values, curves = reference_coding(m, seeds, 4, (0.2, 0.8), 17, 32)
+    assert np.max(np.abs(field.values - values)) <= 1e-12
+    assert field.metadata["curves"] == curves
+
+
+def test_coding_counts_dropped_blocks(contracting_z2):
+    # the base preimages of [0.3, 0.31] move away from 0.5 by 1/0.9 per
+    # level and leave the margins after nine levels
+    seed = ConnectorCurve(np.linspace(0.3, 0.31, 16), np.zeros(16), value=0.0)
+    field = semiconjugacy_from_connectors(contracting_z2, [seed], depth=12,
+                                          band=(0.3, 0.31), nx=5, ny=8)
+    levels = field.metadata["level_curves"]
+    assert field.metadata["dropped_blocks"] == 1
+    assert len(levels) < 13 and levels == [2 ** k for k in range(len(levels))]
+    values, curves = reference_coding(contracting_z2, [seed], 12, (0.3, 0.31), 5, 8)
+    assert np.array_equal(field.values, values) and field.metadata["curves"] == curves

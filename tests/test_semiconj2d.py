@@ -156,3 +156,13 @@ def test_bounded_solver_records_inner_exhaustion():
     assert h.metadata["inner_converged"] is False
     h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-2)
     assert h.metadata["inner_converged"] is True
+
+
+def test_bounded_solver_needs_checked_interior_points():
+    # base x^0.1 sends the whole window (0.2, 0.8) above 0.85: no interior
+    # residual can be measured until the truncation is widened to 0.9
+    m = make_skew_product(BaseMap("power", (0.1,)), FiberMap(2, tau=TauSpec("linear", 0.5)))
+    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-8)
+    assert h.metadata["widenings"] == 1
+    assert h.metadata["interior_points"] > 0
+    assert h.metadata["interior_residual"] <= 1e-8
