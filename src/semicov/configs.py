@@ -62,11 +62,18 @@ REQUIRED = object()
 
 
 def _number(value, name: str, positive: bool = False):
-    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not np.isfinite(value))
             or (positive and value <= 0)):
         raise ValidationError(f"{name} must be a {'positive' if positive else 'finite'} "
                               f"number, got {value!r}")
     return value
+
+
+def _integer(value, name: str, positive: bool = False) -> int:
+    if _number(value, name, positive) != int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def circle_map_from_config(cfg: dict) -> LiftedCircleMap:
@@ -84,27 +91,24 @@ def _circle_map(cfg: dict) -> LiftedCircleMap:
     if family == "linear":
         p = _take(cfg, {"family": REQUIRED, "degree": REQUIRED, "offset": 0.0,
                         "grid": 4096}, "linear map")
-        _number(p["grid"], "grid", positive=True)
-        d, c = _number(p["degree"], "degree"), p["offset"]
-        return from_function(lambda x: d * x + c, int(p["grid"]),
+        d, c = _integer(p["degree"], "degree"), p["offset"]
+        return from_function(lambda x: d * x + c, _integer(p["grid"], "grid", positive=True),
                              {"family": "linear", "degree": d, "offset": c})
     if family == "sine":
         p = _take(cfg, {"family": REQUIRED, "degree": REQUIRED, "amplitude": 0.1,
                         "offset": 0.0, "grid": 4096}, "sine map")
-        _number(p["grid"], "grid", positive=True)
-        d, a, c = _number(p["degree"], "degree"), p["amplitude"], p["offset"]
+        d, a, c = _integer(p["degree"], "degree"), p["amplitude"], p["offset"]
         return from_function(lambda x: d * x + a * np.sin(2 * np.pi * x) + c,
-                             int(p["grid"]),
+                             _integer(p["grid"], "grid", positive=True),
                              {"family": "sine", "degree": d, "amplitude": a, "offset": c})
     if family == "samples":
         p = _take(cfg, {"family": REQUIRED, "values": REQUIRED}, "sampled map")
         return make_lift(p["values"], {"family": "samples"})
     p = _take(cfg, {"family": REQUIRED, "degree": REQUIRED, "insertions": REQUIRED,
                     "grid": 4096, "depth": 12}, "blowup map")
-    _number(p["grid"], "grid", positive=True)
-    _number(p["depth"], "depth", positive=True)
-    return classify.blow_up(int(p["degree"]), p["insertions"],
-                            grid=int(p["grid"]), depth=int(p["depth"]))
+    return classify.blow_up(_integer(p["degree"], "degree"), p["insertions"],
+                            grid=_integer(p["grid"], "grid", positive=True),
+                            depth=_integer(p["depth"], "depth", positive=True))
 
 
 def base_from_config(cfg: dict) -> BaseMap:
@@ -149,7 +153,7 @@ def annulus_map_from_config(cfg: dict) -> AnnulusMapLift:
         raise ValidationError(f"unknown fiber family {family!r}; known: {list(FIBER_FAMILIES)}")
     if family == "linear":
         fp = _take(fcfg, {"family": REQUIRED, "degree": REQUIRED, "tau": None}, "fiber")
-        fiber = FiberMap(int(fp["degree"]), tau=tau_from_config(fp["tau"]))
+        fiber = FiberMap(_integer(fp["degree"], "degree"), tau=tau_from_config(fp["tau"]))
     else:
         fp = _take(fcfg, {"family": REQUIRED, "map": REQUIRED, "tau": None}, "fiber")
         circle = circle_map_from_config(fp["map"])
@@ -165,11 +169,13 @@ def connector_from_config(cfg: dict, m: AnnulusMapLift) -> ConnectorCurve:
         p = _take(cfg, {"kind": REQUIRED, "height": REQUIRED, "margin": 1e-3,
                         "samples": 1024}, "connector")
         _number(p["margin"], "margin", positive=True)
-        return constant_connector(float(p["height"]), float(p["margin"]), int(p["samples"]))
+        return constant_connector(float(p["height"]), float(p["margin"]),
+                                  _integer(p["samples"], "samples", positive=True))
     p = _take(cfg, {"kind": REQUIRED, "p": REQUIRED, "n_back": 8, "n_fwd": 14,
                     "margin": 1e-5, "value": None}, "connector")
-    curve = invariant_connector_from_arc(m, tuple(p["p"]), int(p["n_back"]),
-                                         int(p["n_fwd"]), margin=float(p["margin"]))
+    curve = invariant_connector_from_arc(m, tuple(p["p"]), _integer(p["n_back"], "n_back"),
+                                         _integer(p["n_fwd"], "n_fwd"),
+                                         margin=float(p["margin"]))
     if p["value"] is not None:
         curve.value = float(p["value"])
     return curve

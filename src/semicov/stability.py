@@ -166,9 +166,11 @@ def verify_perturbation(spec: PerturbationSpec, grid: int = 100_000,
 
     (i) sup |g - p2| / eps over a grid (expect < 1); (ii) forward
     invariance of the sector R on sampled points; (iii) an injectivity
-    certificate for g on R (strict fiber monotonicity plus injectivity of
-    the squared radius); (iv) the iterate count after which the squaring
-    map loses injectivity on any disc of the given angular width.
+    certificate for g on R (strict fiber monotonicity plus a base that
+    strictly increases on the sampled radii); (iv) the iterate count after
+    which the squaring map loses injectivity on any disc of the given
+    angular width; (v) that the radius of g(x, t) does not vary with t on
+    the grid, so g preserves the circle foliation.
     """
     rng = np.random.default_rng(seed)
     eps, rho, g = spec.epsilon, spec.rho, spec.g
@@ -177,7 +179,7 @@ def verify_perturbation(spec: PerturbationSpec, grid: int = 100_000,
     xs = np.exp(np.linspace(np.log(1e-6), np.log(1.0 - 1e-9), n))
     ts = np.linspace(-np.pi, np.pi, grid // n, endpoint=False)
     xg, tg = np.meshgrid(xs, ts, indexing="ij")
-    _, gy = g(xg, tg / TWO_PI)
+    gx, gy = g(xg, tg / TWO_PI)
     p2 = xg ** 2 * np.exp(2j * tg)
     gz = xg ** 2 * np.exp(TWO_PI * 1j * gy)
     ratio = np.abs(gz - p2) / eps(xg)
@@ -197,10 +199,11 @@ def verify_perturbation(spec: PerturbationSpec, grid: int = 100_000,
     rp_v = np.asarray(rho(cert_x ** 2))
     slopes_ok = bool(np.all(rp_v > 0) and np.all(rp_v <= r_v)
                      and np.all((4 * r_v - rp_v) / r_v > 0))
+    base_ok = bool(np.all(np.diff(np.asarray(g.base(cert_x))) > 0))
     certificate = {
         "fiber_slopes_positive": slopes_ok,
-        "base_injective_on_sector": True,      # x -> x^2 strictly monotone on (0, 1/2)
-        "injective_on_sector": slopes_ok,
+        "base_injective_on_sector": base_ok,
+        "injective_on_sector": slopes_ok and base_ok,
     }
 
     noninj_iterates = int(np.ceil(np.log2(TWO_PI / disc_width)))
@@ -212,7 +215,7 @@ def verify_perturbation(spec: PerturbationSpec, grid: int = 100_000,
         "injectivity": certificate,
         "squaring_noninjective_after": noninj_iterates,
         "disc_width": disc_width,
-        "foliation_preserved": True,            # base depends on radius alone
+        "foliation_preserved": bool(np.all(gx == gx[:, :1])),
         "grid": grid,
         "r_samples": r_samples,
         "delta": spec.delta,

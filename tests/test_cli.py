@@ -166,8 +166,76 @@ BAND_MAP = '{"base": {"family": "identity"}, "fiber": {"family": "linear", "degr
     ["semiconj1d", "--map", '{"family": "sine", "degree": "2"}'],
     ["semiconj2d", "--map", '{"base": {"family": "identity"}, "fiber": {"family": "linear", '
      '"degree": 2, "tau": {"family": "const", "scale": NaN}}}', "--band", "0.2,0.8"],
+    ["compare", "--a", json.dumps(BLOWUP_NS)],
+    ["conjugate-everything"],
+    [],
+    ["rotation", "--map", json.dumps(LINEAR2), "--points", "abc"],
+    ["semiconj1d", "--map", json.dumps(LINEAR2), "--orientation", "x"],
+    ["semiconj1d", "--map", json.dumps(LINEAR2), "--tol", "inf"],
+    ["semiconj1d", "--map", json.dumps(LINEAR2), "--tol", "nan"],
+    ["semiconj1d", "--map", json.dumps(LINEAR2), "--girth", "3"],
+    ["perturb", "--epsilon", '{"family": "const"}', "--grid", "2.5"],
+    ["semiconj2d", "--map", '{"base": {"family": "identity"}, '
+     '"fiber": {"family": "linear", "degree": 2.7}}'],
+    ["semiconj2d", "--map", '{"base": {"family": "identity"}, '
+     '"fiber": {"family": "linear", "degree": "3"}}'],
+    ["semiconj1d", "--map", '{"family": "linear", "degree": 2, "grid": 64.5}'],
+    ["classify", "--map", json.dumps({**BLOWUP_NS, "degree": 2.5})],
+    ["classify", "--map", json.dumps({**BLOWUP_NS, "depth": 4.5})],
+    ["repellers", "--map", BAND_MAP, "--connector",
+     '{"kind": "const", "height": 0.25, "samples": 100.5}'],
+    ["repellers", "--map", BAND_MAP, "--connector",
+     '{"kind": "invariant_arc", "p": [0.5, 0.0], "n_back": 2.5}'],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ValidationError") and err.count("\n") == 1
+
+
+CONST_CONNECTOR = {"kind": "const", "height": 0.25}
+
+
+@pytest.mark.parametrize("obj", [
+    {"command": "repellers", "map": LINEAR2, "connector": CONST_CONNECTOR, "depth": 2.5},
+    {"command": "repellers", "map": LINEAR2, "connector": CONST_CONNECTOR, "depth": "8"},
+    {"command": "repellers", "map": LINEAR2, "connector": CONST_CONNECTOR, "depth": 0},
+    {"command": "semiconj1d", "map": LINEAR2, "tol": True},
+    {"command": "semiconj1d", "map": LINEAR2, "tol": float("inf")},
+    {"command": "semiconj1d", "map": LINEAR2, "tol": float("nan")},
+    {"command": "semiconj1d", "map": LINEAR2, "orientation": True},
+    {"command": "semiconj1d", "map": "linear"},
+    {"command": "rotation", "map": LINEAR2, "x": float("nan")},
+    {"command": "rotation", "map": LINEAR2, "points": 64.5},
+    {"command": "classify", "map": LINEAR2, "max_period": 1.5},
+    {"command": "semiconj2d", "map": LINEAR2, "nx": True},
+    {"command": "perturb", "epsilon": {"family": "const"}, "grid": -4},
+    {"command": ["semiconj1d"], "map": LINEAR2},
+])
+def test_parse_config_rejects_bad_values(obj):
+    with pytest.raises(ValidationError):
+        parse_config(obj)
+
+
+def test_every_schema_key_is_a_flag(tmp_path):
+    band_map = json.loads(BAND_MAP)
+    out = tmp_path / "h2.csv"
+    argv = ["semiconj2d", "--map", BAND_MAP, "--nx", "9", "--ny", "16", "--tol", "1e-6",
+            "--out", str(out)]
+    assert main(argv) == 0
+    lines = out.read_text().splitlines()
+    cfg = parse_config({"command": "semiconj2d", "map": band_map, "nx": 9, "ny": 16,
+                        "tol": 1e-6})
+    assert f"config_sha256={cfg.digest()}" in lines[0] and "nx=9 ny=16" in lines[0]
+    assert len(lines) == 2 + 9 * 17
+    out = tmp_path / "d.json"
+    assert main(["classify", "--map", json.dumps(BLOWUP_NS), "--max-period", "4",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["max_period"] == 4
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["star-scan", "--help"])
+    assert exc.value.code == 0
+    assert "--connector" in capsys.readouterr().out

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semicov.annulus import BaseMap, make_skew_product
 from semicov.errors import BadParams
 from semicov.stability import (EpsilonSpec, bump_phi, perturb_p2, radial_rho,
                                verify_perturbation)
@@ -90,3 +93,30 @@ def test_verify_perturbation_shrinking_profile():
     rep = verify_perturbation(spec, grid=40_000, r_samples=4_000)
     assert rep["ratio_ok"]
     assert rep["invariance_fraction"] == 1.0
+
+
+def test_non_monotone_base_breaks_injectivity_certificate():
+    spec = perturb_p2(EpsilonSpec("const", 0.1))
+    folded = BaseMap("samples", table=np.array([0.01, 0.3, 0.2, 0.4, 0.6]))
+    spec = replace(spec, g=make_skew_product(folded, spec.g.fiber))
+    rep = verify_perturbation(spec, grid=10_000, r_samples=1_000)
+    cert = rep["injectivity"]
+    assert cert["fiber_slopes_positive"]
+    assert not cert["base_injective_on_sector"] and not cert["injective_on_sector"]
+    assert rep["foliation_preserved"]
+
+
+def test_angle_dependent_radius_breaks_foliation():
+    spec = perturb_p2(EpsilonSpec("const", 0.1))
+    g = spec.g
+
+    class Twisted:              # image radius wobbles with the angle
+        base = g.base
+
+        def __call__(self, x, y):
+            gx, gy = g(x, y)
+            return gx * (1.0 + 1e-3 * np.sin(TWO_PI * np.asarray(y))), gy
+
+    rep = verify_perturbation(replace(spec, g=Twisted()), grid=10_000, r_samples=1_000)
+    assert not rep["foliation_preserved"]
+    assert rep["injectivity"]["injective_on_sector"]
