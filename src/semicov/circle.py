@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegreeTooSmall, NonIntegerDegree, NotACovering
-from .numerics import (bisect_brackets, circle_dist, frac, periodic_gather, periodic_plan,
-                       sign_changes)
+from .numerics import bisect_brackets, circle_dist, frac, periodic_gather, periodic_plan
 
 DEGREE_TOL = 1e-9
 MIN_SAMPLES = 16
@@ -96,9 +95,10 @@ def find_periodic_points(m: LiftedCircleMap, n: int, tol: float = 1e-9,
     """All angles x in [0,1) with F^n(x) - x integer, with minimal periods.
 
     Roots are bracketed by sign changes of F^n(x) - x - k on a dense scan
-    grid (one pass per integer level k) and then bisected to tolerance tol.
-    Only transversal roots are found; a run of sub-tolerance values is
-    reported through its endpoints.
+    grid, for every integer level k the scan interval reaches, and all
+    brackets are bisected together to tolerance tol.  Only transversal
+    roots are found; a run of sub-tolerance values is reported through its
+    endpoints.
     """
     if not m.is_covering:
         raise NotACovering("periodic point search needs a covering map")
@@ -107,29 +107,33 @@ def find_periodic_points(m: LiftedCircleMap, n: int, tol: float = 1e-9,
     npts = scan or max(100_000, 64 * abs(m.degree) ** n)
     xs = np.linspace(0.0, 1.0, npts + 1)
     g = m.iterate(xs, n) - xs
-    roots: list[float] = []
-    for k in range(int(np.ceil(g.min())), int(np.floor(g.max())) + 1):
-        h = g - k
-        roots.extend(xs[h == 0.0])
-        idx = sign_changes(h)
-        if idx.size:
-            found = bisect_brackets(lambda x: m.iterate(x, n) - x - k,
-                                    xs[idx], xs[idx + 1], xtol=min(tol, 1e-12))
-            roots.extend(found)
-    roots = sorted(frac(r) for r in roots)
-    out: list[tuple[float, int]] = []
-    for r in roots:
-        if out and circle_dist(r, out[-1][0]) <= max(tol, 2.0 / npts):
-            continue
-        out.append((float(r), _minimal_period(m, r, n)))
-    if len(out) > 1 and circle_dist(out[0][0], out[-1][0]) <= max(tol, 2.0 / npts):
-        out.pop()
-    return out
+    # candidate (interval i, level k): every integer k in [min, max] of g on [xs[i], xs[i+1]]
+    k_lo = np.ceil(np.minimum(g[:-1], g[1:]))
+    count = (np.floor(np.maximum(g[:-1], g[1:])) - k_lo + 1).astype(np.int64)
+    i = np.repeat(np.arange(npts), count)
+    k = np.repeat(k_lo, count) + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    cross = (g[i] - k) * (g[i + 1] - k) < 0        # strict sign change of g - k
+    i, k = i[cross], k[cross]
+    roots = [xs[g == np.floor(g)]]                  # exact roots at an integer level
+    if i.size:
+        roots.append(bisect_brackets(lambda x: m.iterate(x, n) - x - k,
+                                     xs[i], xs[i + 1], xtol=min(tol, 1e-12)))
+    gap = max(tol, 2.0 / npts)
+    kept: list[float] = []
+    for r in np.sort(frac(np.concatenate(roots))):
+        if not (kept and circle_dist(r, kept[-1]) <= gap):
+            kept.append(float(r))
+    if len(kept) > 1 and circle_dist(kept[0], kept[-1]) <= gap:
+        kept.pop()
+    return list(zip(kept, _minimal_periods(m, np.array(kept), n).tolist()))
 
 
-def _minimal_period(m: LiftedCircleMap, x: float, n: int,
-                    period_tol: float = 1e-6) -> int:
+def _minimal_periods(m: LiftedCircleMap, x: np.ndarray, n: int,
+                     period_tol: float = 1e-6) -> np.ndarray:
+    """Least p in 1..n with F^p(x) = x mod 1 within period_tol, per point; n if none."""
+    period = np.zeros(x.size, dtype=np.int64)
+    y = x
     for p in range(1, n + 1):
-        if circle_dist(m.iterate(x, p), x) <= period_tol:
-            return p
-    return n
+        y = m(y)
+        period[(period == 0) & (circle_dist(y, x) <= period_tol)] = p
+    return np.where(period == 0, n, period)

@@ -533,37 +533,11 @@ class _Atom:
         self.closing = closing   # insert kind applied on the step out of this atom
 
 
-def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12,
-            forward_cap: int = 64) -> LiftedCircleMap:
-    """Degree-d covering whose semiconjugacy collapses the inserted intervals.
-
-    Every point of each base orbit (tail and cycle, exact rational
-    arithmetic) receives an interval of the requested length; preimages up
-    to `depth` receive lengths shrunk by 1/(2|d|) per level, pruned below
-    the grid floor.  On the cycle the first-return map realizes the
-    requested insert kind; all other steps are affine.  Orbits with no
-    rational return within forward_cap steps are truncated forward at
-    sub-grid lengths.  The first insertion's interval is centered at 0.5.
-    """
-    d = int(degree)
+def _orbit_atoms(d: int, specs: list[Insertion], min_len: float, depth: int,
+                 forward_cap: int) -> dict[Fraction, _Atom]:
+    """Atoms of every insertion orbit and of its preimages, keyed by exact angle."""
     ad = abs(d)
-    if ad <= 1:
-        raise ValueError("|degree| must exceed 1")
-    specs = [Insertion.of(s) for s in insertions]
-    if not specs:
-        xs = np.linspace(0.0, 1.0, grid + 1)
-        return make_lift(d * xs, {"family": "blowup", "degree": d, "insertions": []})
-    for ins in specs:
-        if ins.kind not in INSERT_KINDS:
-            raise ValidationError(f"unknown insert kind {ins.kind!r}; "
-                                  f"known: {sorted(INSERT_KINDS)}")
-        if d < 0 and ins.kind != "identity":
-            raise ValidationError("negative degree supports only identity inserts")
-        if not 0.0 < ins.length < 1.0:
-            raise Overfull(f"insert length {ins.length} out of range")
-
     atoms: dict[Fraction, _Atom] = {}
-    min_len = 0.05 / grid
 
     def add(angle: Fraction, length: float, owner: int, closing=None) -> _Atom:
         if angle in atoms and atoms[angle].owner != owner:
@@ -623,7 +597,43 @@ def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12,
         if not new:
             break
         frontier = new
+    return atoms
 
+
+def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12,
+            forward_cap: int = 64) -> LiftedCircleMap:
+    """Degree-d covering whose semiconjugacy collapses the inserted intervals.
+
+    Every point of each base orbit (tail and cycle, exact rational
+    arithmetic) receives an interval of the requested length; preimages up
+    to `depth` receive lengths shrunk by 1/(2|d|) per level, pruned below
+    the grid floor.  On the cycle the first-return map realizes the
+    requested insert kind; all other steps are affine.  Orbits with no
+    rational return within forward_cap steps are truncated forward at
+    sub-grid lengths.  The first insertion's interval is centered at 0.5.
+
+    The lift is assembled by masks over the grid: samples inside an atom
+    interval map affinely (through the closing insert kind) onto the image
+    atom, and samples in the gaps are pulled back to the old circle,
+    multiplied by d and pushed forward.
+    """
+    d = int(degree)
+    if abs(d) <= 1:
+        raise ValueError("|degree| must exceed 1")
+    specs = [Insertion.of(s) for s in insertions]
+    if not specs:
+        xs = np.linspace(0.0, 1.0, grid + 1)
+        return make_lift(d * xs, {"family": "blowup", "degree": d, "insertions": []})
+    for ins in specs:
+        if ins.kind not in INSERT_KINDS:
+            raise ValidationError(f"unknown insert kind {ins.kind!r}; "
+                                  f"known: {sorted(INSERT_KINDS)}")
+        if d < 0 and ins.kind != "identity":
+            raise ValidationError("negative degree supports only identity inserts")
+        if not 0.0 < ins.length < 1.0:
+            raise Overfull(f"insert length {ins.length} out of range")
+
+    atoms = _orbit_atoms(d, specs, 0.05 / grid, depth, forward_cap)
     total = sum(a.length for a in atoms.values())
     if total >= 1.0:
         raise Overfull(f"total inserted length {total} >= 1")
@@ -631,69 +641,67 @@ def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12,
     order = sorted(atoms)                       # exact Fractions sort
     angles = np.array([float(t) for t in order])
     lengths = np.array([atoms[t].length for t in order])
+    csum = np.concatenate(([0.0], np.cumsum(lengths)))
     scale = 1.0 - total
-    lefts = scale * angles + np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
+    lefts = scale * angles + csum[:-1]
     index = {t: i for i, t in enumerate(order)}
 
     i0 = index[specs[0].base_angle]
     shift = 0.5 - (lefts[i0] + 0.5 * lengths[i0])
     lefts = lefts + shift
+    rights = lefts + lengths
 
     def position(u: np.ndarray) -> np.ndarray:
         """New-circle position of old angles u in [0,1), jumps bridged rightward."""
         i = np.searchsorted(angles, u, side="right") - 1
-        csum = np.concatenate(([0.0], np.cumsum(lengths)))
         return shift + scale * u + csum[i + 1]
 
-    def kind_map(kind: str, s: np.ndarray) -> np.ndarray:
-        knots, vals = INSERT_KINDS[kind]
-        return np.interp(s, knots, vals)
+    # image of each atom: its atom index (-1 at a truncated chain end, a
+    # sub-grid interval collapsing to a point), the exact integer branch and
+    # the insert kind of the step out of it
+    images = [(d * t) % 1 for t in order]
+    image_q = np.array([index.get(img, -1) for img in images])
+    branch = np.array([float(d * t - img) for t, img in zip(order, images)])
+    truncated = position(np.array([float(img) for img in images])) + branch
+    kind = np.array([atoms[t].closing or "identity" for t in order])
 
-    # assemble the lift sample-by-sample (vector per piece kind)
     xs = np.linspace(0.0, 1.0, grid + 1)
-    samples = np.empty(grid + 1)
     xw = shift + frac(xs - shift)               # position on the laid-out circle
     off = np.round(xw - xs)                     # integer sheet offset
     piece = np.searchsorted(lefts, xw + 1e-15, side="right") - 1
-    piece = np.clip(piece, -1, len(order) - 1)
-    rights = lefts + lengths
-    wrap_last = len(order) - 1                  # points before lefts[0] sit in the last gap
+    placed = piece >= 0
+    piece = np.where(placed, piece, len(order) - 1)  # points before lefts[0] sit in the last gap
+    inside = placed & (xw <= rights[piece] + 1e-15) & (xw >= lefts[piece] - 1e-15)
+    vals = np.empty(grid + 1)
 
-    for i in range(grid + 1):
-        p = int(piece[i]) if piece[i] >= 0 else wrap_last
-        x = xw[i]
-        left, ell = lefts[p], lengths[p]
-        if x <= rights[p] + 1e-15 and x >= left - 1e-15 and piece[i] >= 0:
-            # inside atom interval p
-            s = min(max((x - left) / ell, 0.0), 1.0)
-            atom = atoms[order[p]]
-            img = (d * atom.angle) % 1
-            branch = float(d * atom.angle - img)     # exact integer
-            if img in index:
-                q = index[img]
-                pos = kind_map(atom.closing or "identity", np.array([s]))[0]
-                if d < 0:
-                    pos = 1.0 - pos
-                val = lefts[q] + pos * lengths[q] + branch
-            else:
-                # truncated chain end: sub-grid interval collapsing to a point
-                val = float(position(np.array([float(img)]))[0]) + branch
-        else:
-            # gap between atoms: pull back to the old coordinate, push forward
-            gl = rights[p] if piece[i] >= 0 else rights[wrap_last] - 1.0
-            t_old = float(order[p]) if piece[i] >= 0 else angles[wrap_last] - 1.0
-            t = t_old + (x - gl) / scale
-            tau = d * t
-            val = float(position(np.array([frac(tau)]))[0]) + np.floor(tau)
-        samples[i] = val - off[i] * d
+    # inside atom interval p: affine onto the image atom through the insert kind
+    i_in = np.nonzero(inside)[0]
+    p = piece[i_in]
+    s = np.minimum(np.maximum((xw[i_in] - lefts[p]) / lengths[p], 0.0), 1.0)
+    pos = np.empty_like(s)
+    for name, (knots, values) in INSERT_KINDS.items():
+        sel = kind[p] == name
+        pos[sel] = np.interp(s[sel], knots, values)
+    if d < 0:
+        pos = 1.0 - pos
+    q = image_q[p]
+    vals[i_in] = np.where(q >= 0, lefts[q] + pos * lengths[q] + branch[p], truncated[p])
+
+    # gap between atoms: pull back to the old coordinate, push forward
+    i_gap = np.nonzero(~inside)[0]
+    p, on = piece[i_gap], placed[i_gap]
+    gl = np.where(on, rights[p], rights[-1] - 1.0)
+    t_old = np.where(on, angles[p], angles[-1] - 1.0)
+    tau = d * (t_old + (xw[i_gap] - gl) / scale)
+    vals[i_gap] = position(frac(tau)) + np.floor(tau)
+    samples = vals - off * d
 
     meta = {
         "family": "blowup",
         "degree": d,
         "grid": grid,
         "depth": depth,
-        "insertions": [{"base_angle": str(s.base_angle), "length": s.length,
-                        "kind": s.kind} for s in specs],
+        "insertions": [{"base_angle": str(ins.base_angle), "length": ins.length,
+                        "kind": ins.kind} for ins in specs],
     }
     return make_lift(samples, meta)
-

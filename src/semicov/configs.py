@@ -70,10 +70,32 @@ def _number(value, name: str, positive: bool = False):
     return value
 
 
+MAX_SIZE = 2 ** 24
+SIZE_KEYS = ("points", "grid", "nx", "ny", "depth", "samples")
+
+
 def _integer(value, name: str, positive: bool = False) -> int:
     if _number(value, name, positive) != int(value):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if name in SIZE_KEYS and value > MAX_SIZE:
+        raise ValidationError(f"{name} must be at most {MAX_SIZE}, got {value!r}")
     return int(value)
+
+
+def _insertion(spec) -> classify.Insertion:
+    if not isinstance(spec, dict):
+        raise ValidationError(f"an insertion must be a config object, got {spec!r}")
+    p = _take(spec, {"base_angle": REQUIRED, "length": REQUIRED, "kind": "north_south"},
+              "insertion")
+    if not isinstance(p["base_angle"], str):
+        _number(p["base_angle"], "base_angle")
+    try:
+        angle = classify.as_angle_fraction(p["base_angle"])
+    except (ValueError, ZeroDivisionError):        # a string that is not 'p/q'
+        raise ValidationError(f"base_angle must be a number or 'p/q', "
+                              f"got {p['base_angle']!r}") from None
+    return classify.Insertion(angle, float(_number(p["length"], "length", positive=True)),
+                              str(p["kind"]))
 
 
 def circle_map_from_config(cfg: dict) -> LiftedCircleMap:
@@ -106,7 +128,10 @@ def _circle_map(cfg: dict) -> LiftedCircleMap:
         return make_lift(p["values"], {"family": "samples"})
     p = _take(cfg, {"family": REQUIRED, "degree": REQUIRED, "insertions": REQUIRED,
                     "grid": 4096, "depth": 12}, "blowup map")
-    return classify.blow_up(_integer(p["degree"], "degree"), p["insertions"],
+    if not isinstance(p["insertions"], list):
+        raise ValidationError(f"insertions must be a list, got {p['insertions']!r}")
+    return classify.blow_up(_integer(p["degree"], "degree"),
+                            [_insertion(s) for s in p["insertions"]],
                             grid=_integer(p["grid"], "grid", positive=True),
                             depth=_integer(p["depth"], "depth", positive=True))
 

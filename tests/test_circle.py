@@ -4,6 +4,7 @@ import pytest
 from semicov.circle import find_periodic_points, from_function, model_lift
 from semicov.classify import blow_up
 from semicov.errors import DegreeTooSmall, NonIntegerDegree, NotACovering, OutOfDomain
+from semicov.numerics import bisect_brackets, circle_dist, frac, sign_changes
 
 
 def test_make_lift_linear_model(m2):
@@ -116,6 +117,50 @@ def test_periodic_points_requires_covering():
     m = from_function(lambda x: 2 * x + 0.6 * np.sin(2 * np.pi * x))
     with pytest.raises(NotACovering):
         find_periodic_points(m, 1)
+
+
+def _per_level_periodic_points(m, n, tol=1e-9):
+    """Reference search: one bisection per integer level k and one scalar
+    period scan per root."""
+    npts = max(100_000, 64 * abs(m.degree) ** n)
+    xs = np.linspace(0.0, 1.0, npts + 1)
+    g = m.iterate(xs, n) - xs
+    roots = []
+    for k in range(int(np.ceil(g.min())), int(np.floor(g.max())) + 1):
+        h = g - k
+        roots.extend(xs[h == 0.0])
+        idx = sign_changes(h)
+        if idx.size:
+            roots.extend(bisect_brackets(lambda x: m.iterate(x, n) - x - k,
+                                         xs[idx], xs[idx + 1], xtol=min(tol, 1e-12)))
+    out = []
+    for r in sorted(frac(r) for r in roots):
+        if out and circle_dist(r, out[-1][0]) <= max(tol, 2.0 / npts):
+            continue
+        period = next((p for p in range(1, n + 1)
+                       if circle_dist(m.iterate(r, p), r) <= 1e-6), n)
+        out.append((float(r), period))
+    if len(out) > 1 and circle_dist(out[0][0], out[-1][0]) <= max(tol, 2.0 / npts):
+        out.pop()
+    return out
+
+
+def _sine(d, a, c):
+    return from_function(lambda x: d * x + a * np.sin(2 * np.pi * x) + c)
+
+
+@pytest.mark.parametrize("make,n", [
+    (lambda: model_lift(2), 5), (lambda: model_lift(3), 4), (lambda: model_lift(-2), 5),
+    (lambda: _sine(2, 0.1, 0.0), 4), (lambda: _sine(3, 0.05, 0.3), 3),
+    (lambda: _sine(-2, 0.09, -0.2), 3),
+    (lambda: blow_up(2, [{"base_angle": 0, "length": 0.1, "kind": "north_south"}]), 1),
+    (lambda: blow_up(2, [{"base_angle": 0, "length": 0.1, "kind": "north_south"}]), 3),
+], ids=["model2", "model3", "model-2", "sine2", "sine3", "sine-2", "blowup-n1", "blowup-n3"])
+def test_periodic_points_match_per_level_reference(make, n):
+    m = make()
+    got, ref = find_periodic_points(m, n), _per_level_periodic_points(m, n)
+    assert [p for _, p in got] == [p for _, p in ref]
+    assert np.all(np.abs(np.subtract([a for a, _ in got], [a for a, _ in ref])) <= 1e-12)
 
 
 @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, [0.25, np.nan]])

@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semicov.circle import find_periodic_points
-from semicov.classify import (IntervalSignature, PlateauRecord, blow_up,
+from semicov.circle import find_periodic_points, make_lift
+from semicov.classify import (INSERT_KINDS, Insertion, IntervalSignature, PlateauRecord,
+                              _orbit_atoms, blow_up,
                               classification_data, classify_circle_point,
                               compare_classification, interval_signature,
                               plateau_set, snap_structured_angle, transform_insertions)
@@ -297,6 +298,98 @@ def test_blow_up_negative_degree_smoke():
     h = solve_semiconjugacy(m, 1, 1e-8)
     plats = plateau_set(h)
     assert any(a < 0.5 < b for a, b in plats)
+
+
+def _per_sample_blow_up(d, insertions, grid, depth=12):
+    """Reference assembly of blow_up's lift, one grid sample at a time.
+
+    Returns the lift samples and the set of branches the samples took
+    ("atom", "truncated", "gap")."""
+    specs = [Insertion.of(s) for s in insertions]
+    atoms = _orbit_atoms(d, specs, 0.05 / grid, depth, 64)
+    total = sum(a.length for a in atoms.values())
+    order = sorted(atoms)
+    angles = np.array([float(t) for t in order])
+    lengths = np.array([atoms[t].length for t in order])
+    scale = 1.0 - total
+    lefts = scale * angles + np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
+    index = {t: i for i, t in enumerate(order)}
+    i0 = index[specs[0].base_angle]
+    shift = 0.5 - (lefts[i0] + 0.5 * lengths[i0])
+    lefts = lefts + shift
+
+    def position(u):
+        i = np.searchsorted(angles, u, side="right") - 1
+        csum = np.concatenate(([0.0], np.cumsum(lengths)))
+        return shift + scale * u + csum[i + 1]
+
+    def kind_map(kind, s):
+        knots, vals = INSERT_KINDS[kind]
+        return np.interp(s, knots, vals)
+
+    xs = np.linspace(0.0, 1.0, grid + 1)
+    samples = np.empty(grid + 1)
+    xw = shift + frac(xs - shift)
+    off = np.round(xw - xs)
+    piece = np.searchsorted(lefts, xw + 1e-15, side="right") - 1
+    piece = np.clip(piece, -1, len(order) - 1)
+    rights = lefts + lengths
+    wrap_last = len(order) - 1
+    branches = set()
+    for i in range(grid + 1):
+        p = int(piece[i]) if piece[i] >= 0 else wrap_last
+        x = xw[i]
+        left, ell = lefts[p], lengths[p]
+        if x <= rights[p] + 1e-15 and x >= left - 1e-15 and piece[i] >= 0:
+            s = min(max((x - left) / ell, 0.0), 1.0)
+            atom = atoms[order[p]]
+            img = (d * atom.angle) % 1
+            branch = float(d * atom.angle - img)
+            if img in index:
+                branches.add("atom")
+                q = index[img]
+                pos = kind_map(atom.closing or "identity", np.array([s]))[0]
+                if d < 0:
+                    pos = 1.0 - pos
+                val = lefts[q] + pos * lengths[q] + branch
+            else:
+                branches.add("truncated")
+                val = float(position(np.array([float(img)]))[0]) + branch
+        else:
+            branches.add("gap")
+            gl = rights[p] if piece[i] >= 0 else rights[wrap_last] - 1.0
+            t_old = float(order[p]) if piece[i] >= 0 else angles[wrap_last] - 1.0
+            t = t_old + (x - gl) / scale
+            tau = d * t
+            val = float(position(np.array([frac(tau)]))[0]) + np.floor(tau)
+        samples[i] = val - off[i] * d
+    return make_lift(samples).samples, branches
+
+
+def _ins(angle, kind, length=0.12):
+    return {"base_angle": angle, "length": length, "kind": kind}
+
+
+# float base angles with no rational return whose truncated chain end holds a sample
+TRUNCATED = [(2, 0.5355339059327378, 1024), (2, 0.9597979746446668, 4096),
+             (3, 0.39411254969542897, 1024)]
+
+
+@pytest.mark.parametrize("d,insertions,grid", [
+    *[(2, [_ins("1/3", k)], g) for k in sorted(INSERT_KINDS) for g in (1024, 4096)],
+    *[(3, [_ins("1/8", k)], 1024) for k in sorted(INSERT_KINDS)],
+    (3, [_ins("5/8", "south_north")], 4096),
+    (-2, [_ins("0", "identity")], 1024),
+    (-2, [_ins("1/3", "identity", 0.1)], 4096),
+    (2, [_ins(0, "north_south", 0.08), _ins("1/3", "advance", 0.06)], 4096),
+    (3, [_ins(0, "retreat", 0.08), _ins("1/2", "identity", 0.06)], 1024),
+    *[(d, [_ins(a, "identity", 0.1)], g) for d, a, g in TRUNCATED],
+])
+def test_blow_up_matches_per_sample_reference(d, insertions, grid):
+    ref, branches = _per_sample_blow_up(d, insertions, grid)
+    assert np.array_equal(blow_up(d, insertions, grid=grid).samples, ref)
+    if isinstance(insertions[0]["base_angle"], float):
+        assert "truncated" in branches
 
 
 # --- structural invariants --------------------------------------------------

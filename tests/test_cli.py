@@ -186,6 +186,22 @@ BAND_MAP = '{"base": {"family": "identity"}, "fiber": {"family": "linear", "degr
      '{"kind": "const", "height": 0.25, "samples": 100.5}'],
     ["repellers", "--map", BAND_MAP, "--connector",
      '{"kind": "invariant_arc", "p": [0.5, 0.0], "n_back": 2.5}'],
+    ["classify", "--map", json.dumps({**BLOWUP_NS, "insertions": [{"length": 0.1}]})],
+    ["classify", "--map", json.dumps({**BLOWUP_NS, "insertions": "x"})],
+    ["classify", "--map", json.dumps({**BLOWUP_NS, "insertions": [
+        {"base_angle": "1/0", "length": 0.1}]})],
+    ["classify", "--map", '{"family": "blowup", "degree": 2, "insertions": '
+     '[{"base_angle": Infinity, "length": 0.1}]}'],
+    ["classify", "--map", json.dumps({**BLOWUP_NS, "insertions": [
+        {"base_angle": 0, "length": "0.1"}]})],
+    ["classify", "--map", json.dumps({**BLOWUP_NS, "insertions": [
+        {"base_angle": "a/b", "length": 0.1}]})],
+    ["classify", "--map", json.dumps({**BLOWUP_NS, "insertions": [0]})],
+    ["rotation", "--map", json.dumps(LINEAR2), "--points", "100000000000000000000"],
+    ["semiconj1d", "--map", '{"family": "linear", "degree": 2, "grid": 16777217}'],
+    ["classify", "--map", json.dumps({**BLOWUP_NS, "depth": 10 ** 20})],
+    ["repellers", "--map", BAND_MAP, "--connector",
+     '{"kind": "const", "height": 0.25, "samples": 100000000000000000000}'],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     assert main(argv) == 3
@@ -211,6 +227,8 @@ CONST_CONNECTOR = {"kind": "const", "height": 0.25}
     {"command": "semiconj2d", "map": LINEAR2, "nx": True},
     {"command": "perturb", "epsilon": {"family": "const"}, "grid": -4},
     {"command": ["semiconj1d"], "map": LINEAR2},
+    {"command": "rotation", "map": LINEAR2, "points": 10 ** 20},
+    {"command": "semiconj2d", "map": LINEAR2, "ny": 2 ** 24 + 1},
 ])
 def test_parse_config_rejects_bad_values(obj):
     with pytest.raises(ValidationError):
