@@ -15,6 +15,7 @@ from .circle import LiftedCircleMap
 from .errors import (BaseEscapes, BaseNotInvertible, DegreeTooSmall, FiberNotMonotone,
                      NonIntegerDegree, OrbitEscapes, OutOfDomain)
 from .numerics import bisect_brackets, frac
+from .schema import REQUIRED, Family, fraction, number, numbers, positive
 
 DEGREE_TOL = 1e-9
 
@@ -23,54 +24,48 @@ DEGREE_TOL = 1e-9
 # base maps of (0,1)
 # ---------------------------------------------------------------------------
 
+def _table_inverse(y, table):
+    if np.any(np.diff(table) <= 0):
+        raise BaseNotInvertible("sampled base is not strictly increasing")
+    return np.interp(y, table, np.linspace(0.0, 1.0, len(table)))
+
+
+# family -> (schema, x -> base(x), y -> base^-1(y)); both take BaseMap.args
+BASES = {
+    "identity": Family({}, lambda x: x, lambda y: y),
+    "power": Family({"exponent": (REQUIRED, positive)},
+                    lambda x, p: x ** p, lambda y, p: y ** (1.0 / p)),
+    "affine_to_one": Family({}, lambda x: 0.5 * (x + 1.0), lambda y: 2.0 * y - 1.0),
+    "contraction": Family({"center": (0.5, number), "rate": (0.9, fraction)},
+                          lambda x, c, r: c + r * (x - c), lambda y, c, r: c + (y - c) / r),
+    "samples": Family({"values": (REQUIRED, numbers)},
+                      lambda x, table: np.interp(x, np.linspace(0.0, 1.0, len(table)), table),
+                      _table_inverse),
+}
+
+
 @dataclass(frozen=True)
 class BaseMap:
-    """Monotone self-map of (0,1): small family registry plus samples.
-
-    kinds: identity | power (x^p) | affine_to_one ((x+1)/2) |
-    contraction (c + r*(x-c)) | samples (monotone table on [0,1]).
-    """
+    """Monotone self-map of (0,1), one family of ``BASES``: params holds its
+    numbers in schema order, the samples family its values on a uniform
+    grid of [0,1] in table."""
 
     kind: str
     params: tuple = ()
     table: np.ndarray | None = None
 
+    @property
+    def args(self) -> tuple:
+        return self.params if self.table is None else (self.table,)
+
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "identity":
-            out = x
-        elif self.kind == "power":
-            out = x ** self.params[0]
-        elif self.kind == "affine_to_one":
-            out = 0.5 * (x + 1.0)
-        elif self.kind == "contraction":
-            c, r = self.params
-            out = c + r * (x - c)
-        elif self.kind == "samples":
-            out = np.interp(x, np.linspace(0.0, 1.0, len(self.table)), self.table)
-        else:
-            raise ValueError(f"unknown base kind {self.kind!r}")
+        out = BASES[self.kind].call(np.asarray(x, dtype=float), *self.args)
         return out if out.ndim else float(out)
 
     def inverse(self, y):
         """Inverse where defined; raises BaseNotInvertible outside the image."""
         y = np.asarray(y, dtype=float)
-        if self.kind == "identity":
-            out = y
-        elif self.kind == "power":
-            out = y ** (1.0 / self.params[0])
-        elif self.kind == "affine_to_one":
-            out = 2.0 * y - 1.0
-        elif self.kind == "contraction":
-            c, r = self.params
-            out = c + (y - c) / r
-        elif self.kind == "samples":
-            t = np.linspace(0.0, 1.0, len(self.table))
-            if np.any(np.diff(self.table) <= 0):
-                raise BaseNotInvertible("sampled base is not strictly increasing")
-            out = np.interp(y, self.table, t)
-        else:
-            raise ValueError(f"unknown base kind {self.kind!r}")
+        out = BASES[self.kind].inverse(y, *self.args)
         if np.any(out <= 0.0) or np.any(out >= 1.0):
             raise BaseNotInvertible(f"preimage leaves (0,1) for target {y!r}")
         return out if out.ndim else float(out)
@@ -80,25 +75,25 @@ class BaseMap:
 # fiber maps
 # ---------------------------------------------------------------------------
 
+_SCALE = {"scale": (1.0, number)}
+TAUS = {                                 # family -> (schema, (x, scale) -> tau(x))
+    "zero": Family(_SCALE, lambda x, s: np.zeros_like(x)),
+    "const": Family(_SCALE, lambda x, s: np.full_like(x, s)),
+    "linear": Family(_SCALE, lambda x, s: s * x),
+    "inv_one_minus": Family(_SCALE, lambda x, s: s / (1.0 - x)),
+}
+
+
 @dataclass(frozen=True)
 class TauSpec:
-    """Fiber translation term tau(x): const c | linear c*x | inv_one_minus c/(1-x)."""
+    """Fiber translation term tau(x), one family of ``TAUS``: zero |
+    const c | linear c*x | inv_one_minus c/(1-x), with c = scale."""
 
     kind: str = "zero"
     scale: float = 0.0
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            out = np.zeros_like(x)
-        elif self.kind == "const":
-            out = np.full_like(x, self.scale)
-        elif self.kind == "linear":
-            out = self.scale * x
-        elif self.kind == "inv_one_minus":
-            out = self.scale / (1.0 - x)
-        else:
-            raise ValueError(f"unknown tau kind {self.kind!r}")
+        out = TAUS[self.kind].call(np.asarray(x, dtype=float), self.scale)
         return out if out.ndim else float(out)
 
 
@@ -173,12 +168,20 @@ class AnnulusMapLift:
     metadata: dict = field(default_factory=dict)
 
     def __call__(self, x, y):
-        return evaluate_annulus(self, x, y)
-
-    def iterate(self, x, y, n: int):
-        for _ in range(n):
-            x, y = evaluate_annulus(self, x, y)
-        return x, y
+        """Lift value with exact fiber equivariance; x must stay in the domain."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        lo, hi = self.domain_band if self.domain_band else (0.0, 1.0)
+        if not ((x > lo) & (x < hi)).all():
+            raise OutOfDomain(f"x outside domain ({lo}, {hi})")
+        if not np.isfinite(y).all():
+            raise OutOfDomain("fiber coordinate must be finite")
+        k = np.floor(y)
+        out_y = np.asarray(self.fiber(x, y - k)) + k * self.degree
+        out_x = np.asarray(self.base(x))
+        if out_x.ndim:
+            return out_x, out_y
+        return float(out_x), float(out_y)
 
 
 def make_skew_product(base: BaseMap, fiber: FiberMap, n_check: int = 64,
@@ -202,24 +205,6 @@ def make_skew_product(base: BaseMap, fiber: FiberMap, n_check: int = 64,
     if lo <= 0.0:
         raise FiberNotMonotone(f"fiber slope reaches {lo} <= 0")
     return AnnulusMapLift(base, fiber, d, metadata=dict(metadata or {}))
-
-
-def evaluate_annulus(m: AnnulusMapLift, x, y):
-    """Lift value with exact fiber equivariance; x must stay in the domain."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lo, hi = m.domain_band if m.domain_band else (0.0, 1.0)
-    if not ((x > lo) & (x < hi)).all():
-        raise OutOfDomain(f"x outside domain ({lo}, {hi})")
-    if not np.isfinite(y).all():
-        raise OutOfDomain("fiber coordinate must be finite")
-    k = np.floor(y)
-    y0 = y - k
-    out_y = np.asarray(m.fiber(x, y0)) + k * m.degree
-    out_x = np.asarray(m.base(x))
-    if out_x.ndim:
-        return out_x, out_y
-    return float(out_x), float(out_y)
 
 
 def displacement_bound(m: AnnulusMapLift, band: tuple[float, float],

@@ -21,6 +21,7 @@ import numpy as np
 from .circle import LiftedCircleMap, make_lift
 from .errors import Clash, NotACovering, NotInvariant, Overfull, ValidationError
 from .numerics import bisect_brackets, circle_dist, frac, sign_changes
+from .schema import REQUIRED, config, number, positive, take
 from .semiconj1d import (SelfConjugacy, SemiconjugacyField1D, self_conjugacies,
                          solve_semiconjugacy)
 
@@ -130,25 +131,21 @@ def plateau_set(h: SemiconjugacyField1D, plateau_tol: float | None = None
     if np.any(np.diff(s) < -1e-12):
         raise ValueError("plateau detection needs a monotone field")
     xs = np.linspace(0.0, 1.0, n + 1)
+    # ends[i]: largest j with strict variation s[j] - s[i] < plateau_tol; the
+    # greedy scan from i = 0 takes each window of >= 2 cells that starts at
+    # or after the end of the last one taken
+    ends = np.searchsorted(s, s + plateau_tol, side="left") - 1
     out: list[tuple[float, float]] = []
     i = 0
-    while i <= n - 2:
-        # largest j with strict variation s[j] - s[i] < plateau_tol
-        j = int(np.searchsorted(s, s[i] + plateau_tol, side="left")) - 1
-        if j >= i + 2:
-            out.append((xs[i], xs[j]))
-            i = j + 1
+    for c in np.flatnonzero(ends[:n - 1] >= np.arange(2, n + 1)).tolist():
+        if c < i:
+            continue
+        i = ends[c] + 1
+        if out and xs[c] - out[-1][1] <= 2.5 / n:
+            # a satellite: the greedy scan split one flat region at resolution
+            out[-1] = (out[-1][0], xs[ends[c]])
         else:
-            i += 1
-    # merge satellites: windows split by the greedy scan across what is one
-    # flat region at resolution
-    merged: list[tuple[float, float]] = []
-    for a, b in out:
-        if merged and a - merged[-1][1] <= 2.5 / n:
-            merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-    out = merged
+            out.append((xs[c], xs[ends[c]]))
     if len(out) >= 2:
         (a0, b0), (a1, b1) = out[0], out[-1]
         touches = a0 <= 1.0 / n and b1 >= 1.0 - 1.5 / n
@@ -160,6 +157,16 @@ def plateau_set(h: SemiconjugacyField1D, plateau_tol: float | None = None
 # ---------------------------------------------------------------------------
 # interval signatures
 # ---------------------------------------------------------------------------
+
+def _add_dip_roots(roots: list, xs, vals, tang_tol: float, sep: float) -> None:
+    """Append, per run of |vals| <= tang_tol, the point of smallest |vals|
+    unless it lies within sep of a root already listed (earlier runs' too)."""
+    edges = np.diff(np.concatenate(([0], (np.abs(vals) <= tang_tol).view(np.int8), [0])))
+    for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+        x_star = float(xs[i + int(np.argmin(np.abs(vals[i:j])))])
+        if not any(abs(x_star - r) <= sep for r in roots):
+            roots.append(x_star)
+
 
 @dataclass(frozen=True)
 class IntervalSignature:
@@ -251,46 +258,24 @@ def interval_signature(m: LiftedCircleMap, interval: tuple[float, float],
     idx = sign_changes(vals)
     roots = [float(r) for r in
              bisect_brackets(g, xs[idx], xs[idx + 1], xtol=min(tol, 1e-12))] if idx.size else []
-    small = np.abs(vals) <= tang_tol
-    i = 0
-    while i < len(small):
-        if small[i]:
-            j = i
-            while j + 1 < len(small) and small[j + 1]:
-                j += 1
-            x_star = float(xs[i + int(np.argmin(np.abs(vals[i:j + 1])))])
-            if not any(abs(x_star - r) <= 4 * scan_cell for r in roots):
-                roots.append(x_star)
-            i = j + 1
-        else:
-            i += 1
+    _add_dip_roots(roots, xs, vals, tang_tol, 4 * scan_cell)
     roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if merged and r - merged[-1] <= 4 * scan_cell:
-            return IntervalSignature(orientation, None, None)  # unresolved
-        merged.append(float(r))
+    if any(r2 - r1 <= 4 * scan_cell for r1, r2 in zip(roots, roots[1:])):
+        return IntervalSignature(orientation, None, None)  # unresolved
     slack = max(16.0 * cell, 0.1 * width)
-    if not merged or abs(merged[0] - a) > slack or abs(merged[-1] - b) > slack:
+    if not roots or abs(roots[0] - a) > slack or abs(roots[-1] - b) > slack:
         raise NotInvariant(f"interval {interval} endpoints not fixed by F^{period}")
 
     # flank signs just outside the located endpoints, still in the gap region
-    lo, hi = merged[0], merged[-1]
+    lo, hi = roots[0], roots[-1]
     probes = [lo - 3 * cell] + \
-             [0.5 * (r1 + r2) for r1, r2 in zip(merged, merged[1:])] + \
+             [0.5 * (r1 + r2) for r1, r2 in zip(roots, roots[1:])] + \
              [hi + 3 * cell]
     pattern = tuple(1 if v > 0 else -1 for v in g(np.asarray(probes)))
-
-    def end_flag(out_sign: int, in_sign: int) -> str:
-        if out_sign > 0 and in_sign < 0:
-            return "attracting"
-        if out_sign < 0 and in_sign > 0:
-            return "repelling"
-        return "mixed"
-
-    behavior = (end_flag(pattern[0], pattern[1]),
-                end_flag(-pattern[-1], -pattern[-2]))
-    return IntervalSignature(orientation, len(merged), pattern, behavior)
+    flag = {(1, -1): "attracting", (-1, 1): "repelling"}     # (outside, inside) signs
+    behavior = (flag.get((pattern[0], pattern[1]), "mixed"),
+                flag.get((-pattern[-1], -pattern[-2]), "mixed"))
+    return IntervalSignature(orientation, len(roots), pattern, behavior)
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +491,19 @@ class Insertion:
 
     @classmethod
     def of(cls, spec) -> "Insertion":
+        """An Insertion, or one checked from a {base_angle, length, kind} config."""
         if isinstance(spec, Insertion):
             return spec
-        return cls(as_angle_fraction(spec["base_angle"]), float(spec["length"]),
-                   str(spec.get("kind", "north_south")))
+        p = take(config(spec, "an insertion"),
+                 {"base_angle": REQUIRED, "length": REQUIRED, "kind": "north_south"}, "insertion")
+        if not isinstance(p["base_angle"], (str, Fraction, np.integer)):
+            number(p["base_angle"], "base_angle")
+        try:
+            angle = as_angle_fraction(p["base_angle"])
+        except (ValueError, ZeroDivisionError):        # a string that is not 'p/q'
+            raise ValidationError(f"base_angle must be a number or 'p/q', "
+                                  f"got {p['base_angle']!r}") from None
+        return cls(angle, float(positive(p["length"], "length")), str(p["kind"]))
 
 
 def transform_insertions(insertions, c: SelfConjugacy) -> list[Insertion]:

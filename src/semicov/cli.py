@@ -6,7 +6,7 @@ Exit codes: 0 success (or equivalent verdict), 1 negative verdict
 identical configs yield byte-identical artifacts.
 
 Every command is one entry of ``COMMANDS``: its schema (key -> default or
-``configs.REQUIRED``) sets both the run-config keys and the ``--<key>``
+``schema.REQUIRED``) sets both the run-config keys and the ``--<key>``
 flags, and its handler turns a validated config into artifact text and an
 exit code.
 """
@@ -21,7 +21,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import classify, configs, connectors, obstruction, semiconj1d, semiconj2d, stability
+from . import (classify, configs, connectors, obstruction, schema, semiconj1d, semiconj2d,
+               stability)
 from .errors import SemicovError, ValidationError
 
 _MAP_KEYS = ("map", "a", "b", "connector", "epsilon")
@@ -47,20 +48,18 @@ def _check(key: str, value):
     if value is None:
         return
     if key in _MAP_KEYS:
-        if not isinstance(value, dict):
-            raise ValidationError(f"{key} must be a config object, got {value!r}")
+        schema.config(value, key)
     elif key in _INT_KEYS:
-        configs._integer(value, key, positive=True)
+        schema.size(value, key)
     elif key == "band":
-        if not (isinstance(value, (list, tuple)) and len(value) == 2
-                and all(isinstance(v, (int, float)) for v in value)
-                and 0.0 < value[0] < value[1] < 1.0):
+        a, b = schema.pair(value, key)
+        if not 0.0 < a < b < 1.0:
             raise ValidationError(f"band must be two numbers 0 < a < b < 1, got {value}")
     elif key == "orientation":
         if value not in (1, -1) or isinstance(value, bool):
             raise ValidationError(f"orientation must be +1 or -1, got {value!r}")
     else:                                               # tol, x
-        configs._number(value, key, positive=key == "tol")
+        schema.number(value, key, positive=key == "tol")
 
 
 def parse_config(text_or_obj) -> RunConfig:
@@ -71,7 +70,7 @@ def parse_config(text_or_obj) -> RunConfig:
         raise ValidationError(f"unknown command {command!r}; known: {list(COMMANDS)}")
     out = obj.pop("out", None)
     maps, params = {}, {}
-    for key, value in configs._take(obj, COMMANDS[command].schema, command).items():
+    for key, value in schema.take(obj, COMMANDS[command].schema, command).items():
         _check(key, value)
         (maps if key in _MAP_KEYS else params)[key] = value
     return RunConfig(command, maps, params, out)
@@ -222,11 +221,11 @@ def _record_json(r: classify.PlateauRecord) -> dict:
 
 class Command(NamedTuple):
     help: str
-    schema: dict                                        # key -> default or configs.REQUIRED
+    schema: dict                                        # key -> default or schema.REQUIRED
     handler: Callable[[RunConfig, dict], tuple[str, int]]
 
 
-_REQ = configs.REQUIRED
+_REQ = schema.REQUIRED
 COMMANDS = {
     "semiconj1d": Command("solve the circle semiconjugacy lift",
                           {"map": _REQ, "orientation": 1, "tol": 1e-8}, _semiconj1d),

@@ -1,29 +1,26 @@
 """Structured config text for maps, connectors and profiles.
 
-Configs are JSON objects, given inline or as a path to a JSON file.
-Unknown keys and unknown family names are rejected with the list of
-accepted ones, so committed config files stay reproducible.
+Configs are JSON objects, given inline or as a path to a JSON file.  Each
+map kind is one table of families with typed parameter schemas, and
+``build`` makes every kind in one step: check the family, take the schema's
+keys, check each value, construct.  Unknown keys and family names are
+rejected with the accepted ones, so committed config files stay reproducible.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import classify
-from .annulus import AnnulusMapLift, BaseMap, FiberMap, TauSpec, make_skew_product
+from .annulus import BASES, TAUS, AnnulusMapLift, BaseMap, FiberMap, TauSpec, make_skew_product
 from .circle import LiftedCircleMap, from_function, make_lift
 from .connectors import ConnectorCurve, constant_connector, invariant_connector_from_arc
 from .errors import ParseError, ValidationError
-from .stability import EpsilonSpec
-
-CIRCLE_FAMILIES = ("linear", "sine", "samples", "blowup")
-BASE_FAMILIES = ("identity", "power", "affine_to_one", "contraction", "samples")
-TAU_FAMILIES = ("zero", "const", "linear", "inv_one_minus")
-FIBER_FAMILIES = ("linear", "circle_map")
-CONNECTOR_KINDS = ("const", "invariant_arc")
-EPSILON_FAMILIES = ("const", "edge_poly")
+from .schema import REQUIRED, Family, config, integer, number, numbers, pair, positive, size, take
+from .stability import EPSILONS, EpsilonSpec
 
 
 def load_config(text_or_path: str) -> dict:
@@ -45,172 +42,107 @@ def load_config(text_or_path: str) -> dict:
     return obj
 
 
-def _take(cfg: dict, allowed: dict, where: str) -> dict:
-    unknown = set(cfg) - set(allowed)
-    if unknown:
-        raise ValidationError(f"unknown keys {sorted(unknown)} in {where}; "
-                              f"allowed: {sorted(allowed)}")
-    out = {}
-    for key, default in allowed.items():
-        if default is REQUIRED and key not in cfg:
-            raise ValidationError(f"missing required key {key!r} in {where}")
-        out[key] = cfg.get(key, default)
-    return out
+def _insertions(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list, got {value!r}")
+    return [classify.Insertion.of(s) for s in value]
 
 
-REQUIRED = object()
+def _lift(family: str, fn: Callable) -> Callable:
+    """Builder sampling the lift fn(x, **params) on the grid, params as metadata."""
+    return lambda grid, **p: from_function(lambda x: fn(x, **p), grid, {"family": family, **p})
 
 
-def _number(value, name: str, positive: bool = False):
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not np.isfinite(value))
-            or (positive and value <= 0)):
-        raise ValidationError(f"{name} must be a {'positive' if positive else 'finite'} "
-                              f"number, got {value!r}")
-    return value
+def _arc(m, p, n_back, n_fwd, margin, value):
+    curve = invariant_connector_from_arc(m, p, n_back, n_fwd, margin=margin)
+    if value is not None:
+        curve.value = value
+    return curve
 
 
-MAX_SIZE = 2 ** 24
-SIZE_KEYS = ("points", "grid", "nx", "ny", "depth", "samples")
+# families whose table entry builds the object from its checked parameters
+_TAU = (None, lambda value, name: build("tau", value))
+CIRCLES = {
+    "linear": Family({"degree": (REQUIRED, integer), "offset": (0.0, number),
+                      "grid": (4096, size)},
+                     _lift("linear", lambda x, degree, offset: degree * x + offset)),
+    "sine": Family({"degree": (REQUIRED, integer), "amplitude": (0.1, number),
+                    "offset": (0.0, number), "grid": (4096, size)},
+                   _lift("sine", lambda x, degree, amplitude, offset:
+                         degree * x + amplitude * np.sin(2 * np.pi * x) + offset)),
+    "samples": Family({"values": (REQUIRED, numbers)},
+                      lambda values: make_lift(values, {"family": "samples"})),
+    "blowup": Family({"degree": (REQUIRED, integer), "insertions": (REQUIRED, _insertions),
+                      "grid": (4096, size), "depth": (12, size)},
+                     lambda degree, insertions, grid, depth:
+                     classify.blow_up(degree, insertions, grid=grid, depth=depth)),
+}
+FIBERS = {
+    "linear": Family({"degree": (REQUIRED, integer), "tau": _TAU},
+                     lambda degree, tau: FiberMap(degree, tau=tau or TauSpec())),
+    "circle_map": Family({"map": (REQUIRED, lambda value, name: circle_map_from_config(value)),
+                          "tau": _TAU},
+                         lambda map, tau: FiberMap(map.degree, circle=map, tau=tau or TauSpec())),
+}
+CONNECTORS = {                                  # builders take the annulus map first
+    "const": Family({"height": (REQUIRED, number), "margin": (1e-3, positive),
+                     "samples": (1024, size)},
+                    lambda m, height, margin, samples: constant_connector(height, margin, samples)),
+    "invariant_arc": Family({"p": (REQUIRED, pair), "n_back": (8, integer),
+                             "n_fwd": (14, integer), "margin": (1e-5, number),
+                             "value": (None, number)}, _arc),
+}
 
 
-def _integer(value, name: str, positive: bool = False) -> int:
-    if _number(value, name, positive) != int(value):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if name in SIZE_KEYS and value > MAX_SIZE:
-        raise ValidationError(f"{name} must be at most {MAX_SIZE}, got {value!r}")
-    return int(value)
+def _base(name: str, values=None, **params) -> BaseMap:
+    return BaseMap(name, tuple(params.values()), values)   # values: the samples table
 
 
-def _insertion(spec) -> classify.Insertion:
-    if not isinstance(spec, dict):
-        raise ValidationError(f"an insertion must be a config object, got {spec!r}")
-    p = _take(spec, {"base_angle": REQUIRED, "length": REQUIRED, "kind": "north_south"},
-              "insertion")
-    if not isinstance(p["base_angle"], str):
-        _number(p["base_angle"], "base_angle")
-    try:
-        angle = classify.as_angle_fraction(p["base_angle"])
-    except (ValueError, ZeroDivisionError):        # a string that is not 'p/q'
-        raise ValidationError(f"base_angle must be a number or 'p/q', "
-                              f"got {p['base_angle']!r}") from None
-    return classify.Insertion(angle, float(_number(p["length"], "length", positive=True)),
-                              str(p["kind"]))
+class Kind(NamedTuple):
+    key: str                         # the config key naming the family
+    families: dict                   # family name -> Family
+    make: Callable | None = None     # (name, **params) -> object; None: the family builds it
+
+
+KINDS = {
+    "circle": Kind("family", CIRCLES),
+    "base": Kind("family", BASES, _base),
+    "tau": Kind("family", TAUS, TauSpec),
+    "fiber": Kind("family", FIBERS),
+    "connector": Kind("kind", CONNECTORS),
+    "epsilon": Kind("family", EPSILONS, EpsilonSpec),
+}
+
+
+def build(kind: str, cfg, *context):
+    """Check a config of one map kind against its family's schema and build it."""
+    key, families, make = KINDS[kind]
+    name = config(cfg, kind).get(key)
+    if not isinstance(name, str) or name not in families:
+        raise ValidationError(f"unknown {kind} {key} {name!r}; known: {list(families)}")
+    schema = families[name].schema
+    p = take(cfg, {key: REQUIRED, **{k: d for k, (d, _) in schema.items()}}, f"{name} {kind}")
+    params = {k: p[k] if p[k] is None and d is None else check(p[k], k)
+              for k, (d, check) in schema.items()}
+    return make(name, **params) if make else families[name].call(*context, **params)
 
 
 def circle_map_from_config(cfg: dict) -> LiftedCircleMap:
     try:
-        return _circle_map(cfg)
+        return build("circle", cfg)
     except ValueError as e:        # samples the lift validation rejects
         raise ValidationError(f"invalid circle map: {e}") from None
 
 
-def _circle_map(cfg: dict) -> LiftedCircleMap:
-    family = cfg.get("family")
-    if family not in CIRCLE_FAMILIES:
-        raise ValidationError(f"unknown circle family {family!r}; "
-                              f"known: {list(CIRCLE_FAMILIES)}")
-    if family == "linear":
-        p = _take(cfg, {"family": REQUIRED, "degree": REQUIRED, "offset": 0.0,
-                        "grid": 4096}, "linear map")
-        d, c = _integer(p["degree"], "degree"), p["offset"]
-        return from_function(lambda x: d * x + c, _integer(p["grid"], "grid", positive=True),
-                             {"family": "linear", "degree": d, "offset": c})
-    if family == "sine":
-        p = _take(cfg, {"family": REQUIRED, "degree": REQUIRED, "amplitude": 0.1,
-                        "offset": 0.0, "grid": 4096}, "sine map")
-        d, a, c = _integer(p["degree"], "degree"), p["amplitude"], p["offset"]
-        return from_function(lambda x: d * x + a * np.sin(2 * np.pi * x) + c,
-                             _integer(p["grid"], "grid", positive=True),
-                             {"family": "sine", "degree": d, "amplitude": a, "offset": c})
-    if family == "samples":
-        p = _take(cfg, {"family": REQUIRED, "values": REQUIRED}, "sampled map")
-        return make_lift(p["values"], {"family": "samples"})
-    p = _take(cfg, {"family": REQUIRED, "degree": REQUIRED, "insertions": REQUIRED,
-                    "grid": 4096, "depth": 12}, "blowup map")
-    if not isinstance(p["insertions"], list):
-        raise ValidationError(f"insertions must be a list, got {p['insertions']!r}")
-    return classify.blow_up(_integer(p["degree"], "degree"),
-                            [_insertion(s) for s in p["insertions"]],
-                            grid=_integer(p["grid"], "grid", positive=True),
-                            depth=_integer(p["depth"], "depth", positive=True))
-
-
-def base_from_config(cfg: dict) -> BaseMap:
-    family = cfg.get("family")
-    if family not in BASE_FAMILIES:
-        raise ValidationError(f"unknown base family {family!r}; known: {list(BASE_FAMILIES)}")
-    if family == "identity":
-        _take(cfg, {"family": REQUIRED}, "base map")
-        return BaseMap("identity")
-    if family == "power":
-        p = _take(cfg, {"family": REQUIRED, "exponent": REQUIRED}, "base map")
-        _number(p["exponent"], "exponent", positive=True)
-        return BaseMap("power", (float(p["exponent"]),))
-    if family == "affine_to_one":
-        _take(cfg, {"family": REQUIRED}, "base map")
-        return BaseMap("affine_to_one")
-    if family == "contraction":
-        p = _take(cfg, {"family": REQUIRED, "center": 0.5, "rate": 0.9}, "base map")
-        if not 0.0 < p["rate"] < 1.0:
-            raise ValidationError(f"contraction rate must be in (0,1), got {p['rate']}")
-        return BaseMap("contraction", (float(p["center"]), float(p["rate"])))
-    p = _take(cfg, {"family": REQUIRED, "values": REQUIRED}, "base map")
-    return BaseMap("samples", table=np.asarray(p["values"], dtype=float))
-
-
-def tau_from_config(cfg: dict | None) -> TauSpec:
-    if cfg is None:
-        return TauSpec()
-    family = cfg.get("family")
-    if family not in TAU_FAMILIES:
-        raise ValidationError(f"unknown tau family {family!r}; known: {list(TAU_FAMILIES)}")
-    p = _take(cfg, {"family": REQUIRED, "scale": 1.0}, "tau term")
-    return TauSpec(family, float(_number(p["scale"], "tau scale")))
-
-
 def annulus_map_from_config(cfg: dict) -> AnnulusMapLift:
-    p = _take(cfg, {"base": REQUIRED, "fiber": REQUIRED}, "annulus map")
-    base = base_from_config(p["base"])
-    fcfg = p["fiber"]
-    family = fcfg.get("family")
-    if family not in FIBER_FAMILIES:
-        raise ValidationError(f"unknown fiber family {family!r}; known: {list(FIBER_FAMILIES)}")
-    if family == "linear":
-        fp = _take(fcfg, {"family": REQUIRED, "degree": REQUIRED, "tau": None}, "fiber")
-        fiber = FiberMap(_integer(fp["degree"], "degree"), tau=tau_from_config(fp["tau"]))
-    else:
-        fp = _take(fcfg, {"family": REQUIRED, "map": REQUIRED, "tau": None}, "fiber")
-        circle = circle_map_from_config(fp["map"])
-        fiber = FiberMap(circle.degree, circle=circle, tau=tau_from_config(fp["tau"]))
-    return make_skew_product(base, fiber, metadata={"config": cfg})
+    p = take(config(cfg, "annulus map"), {"base": REQUIRED, "fiber": REQUIRED}, "annulus map")
+    return make_skew_product(build("base", p["base"]), build("fiber", p["fiber"]),
+                             metadata={"config": cfg})
 
 
 def connector_from_config(cfg: dict, m: AnnulusMapLift) -> ConnectorCurve:
-    kind = cfg.get("kind")
-    if kind not in CONNECTOR_KINDS:
-        raise ValidationError(f"unknown connector kind {kind!r}; known: {list(CONNECTOR_KINDS)}")
-    if kind == "const":
-        p = _take(cfg, {"kind": REQUIRED, "height": REQUIRED, "margin": 1e-3,
-                        "samples": 1024}, "connector")
-        _number(p["margin"], "margin", positive=True)
-        return constant_connector(float(p["height"]), float(p["margin"]),
-                                  _integer(p["samples"], "samples", positive=True))
-    p = _take(cfg, {"kind": REQUIRED, "p": REQUIRED, "n_back": 8, "n_fwd": 14,
-                    "margin": 1e-5, "value": None}, "connector")
-    curve = invariant_connector_from_arc(m, tuple(p["p"]), _integer(p["n_back"], "n_back"),
-                                         _integer(p["n_fwd"], "n_fwd"),
-                                         margin=float(p["margin"]))
-    if p["value"] is not None:
-        curve.value = float(p["value"])
-    return curve
+    return build("connector", cfg, m)
 
 
 def epsilon_from_config(cfg: dict) -> EpsilonSpec:
-    family = cfg.get("family")
-    if family not in EPSILON_FAMILIES:
-        raise ValidationError(f"unknown epsilon family {family!r}; "
-                              f"known: {list(EPSILON_FAMILIES)}")
-    p = _take(cfg, {"family": REQUIRED, "value": 0.1, "power": 1.0}, "epsilon profile")
-    _number(p["value"], "value", positive=True)
-    return EpsilonSpec(family, float(p["value"]), float(p["power"]))
+    return build("epsilon", cfg)

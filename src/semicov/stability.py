@@ -17,6 +17,7 @@ import numpy as np
 
 from .annulus import AnnulusMapLift, BaseMap, FiberMap, make_skew_product
 from .errors import BadParams, OutOfDomain
+from .schema import Family, number, positive
 
 TWO_PI = 2.0 * np.pi
 
@@ -43,26 +44,25 @@ def _bump(rho, rho_p, t):
     return np.sign(t) * np.where(a <= rho, inner, np.where(a <= 2.0 * rho, mid, 2.0 * a))
 
 
+_PROFILE = {"value": (0.1, positive), "power": (1.0, number)}
+EPSILONS = {                        # family -> (schema, (x, value, power) -> eps(x))
+    "const": Family(_PROFILE, lambda x, value, power: np.full_like(x, value)),
+    "edge_poly": Family(_PROFILE,
+                        lambda x, value, power: value * (4.0 * x * (1.0 - x)) ** power),
+}
+
+
 @dataclass(frozen=True)
 class EpsilonSpec:
-    """Radial closeness profile eps(x) > 0 on (0,1).
-
-    kinds: const (value) | edge_poly (value * (4 x (1-x))^power, shrinking
-    toward both ends) | samples (table on a log-spaced grid).
-    """
+    """Radial closeness profile eps(x) > 0 on (0,1), one family of ``EPSILONS``:
+    const (value; power unused) | edge_poly (value * (4 x (1-x))^power)."""
 
     kind: str = "const"
     value: float = 0.1
     power: float = 1.0
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "const":
-            out = np.full_like(x, self.value)
-        elif self.kind == "edge_poly":
-            out = self.value * (4.0 * x * (1.0 - x)) ** self.power
-        else:
-            raise ValueError(f"unknown epsilon kind {self.kind!r}")
+        out = EPSILONS[self.kind].call(np.asarray(x, dtype=float), self.value, self.power)
         return out if out.ndim else float(out)
 
 

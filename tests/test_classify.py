@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from semicov import classify
 from semicov.circle import find_periodic_points, make_lift
 from semicov.classify import (INSERT_KINDS, Insertion, IntervalSignature, PlateauRecord,
                               _orbit_atoms, blow_up,
@@ -375,7 +376,7 @@ TRUNCATED = [(2, 0.5355339059327378, 1024), (2, 0.9597979746446668, 4096),
              (3, 0.39411254969542897, 1024)]
 
 
-@pytest.mark.parametrize("d,insertions,grid", [
+BLOW_UPS = [
     *[(2, [_ins("1/3", k)], g) for k in sorted(INSERT_KINDS) for g in (1024, 4096)],
     *[(3, [_ins("1/8", k)], 1024) for k in sorted(INSERT_KINDS)],
     (3, [_ins("5/8", "south_north")], 4096),
@@ -384,12 +385,95 @@ TRUNCATED = [(2, 0.5355339059327378, 1024), (2, 0.9597979746446668, 4096),
     (2, [_ins(0, "north_south", 0.08), _ins("1/3", "advance", 0.06)], 4096),
     (3, [_ins(0, "retreat", 0.08), _ins("1/2", "identity", 0.06)], 1024),
     *[(d, [_ins(a, "identity", 0.1)], g) for d, a, g in TRUNCATED],
-])
+]
+
+
+@pytest.mark.parametrize("d,insertions,grid", BLOW_UPS)
 def test_blow_up_matches_per_sample_reference(d, insertions, grid):
     ref, branches = _per_sample_blow_up(d, insertions, grid)
     assert np.array_equal(blow_up(d, insertions, grid=grid).samples, ref)
     if isinstance(insertions[0]["base_angle"], float):
         assert "truncated" in branches
+
+
+def _scalar_plateau_set(h, plateau_tol):
+    """plateau_set with one scalar searchsorted per greedy step."""
+    n = h.grid
+    s = h.orientation * h.samples
+    xs = np.linspace(0.0, 1.0, n + 1)
+    out = []
+    i = 0
+    while i <= n - 2:
+        j = int(np.searchsorted(s, s[i] + plateau_tol, side="left")) - 1
+        if j >= i + 2:
+            out.append((xs[i], xs[j]))
+            i = j + 1
+        else:
+            i += 1
+    merged = []
+    for a, b in out:
+        if merged and a - merged[-1][1] <= 2.5 / n:
+            merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    out = merged
+    if len(out) >= 2:
+        (a0, b0), (a1, b1) = out[0], out[-1]
+        touches = a0 <= 1.0 / n and b1 >= 1.0 - 1.5 / n
+        if touches and (s[int(round(b0 * n))] + 1.0 - s[int(round(a1 * n))]) <= plateau_tol:
+            out = out[1:-1] + [(a1, b0 + 1.0)]
+    return out
+
+
+def _scalar_dip_roots(roots, xs, vals, tang_tol, sep):
+    """interval_signature's per-sample scan for runs of |vals| <= tang_tol."""
+    roots = list(roots)
+    small = np.abs(vals) <= tang_tol
+    i = 0
+    while i < len(small):
+        if small[i]:
+            j = i
+            while j + 1 < len(small) and small[j + 1]:
+                j += 1
+            x_star = float(xs[i + int(np.argmin(np.abs(vals[i:j + 1])))])
+            if not any(abs(x_star - r) <= sep for r in roots):
+                roots.append(x_star)
+            i = j + 1
+        else:
+            i += 1
+    return roots
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dip_roots_match_scalar_reference_on_random_runs(seed):
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(0.0, 1.0, 64))
+    vals = rng.normal(size=64)                   # runs of |vals| <= 0.6, ends included
+    earlier = sorted(rng.uniform(0.0, 1.0, seed % 4).tolist())
+    roots = list(earlier)
+    classify._add_dip_roots(roots, xs, vals, 0.6, 0.05)
+    assert roots == _scalar_dip_roots(earlier, xs, vals, 0.6, 0.05)
+
+
+@pytest.mark.parametrize("d,insertions,grid", BLOW_UPS)
+def test_plateaus_and_dip_roots_match_scalar_references(d, insertions, grid, monkeypatch):
+    m = blow_up(d, insertions, grid=grid)
+    h = solve_semiconjugacy(m, 1, 1e-8)
+    for tol in (0.5 / grid, 2.0 / grid, 8.0 / grid):
+        assert plateau_set(h, tol) == _scalar_plateau_set(h, tol)
+    checked = []
+
+    def compare(roots, xs, vals, tang_tol, sep):
+        expected = _scalar_dip_roots(roots, xs, vals, tang_tol, sep)
+        add_dip_roots(roots, xs, vals, tang_tol, sep)
+        checked.append(roots == expected)
+
+    add_dip_roots = classify._add_dip_roots
+    monkeypatch.setattr(classify, "_add_dip_roots", compare)
+    records = classification_data(m, h=h).records
+    assert all(checked)
+    if any(not r.signature.identity_like and r.signature.resolved for r in records):
+        assert checked
 
 
 # --- structural invariants --------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from semicov import configs
 from semicov.cli import main, parse_config, run
 from semicov.errors import ParseError, ValidationError
 
@@ -202,6 +203,19 @@ BAND_MAP = '{"base": {"family": "identity"}, "fiber": {"family": "linear", "degr
     ["classify", "--map", json.dumps({**BLOWUP_NS, "depth": 10 ** 20})],
     ["repellers", "--map", BAND_MAP, "--connector",
      '{"kind": "const", "height": 0.25, "samples": 100000000000000000000}'],
+    ["semiconj2d", "--map", '{"base": "x", "fiber": {"family": "linear", "degree": 2}}'],
+    ["semiconj2d", "--map", '{"base": {"family": "identity"}, "fiber": "x"}'],
+    ["semiconj2d", "--map", '{"base": {"family": "identity"}, '
+     '"fiber": {"family": "linear", "degree": 2, "tau": "x"}}'],
+    ["semiconj2d", "--map", '{"base": {"family": "identity"}, '
+     '"fiber": {"family": "circle_map", "map": "x"}}'],
+    ["semiconj2d", "--map", '{"base": {"family": "samples", "values": [0.1, NaN, 0.5]}, '
+     '"fiber": {"family": "linear", "degree": 2}}'],
+    ["semiconj2d", "--map", '{"base": {"family": "samples", "values": "abc"}, '
+     '"fiber": {"family": "linear", "degree": 2}}'],
+    ["star-scan", "--map", BAND_MAP, "--connector", '{"kind": "invariant_arc", "p": [0.5]}'],
+    ["star-scan", "--map", BAND_MAP, "--connector", '{"kind": "invariant_arc", "p": "x"}'],
+    ["star-scan", "--map", BAND_MAP, "--connector", '{"kind": "const", "height": NaN}'],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     assert main(argv) == 3
@@ -257,3 +271,54 @@ def test_help_exits_0(capsys):
         main(["star-scan", "--help"])
     assert exc.value.code == 0
     assert "--connector" in capsys.readouterr().out
+
+
+# One valid value per required family key; a family with a new required key
+# needs an entry here before the table-driven tests below can build it.
+REQUIRED_VALUES = {"degree": 2, "exponent": 2.0, "values": [0.0, 0.5, 1.0, 1.5, 2.0],
+                   "insertions": BLOWUP_NS["insertions"], "map": LINEAR2, "height": 0.25,
+                   "p": [0.5, 0.0]}
+STAR_MAP = {"base": {"family": "affine_to_one"},
+            "fiber": {"family": "linear", "degree": 2,
+                      "tau": {"family": "inv_one_minus", "scale": 1.0}}}
+IDENTITY_BASE, LINEAR_FIBER = {"family": "identity"}, {"family": "linear", "degree": 2}
+KIND_ARGV = {                           # map kind -> command line that builds one config
+    "circle": lambda c: ["semiconj1d", "--map", json.dumps(c)],
+    "base": lambda c: ["semiconj2d", "--map", json.dumps({"base": c, "fiber": LINEAR_FIBER})],
+    "tau": lambda c: ["semiconj2d", "--map", json.dumps(
+        {"base": IDENTITY_BASE, "fiber": {**LINEAR_FIBER, "tau": c}})],
+    "fiber": lambda c: ["semiconj2d", "--map", json.dumps({"base": IDENTITY_BASE, "fiber": c})],
+    "connector": lambda c: ["repellers", "--map", json.dumps(STAR_MAP),
+                            "--connector", json.dumps(c)],
+    "epsilon": lambda c: ["perturb", "--epsilon", json.dumps(c)],
+}
+FAMILY_KEYS = [(kind, name, key) for kind, k in configs.KINDS.items()
+               for name, family in k.families.items() for key in family.schema]
+
+
+def _family_config(kind, name):
+    schema = configs.KINDS[kind].families[name].schema
+    return {configs.KINDS[kind].key: name,
+            **{k: REQUIRED_VALUES[k] for k, (d, _) in schema.items() if d is configs.REQUIRED}}
+
+
+def test_every_map_kind_has_a_command_line():
+    assert set(KIND_ARGV) == set(configs.KINDS)
+
+
+@pytest.mark.parametrize("bad", ["x", True, float("nan")], ids=["string", "bool", "nan"])
+@pytest.mark.parametrize("kind,name,key", FAMILY_KEYS, ids=[".".join(k) for k in FAMILY_KEYS])
+def test_every_family_parameter_rejects_a_wrong_type(kind, name, key, bad, capsys):
+    assert main(KIND_ARGV[kind]({**_family_config(kind, name), key: bad})) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError") and err.count("\n") == 1
+
+
+NULLABLE = [k for k in FAMILY_KEYS
+            if configs.KINDS[k[0]].families[k[1]].schema[k[2]][0] is None]
+
+
+@pytest.mark.parametrize("kind,name,key", NULLABLE, ids=[".".join(k) for k in NULLABLE])
+def test_nullable_family_parameters_accept_none(kind, name, key):
+    context = [configs.annulus_map_from_config(STAR_MAP)] if kind == "connector" else []
+    assert configs.build(kind, {**_family_config(kind, name), key: None}, *context) is not None
