@@ -67,7 +67,8 @@ class BaseMap:
         y = np.asarray(y, dtype=float)
         out = BASES[self.kind].inverse(y, *self.args)
         if np.any(out <= 0.0) or np.any(out >= 1.0):
-            raise BaseNotInvertible(f"preimage leaves (0,1) for target {y!r}")
+            raise BaseNotInvertible(f"preimage leaves (0,1) for targets in "
+                                    f"[{np.min(y)}, {np.max(y)}]")
         return out if out.ndim else float(out)
 
 
@@ -109,7 +110,6 @@ class FiberMap:
     circle: LiftedCircleMap | None = None
     tau: TauSpec = field(default_factory=TauSpec)
     fn: object = None                      # callable (x, y) -> lift value
-    tag: str = ""
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -122,6 +122,19 @@ class FiberMap:
             out = self.degree * y + self.tau(x)
         out = np.asarray(out, dtype=float)
         return out if out.ndim else float(out)
+
+    def branches(self, x, targets):
+        """The |d| ascending integer offsets k for which g_x(w) = target + k
+        has its solution w in [0,1), one row per target (shape targets + (|d|,)).
+
+        g_x maps [0,1) onto [a, a+d) for d > 0 and onto (a+d, a] for d < 0,
+        with a = g_x(0), so the first offset is ceil(a - t), respectively
+        floor(a - t) - |d| + 1; x is a single base point.
+        """
+        t = np.asarray(self.__call__(x, 0.0)) - np.asarray(targets, dtype=float)
+        ad = abs(self.degree)
+        start = np.ceil(t) if self.degree > 0 else np.floor(t) - ad + 1
+        return start[..., None] + np.arange(ad)
 
     def inverse(self, x, targets, xtol=1e-13):
         """Solve g_x(w) = target per component (monotone in the fiber)."""
@@ -164,16 +177,14 @@ class AnnulusMapLift:
     base: BaseMap
     fiber: FiberMap
     degree: int
-    domain_band: tuple[float, float] | None = None
     metadata: dict = field(default_factory=dict)
 
     def __call__(self, x, y):
         """Lift value with exact fiber equivariance; x must stay in the domain."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        lo, hi = self.domain_band if self.domain_band else (0.0, 1.0)
-        if not ((x > lo) & (x < hi)).all():
-            raise OutOfDomain(f"x outside domain ({lo}, {hi})")
+        if not ((x > 0.0) & (x < 1.0)).all():
+            raise OutOfDomain("x outside domain (0.0, 1.0)")
         if not np.isfinite(y).all():
             raise OutOfDomain("fiber coordinate must be finite")
         k = np.floor(y)
@@ -243,14 +254,8 @@ def fiber_preimages(m: AnnulusMapLift, target: tuple[float, float],
     """
     x_t, theta = target
     x = float(np.asarray(m.base.inverse(x_t)))
-    anchor = float(np.asarray(m.fiber(x, 0.0)))
-    ad = abs(m.degree)
-    ks = np.arange(ad)
-    if m.degree > 0:
-        start = np.ceil(anchor - theta)            # k range: g([0,1)) = [anchor, anchor+d)
-    else:
-        start = np.floor(anchor - theta) - ad + 1  # g([0,1)) = (anchor+d, anchor]
-    ys = m.fiber.inverse(np.full(ad, x), theta + start + ks, xtol=min(tol, 1e-12))
+    ys = m.fiber.inverse(np.full(abs(m.degree), x), theta + m.fiber.branches(x, theta),
+                         xtol=min(tol, 1e-12))
     ys = np.sort(frac(ys))
     return [(x, float(y)) for y in ys]
 

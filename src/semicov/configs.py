@@ -19,7 +19,8 @@ from .annulus import BASES, TAUS, AnnulusMapLift, BaseMap, FiberMap, TauSpec, ma
 from .circle import LiftedCircleMap, from_function, make_lift
 from .connectors import ConnectorCurve, constant_connector, invariant_connector_from_arc
 from .errors import ParseError, ValidationError
-from .schema import REQUIRED, Family, config, integer, number, numbers, pair, positive, size, take
+from .schema import (REQUIRED, Family, config, count, integer, margin, number, numbers, pair,
+                     size, take)
 from .stability import EPSILONS, EpsilonSpec
 
 
@@ -85,11 +86,11 @@ FIBERS = {
                          lambda map, tau: FiberMap(map.degree, circle=map, tau=tau or TauSpec())),
 }
 CONNECTORS = {                                  # builders take the annulus map first
-    "const": Family({"height": (REQUIRED, number), "margin": (1e-3, positive),
-                     "samples": (1024, size)},
+    "const": Family({"height": (REQUIRED, number), "margin": (1e-3, margin),
+                     "samples": (1024, lambda value, name: integer(value, name, least=2))},
                     lambda m, height, margin, samples: constant_connector(height, margin, samples)),
-    "invariant_arc": Family({"p": (REQUIRED, pair), "n_back": (8, integer),
-                             "n_fwd": (14, integer), "margin": (1e-5, number),
+    "invariant_arc": Family({"p": (REQUIRED, pair), "n_back": (8, count),
+                             "n_fwd": (14, count), "margin": (1e-5, margin),
                              "value": (None, number)}, _arc),
 }
 

@@ -88,8 +88,9 @@ def _preimage_block(m: AnnulusMapLift, xs: np.ndarray, heights: np.ndarray,
                     margin: float, n_samples: int | None = None):
     """Preimages of a block of curves (rows of heights) on shared nodes xs.
 
-    Branch k solves g_x(w) = c(base(x)) + offset + k; fiber monotonicity
-    separates the branches, which are continuous in x.  Children are sampled
+    Branch k solves g_x(w) = c(base(x)) + k, for the |d| offsets k of
+    FiberMap.branches at the first node; fiber monotonicity separates the
+    branches, which are continuous in x.  Children are sampled
     at the base preimages of the parent's nodes, so the recursion never
     interpolates the parent (steepening curves keep their node refinement)
     and a block's children share nodes.  Returns those nodes, the children's
@@ -110,11 +111,7 @@ def _preimage_block(m: AnnulusMapLift, xs: np.ndarray, heights: np.ndarray,
     if keep.sum() < 2:
         raise OutOfDomain("preimage range is empty inside the margins")
     cx, targets = cx[keep], targets[:, keep]
-    anchor = float(np.asarray(m.fiber(cx[0], 0.0)))
-    ad = abs(m.degree)
-    start = (np.ceil(anchor - targets[:, 0]) if m.degree > 0
-             else np.floor(anchor - targets[:, 0]) - ad + 1)
-    offsets = start[:, None] + np.arange(ad)
+    offsets = m.fiber.branches(cx[0], targets[:, 0])
     w = m.fiber.inverse(cx, targets[:, None, :] + offsets[..., None])
     order = np.argsort(np.mean(w, axis=2), axis=1, kind="stable")
     w = np.take_along_axis(w, order[..., None], axis=1)
@@ -247,21 +244,6 @@ def _check_expansion(m: AnnulusMapLift, margin: float) -> float:
     return lo
 
 
-def _pullback_in_gap(m: AnnulusMapLift, height_fn, lower: np.ndarray,
-                     upper: np.ndarray, xs: np.ndarray, bx: np.ndarray) -> np.ndarray:
-    """Unique preimage heights of a curve inside the gap (lower, upper).
-
-    Consecutive preimage curves of a connector differ by one full period
-    in the fiber image, so the branch offset is read off the boundary.
-    """
-    targets = height_fn(bx)
-    if m.degree > 0:
-        c = np.ceil(np.asarray(m.fiber(xs, lower)) - targets)
-    else:
-        c = np.ceil(np.asarray(m.fiber(xs, upper)) - targets)
-    return m.fiber.inverse(xs, targets + c)
-
-
 def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve, depth: int = 10,
                          n_samples: int = 1024, tol: float = 1e-6) -> list[ConnectorCurve]:
     """|d-1| repelling connectors from a free connector, to finite depth.
@@ -269,10 +251,11 @@ def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve, depth: int = 10,
     For d > 1: the |d| preimage curves of the free connector cut the
     annulus into |d| gaps; every gap not holding the connector nests to a
     repeller under repeated preimage-in-gap refinement, contracting by at
-    least the inverse fiber expansion per level.  For d < -1 one repeller
-    is produced first and the construction is repeated on its preimages,
-    with one extra preimage level intersected before nesting on the two
-    regions adjacent to it.  Successive-depth sup gaps are recorded in
+    least the inverse fiber expansion per level.  All gaps are nested at
+    once (see _nest).  For d < -1 the first repeller c' is produced this
+    way and the nesting is repeated on the preimage curves of c', skipping
+    no gap, with one extra preimage level intersected before nesting in the
+    two gaps adjacent to c'.  Successive-depth sup gaps are recorded in
     metadata["depth_gaps"].
     """
     margin = c.margin
@@ -280,83 +263,61 @@ def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve, depth: int = 10,
     lam = _check_expansion(m, margin)
     if not is_free(m, c, tol):
         raise NotFree("connector meets its image")
-    if m.degree > 0:
-        reps = _nest_positive(m, c, depth, n_samples)
-    else:
-        reps = _nest_negative(m, c, depth, n_samples)
+    reps = _nest(m, c, depth, n_samples)
+    if m.degree < 0:
+        reps = reps[:1] + _nest(m, reps[0], depth, n_samples, skip=False, refine=True)
     for r in reps:
         r.metadata["fiber_expansion"] = lam
     return reps
 
 
-def _gap_structure(m: AnnulusMapLift, c: ConnectorCurve, n_samples: int):
-    """Preimage curves on the margin window plus the index of the gap holding c."""
+def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
+          skip: bool = True, refine: bool = False) -> list[ConnectorCurve]:
+    """Nest the gaps between consecutive preimage curves of c, all gaps at once.
+
+    Gap k lies between the preimage curves lower[k] and upper[k] = lower[k+1]
+    (lower[0] + 1 for the last) on a shared window xs; each level replaces
+    every row of cur by its unique preimage inside its own gap, whose branch
+    offset is read off the side curve (lower for d > 0, upper for d < 0),
+    since consecutive preimage curves differ by one period in the fiber
+    image.  skip drops the gap holding c; refine starts the two gaps
+    adjacent to c (which c, being invariant, bounds) from the midline of
+    the strip between the preimages of their boundaries.
+    """
     margin = c.margin
     px, ph, _ = _preimage_block(m, c.xs, c.heights[None, :], margin, n_samples)
     xs = np.linspace(max(margin, c.xs[0], px[0]), min(1.0 - margin, c.xs[-1], px[-1]), n_samples)
-    heights = list(_interp_rows(xs, px, ph))
-    cc = c.height_at(xs)
-    shift = np.ceil(heights[0] - cc)
-    u = cc + shift                                 # representative inside the stack
-    stack = np.stack(heights + [heights[0] + 1.0])
-    idx = np.sum(stack <= u[None, :], axis=0) - 1
-    k0 = int(np.median(idx))
-    return xs, heights, k0
-
-
-def _nest_positive(m: AnnulusMapLift, c: ConnectorCurve, depth: int,
-                   n_samples: int, skip_gap: int | None = None,
-                   extra_refine: set[int] | None = None) -> list[ConnectorCurve]:
-    xs, heights, k0 = _gap_structure(m, c, n_samples)
-    if skip_gap is not None:
-        k0 = skip_gap
+    lower = _interp_rows(xs, px, ph)
+    upper = np.concatenate([lower[1:], lower[:1] + 1.0])
     bx = np.asarray(m.base(xs))
-    d = abs(m.degree)
-    out = []
-    for k in range(d):
-        if k == k0:
-            continue
-        lower = heights[k]
-        upper = heights[k + 1] if k + 1 < d else heights[0] + 1.0
-        cur = 0.5 * (lower + upper)
-        if extra_refine and k in extra_refine:
-            lo_fn = lambda t: np.interp(t, xs, lower)
-            up_fn = lambda t: np.interp(t, xs, upper)
-            l_star = _pullback_in_gap(m, lo_fn, lower, upper, xs, bx)
-            u_star = _pullback_in_gap(m, up_fn, lower, upper, xs, bx)
-            strip_lo = np.maximum(lower, np.minimum(l_star, u_star))
-            strip_hi = np.minimum(upper, np.maximum(l_star, u_star))
-            cur = 0.5 * (strip_lo + strip_hi)
-        gaps = []
-        for _ in range(depth):
-            fn = lambda t: np.interp(t, xs, cur)
-            new = _pullback_in_gap(m, fn, lower, upper, xs, bx)
-            gaps.append(float(np.max(np.abs(new - cur))))
-            cur = new
-        curve = ConnectorCurve(xs.copy(), cur, c.margin,
-                               metadata={"gap_index": k, "depth": depth,
-                                         "depth_gaps": gaps})
-        out.append(curve)
-    return out
 
+    def pull(h, side):                  # each row's preimage inside its gap
+        t = np.array([np.interp(bx, xs, row) for row in h])
+        return m.fiber.inverse(xs, t + np.ceil(side - t))
 
-def _nest_negative(m: AnnulusMapLift, c: ConnectorCurve, depth: int,
-                   n_samples: int) -> list[ConnectorCurve]:
-    stage1 = _nest_positive(m, c, depth, n_samples)
-    c_prime = stage1[0]
-    # c_prime is invariant, so it coincides with one of its own preimage
-    # curves; its two neighboring gaps need the extra refinement level
-    px, ph, _ = _preimage_block(m, c_prime.xs, c_prime.heights[None, :], c.margin, n_samples)
-    xs_cmp = np.linspace(max(c_prime.xs[0], px[0]), min(c_prime.xs[-1], px[-1]), 257)
-    ref = c_prime.height_at(xs_cmp)
-    dists = [float(np.min([np.max(np.abs(h - ref - t)) for t in (-1, 0, 1)]))
-             for h in _interp_rows(xs_cmp, px, ph)]
-    j_self = int(np.argmin(dists))
-    d0 = abs(m.degree)
-    adjacent = {j_self % d0, (j_self - 1) % d0}
-    nested = _nest_positive(m, c_prime, depth, n_samples, skip_gap=-1,
-                            extra_refine=adjacent)
-    return [c_prime] + nested
+    cc = c.height_at(xs)
+    u = cc + np.ceil(lower[0] - cc)                 # representative inside the stack
+    k0 = int(np.median(np.sum(np.vstack([lower, upper[-1:]]) <= u, axis=0) - 1)) if skip else -1
+    side = np.asarray(m.fiber(xs, lower if m.degree > 0 else upper))
+    cur = 0.5 * (lower + upper)
+    if refine:    # the gaps on either side of the preimage curve closest to c
+        j = int(np.argmin(np.min([np.max(np.abs(lower - cc - t), axis=1) for t in (-1, 0, 1)],
+                                 axis=0)))
+        r = [(j - 1) % len(lower), j]
+        ends = pull(np.concatenate([lower[r], upper[r]]), np.tile(side[r], (2, 1)))
+        l_star, u_star = ends[:2], ends[2:]
+        cur[r] = 0.5 * (np.maximum(lower[r], np.minimum(l_star, u_star))
+                        + np.minimum(upper[r], np.maximum(l_star, u_star)))
+    keep = np.arange(len(lower)) != k0
+    cur, side, gaps = cur[keep], side[keep], []
+    for _ in range(depth):
+        new = pull(cur, side)
+        gaps.append(np.max(np.abs(new - cur), axis=1))
+        cur = new
+    return [ConnectorCurve(xs.copy(), h, margin,
+                           metadata={"gap_index": int(k), "depth": depth,
+                                     "depth_gaps": [float(g[i]) for g in gaps]})
+            for i, (k, h) in enumerate(zip(np.flatnonzero(keep), cur))]
 
 
 # ---------------------------------------------------------------------------

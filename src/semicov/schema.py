@@ -45,23 +45,28 @@ def number(value, name: str, positive: bool = False) -> float:
     return float(value)
 
 
-def integer(value, name: str, positive: bool = False) -> int:
-    number(value, name, positive)
-    if value != int(value):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+def integer(value, name: str, least: int | None = None) -> int:
+    number(value, name)
+    if value != int(value) or (least is not None and value < least):
+        raise ValidationError(f"{name} must be an integer"
+                              f"{'' if least is None else f' >= {least}'}, got {value!r}")
     if name in SIZE_KEYS and value > MAX_SIZE:
         raise ValidationError(f"{name} must be at most {MAX_SIZE}, got {value!r}")
     return int(value)
 
 
 positive = partial(number, positive=True)
-size = partial(integer, positive=True)
+size = partial(integer, least=1)
+count = partial(integer, least=0)
 
 
-def fraction(value, name: str) -> float:             # strictly between 0 and 1
-    if not 0.0 < number(value, name) < 1.0:
-        raise ValidationError(f"{name} must be in (0,1), got {value!r}")
+def fraction(value, name: str, top: float = 1.0) -> float:     # strictly between 0 and top
+    if not 0.0 < number(value, name) < top:
+        raise ValidationError(f"{name} must be in (0,{top:g}), got {value!r}")
     return float(value)
+
+
+margin = partial(fraction, top=0.5)                  # truncation margin of (0,1)
 
 
 def config(value, name: str) -> dict:

@@ -151,7 +151,7 @@ def perturb_p2(eps: EpsilonSpec, x_min: float = 1e-12) -> PerturbationSpec:
         phi = _bump(np.asarray(rho(x)), np.asarray(rho(x ** 2)), TWO_PI * wrap)
         return phi / TWO_PI + 2.0 * (y - wrap)
 
-    fiber = FiberMap(2, fn=fiber_fn, tag="angular-bump")
+    fiber = FiberMap(2, fn=fiber_fn)
     g = make_skew_product(BaseMap("power", (2.0,)), fiber,
                           metadata={"family": "perturbed-squaring"})
     eps_sup = float(np.max(eps(np.linspace(max(x_min, 1e-6), 1.0, 4096, endpoint=False))))

@@ -4,7 +4,8 @@ import pytest
 from semicov.annulus import (BaseMap, FiberMap, TauSpec, displacement_bound,
                              estimate_annulus_rotation, fiber_preimages,
                              make_skew_product)
-from semicov.errors import (BaseEscapes, DegreeTooSmall, FiberNotMonotone,
+from semicov.circle import from_function
+from semicov.errors import (BaseEscapes, BaseNotInvertible, DegreeTooSmall, FiberNotMonotone,
                             NonIntegerDegree, OrbitEscapes, OutOfDomain)
 
 
@@ -81,6 +82,26 @@ def test_fiber_preimages_round_trip(example_map):
             assert fx == pytest.approx(target[0], abs=2e-10)
             gap = (fy - target[1]) % 1.0
             assert min(gap, 1.0 - gap) < 2e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, -2, -3])
+@pytest.mark.parametrize("circle", [False, True], ids=["linear", "sine"])
+def test_branches_solve_in_the_fundamental_domain(d, circle):
+    wobble = from_function(lambda y: d * y + 0.05 * np.sin(2 * np.pi * y)) if circle else None
+    fiber = FiberMap(d, circle=wobble, tau=TauSpec("inv_one_minus", 0.7))
+    rng = np.random.default_rng(11)
+    for x in rng.uniform(0.05, 0.95, 5):
+        targets = rng.uniform(-3.0, 3.0, 40)
+        ks = fiber.branches(x, targets)
+        assert ks.shape == (40, abs(d)) and np.all(np.diff(ks, axis=1) == 1)
+        w = fiber.inverse(x, targets[:, None] + ks)
+        assert np.all(w > -1e-12) and np.all(w < 1.0 + 1e-12)
+
+
+def test_base_inverse_error_is_one_line():
+    with pytest.raises(BaseNotInvertible) as err:
+        BaseMap("affine_to_one").inverse(np.linspace(0.2, 0.8, 400))
+    assert "\n" not in str(err.value) and "[0.2, 0.8]" in str(err.value)
 
 
 def test_rotation_estimate_product(product_z2):

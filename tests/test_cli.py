@@ -155,6 +155,9 @@ def test_run_config_roundtrip(tmp_path):
 
 
 BAND_MAP = '{"base": {"family": "identity"}, "fiber": {"family": "linear", "degree": 2}}'
+STAR_MAP = {"base": {"family": "affine_to_one"},
+            "fiber": {"family": "linear", "degree": 2,
+                      "tau": {"family": "inv_one_minus", "scale": 1.0}}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -216,6 +219,20 @@ BAND_MAP = '{"base": {"family": "identity"}, "fiber": {"family": "linear", "degr
     ["star-scan", "--map", BAND_MAP, "--connector", '{"kind": "invariant_arc", "p": [0.5]}'],
     ["star-scan", "--map", BAND_MAP, "--connector", '{"kind": "invariant_arc", "p": "x"}'],
     ["star-scan", "--map", BAND_MAP, "--connector", '{"kind": "const", "height": NaN}'],
+    ["repellers", "--map", BAND_MAP, "--connector",
+     '{"kind": "const", "height": 0.25, "margin": 0.5}'],
+    ["repellers", "--map", BAND_MAP, "--connector",
+     '{"kind": "const", "height": 0.25, "margin": 0.6}'],
+    ["repellers", "--map", BAND_MAP, "--connector",
+     '{"kind": "const", "height": 0.25, "samples": 1}'],
+    ["star-scan", "--map", json.dumps(STAR_MAP), "--connector",
+     '{"kind": "invariant_arc", "p": [0.5, 0.0], "margin": -1}'],
+    ["star-scan", "--map", json.dumps(STAR_MAP), "--connector",
+     '{"kind": "invariant_arc", "p": [0.5, 0.0], "margin": 0.5}'],
+    ["star-scan", "--map", json.dumps(STAR_MAP), "--connector",
+     '{"kind": "invariant_arc", "p": [0.5, 0.0], "n_back": -3}'],
+    ["star-scan", "--map", json.dumps(STAR_MAP), "--connector",
+     '{"kind": "invariant_arc", "p": [0.5, 0.0], "n_fwd": -1}'],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     assert main(argv) == 3
@@ -278,9 +295,6 @@ def test_help_exits_0(capsys):
 REQUIRED_VALUES = {"degree": 2, "exponent": 2.0, "values": [0.0, 0.5, 1.0, 1.5, 2.0],
                    "insertions": BLOWUP_NS["insertions"], "map": LINEAR2, "height": 0.25,
                    "p": [0.5, 0.0]}
-STAR_MAP = {"base": {"family": "affine_to_one"},
-            "fiber": {"family": "linear", "degree": 2,
-                      "tau": {"family": "inv_one_minus", "scale": 1.0}}}
 IDENTITY_BASE, LINEAR_FIBER = {"family": "identity"}, {"family": "linear", "degree": 2}
 KIND_ARGV = {                           # map kind -> command line that builds one config
     "circle": lambda c: ["semiconj1d", "--map", json.dumps(c)],

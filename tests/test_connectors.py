@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from semicov.annulus import BaseMap, FiberMap, make_skew_product
+from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.circle import from_function
-from semicov.connectors import (ConnectorCurve, _interp_rows, constant_connector,
+from semicov.connectors import (ConnectorCurve, _check_expansion, _interp_rows,
+                                _preimage_block, constant_connector,
                                 invariant_connector_from_arc, is_free,
                                 preimage_connectors, repelling_connectors,
                                 semiconjugacy_from_connectors,
@@ -143,6 +144,92 @@ def test_repellers_negative_degree_smoke():
     # fixed circle points of z -> z^-2 are the cube roots of unity
     for got, want in zip(angles, (0.0, 1 / 3, 2 / 3)):
         assert circle_dist(got, want) < 1e-3
+
+
+def _per_gap_repellers(m, c, depth, n_samples=1024):
+    """Reference nesting: one gap at a time, one np.interp per level and gap."""
+    def pullback(fn, lower, upper, xs, bx):
+        t = fn(bx)
+        side = lower if m.degree > 0 else upper
+        return m.fiber.inverse(xs, t + np.ceil(np.asarray(m.fiber(xs, side)) - t))
+
+    def gap_structure(c):
+        px, ph, _ = _preimage_block(m, c.xs, c.heights[None, :], c.margin, n_samples)
+        xs = np.linspace(max(c.margin, c.xs[0], px[0]),
+                         min(1.0 - c.margin, c.xs[-1], px[-1]), n_samples)
+        heights = list(_interp_rows(xs, px, ph))
+        cc = c.height_at(xs)
+        u = cc + np.ceil(heights[0] - cc)
+        stack = np.stack(heights + [heights[0] + 1.0])
+        return xs, heights, int(np.median(np.sum(stack <= u[None, :], axis=0) - 1))
+
+    def nest(c, skip_gap=None, extra_refine=()):
+        xs, heights, k0 = gap_structure(c)
+        k0 = k0 if skip_gap is None else skip_gap
+        bx, d, out = np.asarray(m.base(xs)), abs(m.degree), []
+        for k in range(d):
+            if k == k0:
+                continue
+            lower = heights[k]
+            upper = heights[k + 1] if k + 1 < d else heights[0] + 1.0
+            cur = 0.5 * (lower + upper)
+            if k in extra_refine:
+                l_star = pullback(lambda t: np.interp(t, xs, lower), lower, upper, xs, bx)
+                u_star = pullback(lambda t: np.interp(t, xs, upper), lower, upper, xs, bx)
+                cur = 0.5 * (np.maximum(lower, np.minimum(l_star, u_star))
+                             + np.minimum(upper, np.maximum(l_star, u_star)))
+            gaps = []
+            for _ in range(depth):
+                new = pullback(lambda t: np.interp(t, xs, cur), lower, upper, xs, bx)
+                gaps.append(float(np.max(np.abs(new - cur))))
+                cur = new
+            out.append(ConnectorCurve(xs.copy(), cur, c.margin, metadata={
+                "gap_index": k, "depth": depth, "depth_gaps": gaps}))
+        return out
+
+    reps = nest(c)
+    if m.degree < 0:
+        cp = reps[0]
+        px, ph, _ = _preimage_block(m, cp.xs, cp.heights[None, :], c.margin, n_samples)
+        xs_cmp = np.linspace(max(cp.xs[0], px[0]), min(cp.xs[-1], px[-1]), 257)
+        ref = cp.height_at(xs_cmp)
+        dists = [float(np.min([np.max(np.abs(h - ref - t)) for t in (-1, 0, 1)]))
+                 for h in _interp_rows(xs_cmp, px, ph)]
+        j, d0 = int(np.argmin(dists)), abs(m.degree)
+        reps = [cp] + nest(cp, skip_gap=-1, extra_refine={j % d0, (j - 1) % d0})
+    for r in reps:
+        r.metadata["fiber_expansion"] = _check_expansion(m, c.margin)
+    return reps
+
+
+def _fiber(kind, d):
+    if kind == "linear":
+        return FiberMap(d)
+    if kind == "tau":
+        return FiberMap(d, tau=TauSpec("linear", 0.2))
+    return FiberMap(d, circle=from_function(lambda x: d * x + 0.05 * np.sin(2 * np.pi * x)))
+
+
+NEST_CASES = [(d, kind, depth) for d in (2, 3, 4, -2, -3, -4)
+              for kind, depth in [("linear", 1), ("linear", 10), ("tau", 1), ("tau", 10),
+                                  ("circle", 1), ("circle", 10)]]
+
+
+@pytest.mark.parametrize("d, kind, depth", NEST_CASES)
+def test_repellers_match_per_gap_reference(d, kind, depth):
+    base = {"linear": (0.5, 0.9), "tau": (0.4, 0.8), "circle": (0.6, 0.95)}[kind]
+    m = make_skew_product(BaseMap("contraction", base), _fiber(kind, d))
+    c = constant_connector(0.15)
+    got = repelling_connectors(m, c, depth=depth)
+    want = _per_gap_repellers(m, c, depth)
+    assert len(got) == len(want) == abs(d - 1)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.xs, w.xs) and np.array_equal(g.heights, w.heights)
+        assert g.metadata == w.metadata
+    if depth == 1:       # the coding sees the same seeds
+        a, b = (semiconjugacy_from_repellers(m, r, depth=1, band=(0.3, 0.7), nx=9, ny=16)
+                for r in (got, want))
+        assert np.array_equal(a.values, b.values) and a.residual == b.residual
 
 
 # --- coded semiconjugacy -------------------------------------------------
