@@ -50,7 +50,7 @@ def _check(key: str, value):
     if key in _MAP_KEYS:
         schema.config(value, key)
     elif key in _INT_KEYS:
-        schema.size(value, key)
+        schema.integer(value, key, least=2 if key == "nx" else 1)  # a band grid spans two x nodes
     elif key == "band":
         a, b = schema.pair(value, key)
         if not 0.0 < a < b < 1.0:

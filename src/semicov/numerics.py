@@ -77,20 +77,39 @@ def periodic_gather(samples, plan):
 
 
 def band_plan(x, y, band: tuple[float, float], nx: int, ny: int, period):
-    """Bilinear plan on the (nx+1) x (ny+1) nodes of band x [0, 1]; x clipped, y periodic."""
+    """Bilinear plan on the (nx+1) x (ny+1) nodes of band x [0, 1]; x clipped, y periodic.
+
+    Returns (idx, s, 1-wx, wx, 1-wy, wy, shift): idx = i*s + j is the flat
+    index of each point's lower-left node in the row-major values, s = ny + 1
+    the row stride.  Needs nx >= 1.
+    """
     a, b = band
     px = np.clip((np.asarray(x, dtype=float) - a) / (b - a) * nx, 0.0, nx)
     i = np.minimum(px.astype(np.int64), nx - 1)
     wx = px - i
     j, oy, wy, shift = periodic_plan(y, ny, period)
-    return i, j, 1.0 - wx, wx, oy, wy, shift
+    s = ny + 1
+    return i * s + j, s, 1.0 - wx, wx, oy, wy, shift
 
 
 def band_gather(values, plan):
-    """Bilinear values of a band plan, the four corner terms summed in order."""
-    i, j, ox, wx, oy, wy, shift = plan
-    return (values[i, j] * ox * oy + values[i + 1, j] * wx * oy
-            + values[i, j + 1] * ox * wy + values[i + 1, j + 1] * wx * wy + shift)
+    """Bilinear values of a band plan, the four corner terms summed in order.
+
+    The corners (i, j), (i+1, j), (i, j+1) and (i+1, j+1) are the flat index
+    taken from views of values.ravel() offset by 0, s, 1 and s + 1.
+    """
+    idx, s, ox, wx, oy, wy, shift = plan
+    v = np.asarray(values, dtype=float).ravel()
+    out = v.take(idx)
+    out *= ox
+    out *= oy
+    for offset, wa, wb in ((s, wx, oy), (1, ox, wy), (s + 1, wx, wy)):
+        term = v[offset:].take(idx)
+        term *= wa
+        term *= wb
+        out += term
+    out += shift
+    return out
 
 
 def contract(lifted, start, degree: int, orientation: int, tol: float,

@@ -233,6 +233,8 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
      '{"kind": "invariant_arc", "p": [0.5, 0.0], "n_back": -3}'],
     ["star-scan", "--map", json.dumps(STAR_MAP), "--connector",
      '{"kind": "invariant_arc", "p": [0.5, 0.0], "n_fwd": -1}'],
+    ["semiconj2d", "--map", '{"base": {"family": "identity"}, "fiber": {"family": "linear", '
+     '"degree": 2, "tau": {"family": "linear", "scale": 0.1}}}', "--nx", "1"],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     assert main(argv) == 3

@@ -6,9 +6,9 @@ import pytest
 from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.classify import blow_up
 from semicov.errors import (BandNotInvariant, DisplacementDiverges, NotFixed,
-                            OutOfDomain)
+                            OutOfDomain, ValidationError)
 from semicov.semiconj1d import solve_semiconjugacy
-from semicov.semiconj2d import (BandField2D, check_fiber_connector,
+from semicov.semiconj2d import (BandField2D, _measure, check_fiber_connector,
                                 check_fiber_surjectivity, fixed_point_h_equality,
                                 solve_band_semiconjugacy, solve_bounded_semiconjugacy)
 
@@ -96,6 +96,16 @@ def test_fiber_connector_levels():
         assert check_fiber_connector(h, float(z), 0.01)
 
 
+def test_fiber_connector_fails_on_one_collapsed_level():
+    xs = np.linspace(0.2, 0.8, 9)
+    values = np.tile(np.linspace(0, 1, 17), (9, 1))
+    values[4, :] = 0.25          # the level x = 0.5 takes no other angle
+    bad = BandField2D((0.2, 0.8), xs, values)
+    assert check_fiber_connector(bad, 0.25, 0.01)
+    assert not check_fiber_connector(bad, 0.75, 0.01)
+    assert check_fiber_connector(bad, 0.75, 0.01, x_levels=np.delete(xs, 4))
+
+
 def test_fiber_connector_domain_gap(product_z2):
     h = solve_band_semiconjugacy(product_z2, (0.2, 0.5), 1e-8)
     # levels outside the field's half-band count as a domain gap
@@ -166,3 +176,44 @@ def test_bounded_solver_needs_checked_interior_points():
     assert h.metadata["widenings"] == 1
     assert h.metadata["interior_points"] > 0
     assert h.metadata["interior_residual"] <= 1e-8
+
+
+def _measure_whole_grid(field, m, closure=None, window=None):
+    """The residual over every grid row at once, kept as the reference."""
+    xs = field.x_samples
+    if window is not None:
+        xs = xs[(xs >= window[0]) & (xs <= window[1])]
+    xg, yg = np.meshgrid(xs, np.linspace(0.0, 1.0, field.ny, endpoint=False), indexing="ij")
+    fx, fy = m(xg, yg)
+    a, b = field.band
+    inside = (fx >= a) & (fx <= b)
+    h_there = np.where(inside, field(np.clip(fx, a, b), fy),
+                       closure(fx, fy) if closure else np.nan)
+    r = np.abs(h_there - m.degree * field(xg, yg))
+    return float(np.nanmax(r, initial=0.0)), int(np.count_nonzero(~np.isnan(r)))
+
+
+@pytest.mark.parametrize("nx", [2, 63, 64, 65, 129])
+def test_measure_chunks_match_whole_grid(nx):
+    # base x^2 sends part of the band below it, so the skip, the closure and
+    # the window all change which points count
+    m = make_skew_product(BaseMap("power", (2.0,)), FiberMap(2, tau=TauSpec("linear", 0.1)))
+    rng = np.random.default_rng(nx)
+    ny = 32
+    values = np.linspace(0.0, 1.0, ny + 1) + 0.01 * rng.standard_normal((nx, ny + 1))
+    values[:, -1] = values[:, 0] + 1.0
+    field = BandField2D((0.2, 0.8), np.linspace(0.2, 0.8, nx), values)
+    closure = lambda x, y: y + 0.003                        # noqa: E731
+    for kwargs in ({}, {"closure": closure}, {"window": (0.3, 0.7)},
+                   {"window": (0.85, 0.9)}):
+        got = _measure(field, m, **kwargs)
+        assert got == _measure_whole_grid(field, m, **kwargs)
+    assert _measure(field, m)[1] < nx * ny == _measure(field, m, closure=closure)[1]
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 16), (0, 16), (9, 0)])
+def test_band_solvers_reject_degenerate_grids(product_z2, nx, ny):
+    with pytest.raises(ValidationError):
+        solve_band_semiconjugacy(product_z2, (0.2, 0.8), nx=nx, ny=ny)
+    with pytest.raises(ValidationError):
+        solve_bounded_semiconjugacy(product_z2, (0.2, 0.8), nx=nx, ny=ny)
