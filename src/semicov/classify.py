@@ -55,14 +55,18 @@ def classify_circle_point(z, d: int, max_period: int = 16, max_depth: int = 24,
                           tol: float = 1e-9) -> PointClass:
     """Orbit type of the angle z under multiplication by d (mod 1).
 
-    Exact when z is a Fraction; for floats the iteration amplifies input
-    error by |d| per step, so keep max_period moderate or pre-snap the
-    angle with snap_structured_angle.
+    Exact when z is a Fraction k/q: the orbit runs on the residues
+    k -> d*k mod q as integers, and equal residues are equal angles.  For
+    floats the iteration amplifies input error by |d| per step, so keep
+    max_period moderate or pre-snap the angle with snap_structured_angle.
     """
     exact = isinstance(z, Fraction)
+    if exact:
+        q = z.denominator
+        z = z.numerator % q
 
     def step(a):
-        return (d * a) % 1 if exact else frac(d * a)
+        return d * a % q if exact else frac(d * a)
 
     def is_per(a):
         w = a
@@ -89,7 +93,7 @@ def snap_structured_angle(theta: float, d: int, angle_tol: float,
     """Nearest angle of the form k / (|d|^m * |d^n - 1|) within angle_tol.
 
     These are exactly the angles with eventually-periodic orbits under
-    multiplication by d.  Denominators above 0.2/angle_tol are skipped
+    multiplication by d.  Denominators above 0.1/angle_tol are skipped
     (their spacing is below the measurement resolution); among the rest
     the smallest error wins, ties going to the smaller denominator.
     """
@@ -358,19 +362,24 @@ def classification_data(m: LiftedCircleMap, tol: float = 1e-8,
 
 def _orbit_corroborated(theta: Fraction, d: int, measured_angles: np.ndarray,
                         tol: float, horizon: int = 12) -> bool:
-    """Every exact forward image of theta matches a detected plateau angle."""
+    """Every exact forward image of theta matches a detected plateau angle.
+
+    The orbit runs on the residues of theta's numerator mod its denominator,
+    up to horizon steps or the first repeat.
+    """
     if len(measured_angles) == 0:
         return False
-    w = theta
-    seen = {w}
+    q = theta.denominator
+    w = theta.numerator % q
+    seen, orbit = {w}, []
     for _ in range(horizon):
-        w = (d * w) % 1
-        if float(np.min(circle_dist(measured_angles, float(w)))) > tol:
-            return False
+        w = d * w % q
+        orbit.append(w / q)
         if w in seen:
             break
         seen.add(w)
-    return True
+    dist = circle_dist(measured_angles[:, None], np.array(orbit)[None, :])
+    return bool(np.all(dist.min(axis=0) <= tol))
 
 
 @dataclass(frozen=True)
@@ -418,10 +427,10 @@ def compare_classification(a: ClassificationData, b: ClassificationData,
         return Verdict("distinct", reason=f"degrees {a.degree} vs {b.degree}")
     saw_sig_mismatch = False
     saw_partial = False
+    angles_a = np.array([r.image_angle for r in a.records])
+    other = sorted(((r.image_angle, r) for r in b.records), key=lambda t: t[0])
     for c in self_conjugacies(a.degree):
-        mapped = sorted(((float(c.apply_angle(r.image_angle)), r) for r in a.records),
-                        key=lambda t: t[0])
-        other = sorted(((r.image_angle, r) for r in b.records), key=lambda t: t[0])
+        mapped = sorted(zip(c.apply_angle(angles_a).tolist(), a.records), key=lambda t: t[0])
         pairs, extra_a, extra_b = _match_angles(mapped, other, tol)
         solid_extras = [r for r in extra_a if not _marginal(r, a.grid)] + \
                        [r for r in extra_b if not _marginal(r, b.grid)]
@@ -446,18 +455,16 @@ def _match_angles(xs, ys, tol):
     """Circular matching of (angle, record) lists, closest pairs first.
 
     Taking candidate pairs in global distance order keeps near-exact
-    matches from being stolen by records that are merely within tolerance.
+    matches from being stolen by records that are merely within tolerance;
+    equal distances go to the smaller x index, then the smaller y index.
     """
-    candidates = []
-    for i, (ax, _) in enumerate(xs):
-        for j, (ay, _) in enumerate(ys):
-            dist = float(circle_dist(ax, ay))
-            if dist <= tol:
-                candidates.append((dist, i, j))
-    candidates.sort()
+    dist = circle_dist(np.array([a for a, _ in xs], dtype=float)[:, None],
+                       np.array([a for a, _ in ys], dtype=float)[None, :])
+    rows, cols = np.nonzero(dist <= tol)
+    order = np.lexsort((cols, rows, dist[rows, cols]))
     used_x, used_y = set(), set()
     pairs = []
-    for _, i, j in candidates:
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
         if i in used_x or j in used_y:
             continue
         used_x.add(i)

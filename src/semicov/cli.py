@@ -13,6 +13,7 @@ exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -77,11 +78,19 @@ def parse_config(text_or_obj) -> RunConfig:
 
 
 def _csv(header: list[str], rows, meta: dict) -> str:
+    """CSV text: a meta comment, the header, then rows of tuples.
+
+    Each column holds one type, so the first row sets one %-format for all:
+    ``%.12g`` for floats, ``%s`` for anything else.
+    """
     lines = ["# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
-                              for v in row))
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        fmt = ",".join("%.12g" if isinstance(v, float) else "%s" for v in first)
+        lines.append(fmt % first)
+        lines.extend(fmt % row for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -149,8 +158,8 @@ def _semiconj2d(cfg: RunConfig, meta: dict):
                                             nx=int(p["nx"]), ny=int(p["ny"]))
     meta["residual"] = f"{h.residual:.3e}"
     ys = np.linspace(0.0, 1.0, h.ny + 1)
-    rows = [(float(x), float(y), float(h.values[i, j]))
-            for i, x in enumerate(h.x_samples) for j, y in enumerate(ys)]
+    rows = zip(np.repeat(h.x_samples, len(ys)).tolist(), np.tile(ys, len(h.x_samples)).tolist(),
+               h.values.ravel().tolist())
     return _csv(["x", "y", "H"], rows, meta), 0
 
 
@@ -271,7 +280,9 @@ def _from_flag(key: str, text: str):
         raise ValidationError(f"--{key.replace('_', '-')}: cannot read {text!r}") from None
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argparse tree of every command, built on first use."""
     ap = _Parser(prog="semicov", description="semiconjugacies of circle/annulus coverings")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
@@ -281,8 +292,12 @@ def main(argv=None) -> int:
                             help="JSON config or path" if key in _MAP_KEYS
                             else f"{_HINTS.get(key, '')}default: {default}")
         sp.add_argument("--out", help="artifact path (default: stdout)")
+    return ap
+
+
+def main(argv=None) -> int:
     try:
-        ns = vars(ap.parse_args(argv))
+        ns = vars(_parser().parse_args(argv))
         obj = {k: v if k in ("command", "out") else _from_flag(k, v)
                for k, v in ns.items() if v is not None}
         return run(parse_config(obj))

@@ -6,12 +6,12 @@ import pytest
 from semicov import classify
 from semicov.circle import find_periodic_points, make_lift
 from semicov.classify import (INSERT_KINDS, Insertion, IntervalSignature, PlateauRecord,
-                              _orbit_atoms, blow_up,
+                              PointClass, _orbit_atoms, blow_up,
                               classification_data, classify_circle_point,
                               compare_classification, interval_signature,
                               plateau_set, snap_structured_angle, transform_insertions)
 from semicov.errors import Clash, NotInvariant, Overfull, ValidationError
-from semicov.numerics import frac
+from semicov.numerics import circle_dist, frac
 from semicov.semiconj1d import self_conjugacies, solve_semiconjugacy
 
 NS = {"base_angle": 0, "length": 0.1, "kind": "north_south"}
@@ -40,6 +40,13 @@ def test_classify_point_preperiodic():
     # 1/10 -> 1/5 -> 2/5 -> 4/5 -> 3/5 -> 1/5 enters a 4-cycle after one step
     c = classify_circle_point(Fraction(1, 10), 2)
     assert (c.kind, c.preperiod, c.period) == ("preperiodic", 1, 4)
+
+
+def test_classify_point_reduces_the_angle_mod_1():
+    # 4/3 and -1/3 are the period-2 point 1/3
+    for z in (Fraction(4, 3), Fraction(-1, 3)):
+        c = classify_circle_point(z, 2)
+        assert (c.kind, c.period, c.preperiod) == ("periodic", 2, None)
 
 
 def test_classify_point_wandering_flagged():
@@ -474,6 +481,146 @@ def test_plateaus_and_dip_roots_match_scalar_references(d, insertions, grid, mon
     assert all(checked)
     if any(not r.signature.identity_like and r.signature.resolved for r in records):
         assert checked
+
+
+def _fraction_classify_point(z, d, max_period, max_depth):
+    """classify_circle_point stepping the Fraction itself: (d * a) % 1."""
+    def is_per(a):
+        w = a
+        for n in range(1, max_period + 1):
+            w = (d * w) % 1
+            if w == a:
+                return n
+        return None
+
+    n = is_per(z)
+    if n is not None:
+        return PointClass("periodic", period=n)
+    w = z
+    for m in range(1, max_depth + 1):
+        w = (d * w) % 1
+        n = is_per(w)
+        if n is not None:
+            return PointClass("preperiodic", period=n, preperiod=m)
+    return PointClass("wandering", depth_limited=True)
+
+
+def _structured_denominators(d, q_max=10 ** 4):
+    """Every |d|^m * |d^n - 1| <= q_max: the denominators of eventually periodic angles."""
+    qs, n = set(), 1
+    while abs(d ** n - 1) <= q_max:
+        q = abs(d ** n - 1)
+        while q <= q_max:
+            qs.add(q)
+            q *= abs(d)
+        n += 1
+    return sorted(qs)
+
+
+@pytest.mark.parametrize("d", [2, 3, -2, -3])
+def test_integer_orbits_match_fraction_reference(d):
+    # every numerator up to denominator 256, eight seeded ones above it
+    rng = np.random.default_rng(abs(d) + 10 * (d < 0))
+    angles = {Fraction(int(k), q) for q in _structured_denominators(d)
+              for k in (range(q) if q <= 256 else rng.choice(q, 8, replace=False))}
+    kinds = set()
+    for max_period, max_depth in ((6, 4), (16, 24)):
+        for z in sorted(angles):
+            got = classify_circle_point(z, d, max_period, max_depth)
+            assert got == _fraction_classify_point(z, d, max_period, max_depth), z
+            kinds.add(got.kind)
+    assert kinds == {"periodic", "preperiodic", "wandering"}
+
+
+def _scalar_orbit_corroborated(theta, d, measured_angles, tol, horizon=12):
+    """_orbit_corroborated with one circle_dist call per Fraction orbit point."""
+    if len(measured_angles) == 0:
+        return False
+    w = theta
+    seen = {w}
+    for _ in range(horizon):
+        w = (d * w) % 1
+        if float(np.min(circle_dist(measured_angles, float(w)))) > tol:
+            return False
+        if w in seen:
+            break
+        seen.add(w)
+    return True
+
+
+@pytest.mark.parametrize("d", [2, 3, -2, -3])
+def test_orbit_corroboration_matches_scalar_reference(d):
+    rng = np.random.default_rng(20 + d)
+    denominators = _structured_denominators(d, 2000)
+    verdicts = []
+    for _ in range(200):
+        q = int(rng.choice(denominators))
+        theta = Fraction(int(rng.integers(q)), q)
+        orbit, w = [], theta
+        for _ in range(12):
+            w = (d * w) % 1
+            orbit.append(float(w))
+        tol = 1e-3
+        # orbit points moved by up to 2 tol (some exactly tol), a few dropped, plus clutter
+        shift = tol * rng.choice([0.0, 0.5, 1.0, -1.0, 2.0], len(orbit), p=[.3, .3, .2, .1, .1])
+        keep = rng.random(len(orbit)) < 0.9
+        measured = np.concatenate((frac(np.array(orbit) + shift)[keep], rng.random(3)))
+        for horizon in (0, 3, 12):
+            got = classify._orbit_corroborated(theta, d, measured, tol, horizon)
+            assert got == _scalar_orbit_corroborated(theta, d, measured, tol, horizon), theta
+            verdicts.append(got)
+    assert not classify._orbit_corroborated(Fraction(1, 3), d, np.array([]), 1e-3)
+    # dyadic orbit 1/2 -> 0 -> 0, each measured exactly 2^-10 away: the bound is inclusive
+    measured = np.array([0.5 + 2.0 ** -10, 1.0 - 2.0 ** -10])
+    for tol in (2.0 ** -10, 2.0 ** -11):
+        assert (classify._orbit_corroborated(Fraction(1, 4), 2, measured, tol)
+                == _scalar_orbit_corroborated(Fraction(1, 4), 2, measured, tol) == (tol == 2.0 ** -10))
+    assert set(verdicts) == {True, False}
+
+
+def _scalar_match_angles(xs, ys, tol):
+    """_match_angles with one circle_dist call per pair and a (dist, i, j) tuple sort."""
+    candidates = []
+    for i, (ax, _) in enumerate(xs):
+        for j, (ay, _) in enumerate(ys):
+            dist = float(circle_dist(ax, ay))
+            if dist <= tol:
+                candidates.append((dist, i, j))
+    candidates.sort()
+    used_x, used_y = set(), set()
+    pairs = []
+    for _, i, j in candidates:
+        if i in used_x or j in used_y:
+            continue
+        used_x.add(i)
+        used_y.add(j)
+        pairs.append((xs[i][1], ys[j][1]))
+    extra_x = [r for i, (_, r) in enumerate(xs) if i not in used_x]
+    extra_y = [r for j, (_, r) in enumerate(ys) if j not in used_y]
+    return pairs, extra_x, extra_y
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_match_angles_matches_scalar_reference(seed):
+    # angles on a 1/64 lattice give exact distance ties; 0 and 63/64 pair across the seam
+    rng = np.random.default_rng(seed)
+
+    def angles(n):
+        a = rng.integers(0, 64, n) / 64.0
+        a[rng.random(n) < 0.2] += rng.choice([1e-4, -1e-4, 1 / 128])
+        return sorted(frac(np.concatenate((a, [0.0, 63 / 64][:seed % 3]))).tolist())
+
+    xs = [(a, f"x{i}") for i, a in enumerate(angles(int(rng.integers(0, 12))))]
+    ys = [(a, f"y{j}") for j, a in enumerate(angles(int(rng.integers(0, 12))))]
+    for tol in (1e-3, 1 / 64, 2 / 64):
+        assert classify._match_angles(xs, ys, tol) == _scalar_match_angles(xs, ys, tol)
+
+
+def test_match_angles_breaks_distance_ties_by_x_then_y():
+    # (x0, y1) across the seam and (x1, y0) are both 1/64 apart
+    xs, ys = [(0.0, "x0"), (0.5, "x1")], [(33 / 64, "y0"), (63 / 64, "y1")]
+    expected = ([("x0", "y1"), ("x1", "y0")], [], [])
+    assert classify._match_angles(xs, ys, 1 / 64) == _scalar_match_angles(xs, ys, 1 / 64) == expected
 
 
 # --- structural invariants --------------------------------------------------

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from semicov import configs
+from semicov import cli, configs
 from semicov.cli import main, parse_config, run
 from semicov.errors import ParseError, ValidationError
 
@@ -283,6 +284,37 @@ def test_every_schema_key_is_a_flag(tmp_path):
     assert main(["classify", "--map", json.dumps(BLOWUP_NS), "--max-period", "4",
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["meta"]["max_period"] == 4
+
+
+def _per_value_csv(header, rows, meta):
+    """_csv formatting every value with its own f-string."""
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_csv_matches_per_value_reference(seed):
+    rng = np.random.default_rng(seed)
+    special = [0.0, -0.0, 1.0, 0.1, 1 / 3, 2.5e-7, -7.25, 1e16, 123456789012345.0,
+               1e-300, 5e-324, np.inf, -np.inf, np.nan]
+    pool = np.concatenate((special, rng.normal(size=30) * 10.0 ** rng.integers(-20, 20, 30)))
+    n = int(rng.integers(1, 60))
+    f1, f2 = rng.choice(pool, n), rng.choice(pool, n)
+    ids = rng.integers(-3, 10 ** 6, n)
+    ids[0] = 10 ** 15                            # where %.12g and str differ
+    meta = {"config_sha256": "0123abcd", "tol": 1e-8, "count": n, "residual": "1.234e-09"}
+    tables = {
+        "repellers": (["curve_id", "x", "y"], list(zip(ids.tolist(), f1.tolist(), f2.tolist()))),
+        "floats": (["x", "H"], list(zip(f1.tolist(), f2.tolist()))),
+        "numpy scalars": (["x", "y", "H"], list(zip(f1, f2, f1 * 0.5))),
+        "empty": (["x", "H"], []),
+    }
+    for header, rows in tables.values():
+        assert cli._csv(header, iter(rows), meta) == _per_value_csv(header, rows, meta)
 
 
 def test_help_exits_0(capsys):
