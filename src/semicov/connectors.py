@@ -19,7 +19,7 @@ import numpy as np
 
 from .annulus import AnnulusMapLift
 from .errors import (BranchCollision, ImageNotGraph, NoExpansion, NotFree,
-                     NotMonotoneBase, OutOfDomain)
+                     NotMonotoneBase, OutOfDomain, ValidationError)
 from .numerics import circle_dist, frac
 from .semiconj2d import BandField2D
 
@@ -252,10 +252,10 @@ def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve, depth: int = 10,
     annulus into |d| gaps; every gap not holding the connector nests to a
     repeller under repeated preimage-in-gap refinement, contracting by at
     least the inverse fiber expansion per level.  All gaps are nested at
-    once (see _nest).  For d < -1 the first repeller c' is produced this
-    way and the nesting is repeated on the preimage curves of c', skipping
-    no gap, with one extra preimage level intersected before nesting in the
-    two gaps adjacent to c'.  Successive-depth sup gaps are recorded in
+    once (see _nest).  For d < -1 only the first such gap is nested, to
+    the first repeller c', and the nesting is repeated on the preimage
+    curves of c', skipping no gap, with one extra preimage level
+    intersected before nesting in the two gaps adjacent to c'.  Successive-depth sup gaps are recorded in
     metadata["depth_gaps"].
     """
     margin = c.margin
@@ -263,16 +263,17 @@ def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve, depth: int = 10,
     lam = _check_expansion(m, margin)
     if not is_free(m, c, tol):
         raise NotFree("connector meets its image")
-    reps = _nest(m, c, depth, n_samples)
+    reps = _nest(m, c, depth, n_samples, first_only=m.degree < 0)
     if m.degree < 0:
-        reps = reps[:1] + _nest(m, reps[0], depth, n_samples, skip=False, refine=True)
+        reps += _nest(m, reps[0], depth, n_samples, skip=False, refine=True)
     for r in reps:
         r.metadata["fiber_expansion"] = lam
     return reps
 
 
 def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
-          skip: bool = True, refine: bool = False) -> list[ConnectorCurve]:
+          skip: bool = True, refine: bool = False,
+          first_only: bool = False) -> list[ConnectorCurve]:
     """Nest the gaps between consecutive preimage curves of c, all gaps at once.
 
     Gap k lies between the preimage curves lower[k] and upper[k] = lower[k+1]
@@ -282,7 +283,8 @@ def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
     since consecutive preimage curves differ by one period in the fiber
     image.  skip drops the gap holding c; refine starts the two gaps
     adjacent to c (which c, being invariant, bounds) from the midline of
-    the strip between the preimages of their boundaries.
+    the strip between the preimages of their boundaries.  first_only nests
+    only the first gap kept.
     """
     margin = c.margin
     px, ph, _ = _preimage_block(m, c.xs, c.heights[None, :], margin, n_samples)
@@ -309,6 +311,8 @@ def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
         cur[r] = 0.5 * (np.maximum(lower[r], np.minimum(l_star, u_star))
                         + np.minimum(upper[r], np.maximum(l_star, u_star)))
     keep = np.arange(len(lower)) != k0
+    if first_only:
+        keep &= np.cumsum(keep) == 1
     cur, side, gaps = cur[keep], side[keep], []
     for _ in range(depth):
         new = pull(cur, side)
@@ -344,6 +348,26 @@ def semiconjugacy_from_repellers(m: AnnulusMapLift, repellers: list[ConnectorCur
     return semiconjugacy_from_connectors(m, seeds, depth, band, nx, ny)
 
 
+def _code_column(hs: np.ndarray, vs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coded values at heights y in [0, 1) over one column of curves.
+
+    The curve at height h with value v has lifts h + n with values v + n;
+    each y takes the midpoint of the values of its enclosing pair of lifts.
+    With the key g = h - floor(h), the lower curve has the largest g <= y
+    (the largest g when none is) and the upper one the smallest g > y (the
+    smallest g when none is); ties go to the first curve.
+    """
+    g = hs - np.floor(hs)
+    order = np.argsort(g, kind="stable")            # ties in curve order
+    gs = g[order]
+    k = np.searchsorted(gs, y, side="right")        # curves with g <= y
+    lo = order[np.searchsorted(gs, gs[k - 1])]      # first of its ties; k = 0 wraps to the top
+    hi = order[k % len(gs)]                         # k = C wraps to the bottom
+    v_lo = vs[lo] + np.floor(y - hs[lo])
+    v_hi = vs[hi] + np.floor(y - hs[hi]) + 1.0
+    return 0.5 * (v_lo + v_hi)
+
+
 def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve],
                                   depth: int = 8, band: tuple[float, float] | None = None,
                                   nx: int = 65, ny: int = 128) -> BandField2D:
@@ -357,10 +381,25 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
     A level is a list of blocks (xs, heights (n_curves, n_nodes), values,
     margin); a block's children share the base preimages of its nodes, so
     they form one block.  Every level is kept (8 bytes x curves x nodes)
-    until one gather per block, in family order, so tie-breaks are kept.
-    metadata["level_curves"] counts curves per level, seeds first, and
-    metadata["dropped_blocks"] the blocks whose preimages left the margins.
+    until one gather per block, in family order, so ties go to the
+    earlier curve.  Each of the nx columns is then coded by _code_column:
+    one stable sort of the C curve keys and one searchsorted of the ny
+    rows below y = 1, O((C + ny) log C) per column; the row y = 1 is row
+    y = 0 plus one.  metadata["level_curves"] counts curves per level,
+    seeds first, and metadata["dropped_blocks"] the blocks whose
+    preimages left the margins.
+
+    Raises ValidationError for nx < 2, ny < 1, depth < 0, a band outside
+    0 < a < b < 1 or no seeds.
     """
+    if nx < 2 or ny < 1:
+        raise ValidationError(f"the coding grid needs nx >= 2 and ny >= 1, got {nx} x {ny}")
+    if depth < 0:
+        raise ValidationError(f"the coding depth must be >= 0, got {depth}")
+    if band is not None and not 0.0 < band[0] < band[1] < 1.0:
+        raise ValidationError(f"the coding band needs 0 < a < b < 1, got {tuple(band)}")
+    if not seeds:
+        raise ValidationError("the coding needs at least one seed curve")
     if any(s.value is None for s in seeds):
         raise ValueError("seed curves need declared lifted values")
     d = m.degree
@@ -391,17 +430,13 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
     vals = np.concatenate([b[2] for b in blocks])
     inside = np.repeat([(xs >= b[0][0] - 1e-12) & (xs <= b[0][-1] + 1e-12) for b in blocks],
                        [len(b[1]) for b in blocks], axis=0)
-    values, rows = np.empty((nx, ny + 1)), np.arange(ny + 1)
+    values = np.empty((nx, ny + 1))
     for i, x in enumerate(xs):
-        hs, vs = heights[inside[:, i], i], vals[inside[:, i]]
-        if len(hs) == 0:
+        on = inside[:, i]
+        if not on.any():
             raise OutOfDomain(f"no coding curves over x = {x}; lower the depth "
                               "or shrink the band")
-        shift = np.floor(ys[:, None] - hs[None, :])
-        below, vals_b = hs + shift, vs + shift
-        v_lo = vals_b[rows, np.argmax(below, axis=1)]
-        v_hi = vals_b[rows, np.argmin(below + 1.0, axis=1)] + 1.0
-        values[i] = 0.5 * (v_lo + v_hi)
+        values[i, :-1] = _code_column(heights[on, i], vals[on], ys[:-1])
     values[:, -1] = values[:, 0] + 1.0
 
     field = BandField2D(band, xs, values, 1, d,

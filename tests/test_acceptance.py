@@ -212,6 +212,20 @@ def test_c10_coded_field_agreement():
     _verdict(10, "repeller-coded and operator fields agree up to a self-conjugacy", ok)
 
 
+def test_c10_negative_degree_at_depth_ten():
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.9)), FiberMap(-2))
+    reps = repelling_connectors(m, constant_connector(0.25), depth=10)
+    coded = semiconjugacy_from_repellers(m, reps, depth=10, band=(0.2, 0.8))
+    tol = 1e-10
+    op = solve_band_semiconjugacy(m, (0.2, 0.8), tol)
+    xg, yg = np.meshgrid(np.linspace(0.2, 0.8, 17),
+                         np.linspace(0, 1, 32, endpoint=False), indexing="ij")
+    best = min(float(np.max(circle_dist(c.apply_angle(coded(xg, yg)), op(xg, yg))))
+               for c in self_conjugacies(-2))
+    ok = coded.metadata["curves"] == 6141 and best <= 2.0 ** -9 + 10 * tol
+    _verdict(10, f"d=-2 coded at depth 10 agrees with the operator field to {best:.1e}", ok)
+
+
 def test_c11_winding_bound():
     m = make_skew_product(BaseMap("affine_to_one"),
                           FiberMap(2, tau=TauSpec("inv_one_minus", 1.0)))

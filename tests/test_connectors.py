@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from semicov import connectors
 from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.circle import from_function
-from semicov.connectors import (ConnectorCurve, _check_expansion, _interp_rows,
+from semicov.connectors import (ConnectorCurve, _check_expansion, _code_column, _interp_rows,
                                 _preimage_block, constant_connector,
                                 invariant_connector_from_arc, is_free,
                                 preimage_connectors, repelling_connectors,
                                 semiconjugacy_from_connectors,
                                 semiconjugacy_from_repellers)
-from semicov.errors import NoExpansion, NotFree, NotMonotoneBase, OutOfDomain
+from semicov.errors import (NoExpansion, NotFree, NotMonotoneBase, OutOfDomain,
+                           ValidationError)
 from semicov.numerics import circle_dist
 from semicov.semiconj1d import self_conjugacies
 from semicov.semiconj2d import solve_band_semiconjugacy
@@ -367,3 +369,98 @@ def test_coding_counts_dropped_blocks(contracting_z2):
     assert len(levels) < 13 and levels == [2 ** k for k in range(len(levels))]
     values, curves = reference_coding(contracting_z2, [seed], 12, (0.3, 0.31), 5, 8)
     assert np.array_equal(field.values, values) and field.metadata["curves"] == curves
+
+
+# --- the column kernel against the argmax/argmin loop it replaced -----------
+
+def loop_column(hs, vs, ys):
+    """Reference: every row builds (rows x curves) arrays for one argmax and one argmin."""
+    shift = np.floor(ys[:, None] - hs[None, :])
+    below, vals_b = hs + shift, vs + shift
+    rows = np.arange(len(ys))
+    v_lo = vals_b[rows, np.argmax(below, axis=1)]
+    v_hi = vals_b[rows, np.argmin(below + 1.0, axis=1)] + 1.0
+    return 0.5 * (v_lo + v_hi)
+
+
+def _coding_field(name):
+    if name == "c11":
+        m = make_skew_product(BaseMap("affine_to_one"),
+                              FiberMap(2, tau=TauSpec("inv_one_minus", 1.0)))
+        c = invariant_connector_from_arc(m, (0.5, 0.0), n_back=9, n_fwd=16, margin=1e-5)
+        c.value = 0.0
+        return lambda: semiconjugacy_from_connectors(m, [c], depth=8, band=(0.1, 0.9))
+    d, depth = name
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.9)), FiberMap(d))
+    reps = repelling_connectors(m, constant_connector(0.25 / abs(d - 1)), depth=10)
+    return lambda: semiconjugacy_from_repellers(m, reps, depth=depth, band=(0.2, 0.8))
+
+
+@pytest.mark.parametrize("name", [(2, 10), (3, 5), (-2, 6), "c11"])
+def test_coded_field_matches_loop_bit_for_bit(name, monkeypatch):
+    # the four annulus-coding fields; every column's inputs are recorded
+    build, columns = _coding_field(name), []
+
+    def spy(hs, vs, y):
+        columns.append((hs, vs, y))
+        return _code_column(hs, vs, y)
+
+    monkeypatch.setattr(connectors, "_code_column", spy)
+    field = build()
+    assert len(columns) == len(field.x_samples)
+    ys = np.linspace(0.0, 1.0, field.values.shape[1])
+    want = np.array([loop_column(hs, vs, ys[:-1]) for hs, vs, _ in columns])
+    assert np.array_equal(field.values[:, :-1], want)
+
+
+def _dyadic_copies(rng):
+    # integer-offset copies of two curves tie exactly in h mod 1
+    return rng.permutation(np.concatenate([0.375 + rng.integers(-3, 4, 5),
+                                           0.8125 + rng.integers(-3, 4, 4)]))
+
+
+COLUMNS = {
+    "integer-offset copies": _dyadic_copies,
+    "on the y nodes": lambda rng: rng.integers(0, 16, 12) / 16 + rng.integers(-2, 3, 12),
+    "at zero": lambda rng: np.array([0.0, 0.5, -0.0, 2.0, 0.25]),
+    "at -1e-17": lambda rng: np.array([0.5, -1e-17, 0.25, 0.75]),
+    "negative": lambda rng: np.array([-0.3, -1.7, -2.25, -0.9, -1e-3, -1.0]),
+    "a single curve": lambda rng: np.array([rng.uniform(-2.0, 2.0)]),
+    "a single curve at -1e-17": lambda rng: np.array([-1e-17]),
+    "every key above every y": lambda rng: np.array([0.995, 1.9990234375, -0.001953125,
+                                                     2.9975, -1e-17]),
+    "generic": lambda rng: rng.uniform(-3.0, 3.0, 40),
+}
+
+
+@pytest.mark.parametrize("case", COLUMNS)
+@pytest.mark.parametrize("ny", [1, 16, 128])
+def test_code_column_matches_loop_bit_for_bit(case, ny):
+    rng = np.random.default_rng(ny)
+    ys = np.linspace(0.0, 1.0, ny + 1)[:-1]
+    for _ in range(20):
+        hs = COLUMNS[case](rng)
+        vs = rng.normal(0.0, 3.0, len(hs))          # arbitrary values expose every choice
+        assert np.array_equal(_code_column(hs, vs, ys), loop_column(hs, vs, ys))
+
+
+def test_code_column_orders_sub_rounding_neighbours_by_key():
+    # h = -1e-17 has the key 1.0 - 1e-17, which rounds to 1.0: its lift sits
+    # just below the lift of h = 0 at 1, so it is the upper curve; the loop
+    # rounded both to below + 1 = 1.0 and took the first curve instead
+    hs, vs, ys = np.array([0.0, -1e-17]), np.array([0.0, 10.0]), np.array([0.0, 0.5])
+    assert np.array_equal(_code_column(hs, vs, ys), [5.5, 5.5])
+    assert np.array_equal(loop_column(hs, vs, ys), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("kwargs", [{"nx": 1}, {"nx": 0}, {"ny": 0}, {"ny": -3},
+                                    {"band": (0.8, 0.2)}, {"band": (0.5, 0.5)},
+                                    {"band": (0.0, 0.5)}, {"band": (0.5, 1.0)},
+                                    {"depth": -1}, {"seeds": []}])
+def test_coding_rejects_degenerate_inputs(contracting_z2, kwargs):
+    args = {"seeds": [constant_connector(0.0)], "depth": 2, "band": (0.3, 0.7),
+            "nx": 9, "ny": 16, **kwargs}
+    args["seeds"] = [ConnectorCurve(s.xs, s.heights, s.margin, value=0.0) for s in args["seeds"]]
+    with pytest.raises(ValidationError) as err:
+        semiconjugacy_from_connectors(contracting_z2, **args)
+    assert "\n" not in str(err.value)
