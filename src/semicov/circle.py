@@ -48,10 +48,6 @@ class LiftedCircleMap:
             y = self.__call__(y)
         return y
 
-    def angle(self, x):
-        """Image angle in [0, 1) of the circle point with angle x."""
-        return frac(self.__call__(x))
-
 
 def make_lift(samples, metadata: dict | None = None) -> LiftedCircleMap:
     """Validate lift samples and build a LiftedCircleMap.

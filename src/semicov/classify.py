@@ -13,6 +13,7 @@ prescribed interval homeomorphism at the first return of a periodic orbit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,37 +52,31 @@ class PointClass:
     depth_limited: bool = False
 
 
-def classify_circle_point(z, d: int, max_period: int = 16, max_depth: int = 24,
-                          tol: float = 1e-9) -> PointClass:
-    """Orbit type of the angle z under multiplication by d (mod 1).
+def classify_circle_point(z: Fraction, d: int, max_period: int = 16,
+                          max_depth: int = 24) -> PointClass:
+    """Orbit type of the exact angle z = k/q under multiplication by d (mod 1).
 
-    Exact when z is a Fraction k/q: the orbit runs on the residues
-    k -> d*k mod q as integers, and equal residues are equal angles.  For
-    floats the iteration amplifies input error by |d| per step, so keep
-    max_period moderate or pre-snap the angle with snap_structured_angle.
+    The orbit runs on the residues k -> d*k mod q as integers, and equal
+    residues are equal angles.  Snap a measured angle with
+    snap_structured_angle first.
     """
-    exact = isinstance(z, Fraction)
-    if exact:
-        q = z.denominator
-        z = z.numerator % q
-
-    def step(a):
-        return d * a % q if exact else frac(d * a)
+    q = z.denominator
 
     def is_per(a):
         w = a
         for n in range(1, max_period + 1):
-            w = step(w)
-            if (w == a) if exact else (circle_dist(w, a) <= tol):
+            w = d * w % q
+            if w == a:
                 return n
         return None
 
+    z = z.numerator % q
     n = is_per(z)
     if n is not None:
         return PointClass("periodic", period=n)
     w = z
     for m in range(1, max_depth + 1):
-        w = step(w)
+        w = d * w % q
         n = is_per(w)
         if n is not None:
             return PointClass("preperiodic", period=n, preperiod=m)
@@ -479,17 +474,6 @@ def _match_angles(xs, ys, tol):
 # blow-up synthesis
 # ---------------------------------------------------------------------------
 
-def as_angle_fraction(value) -> Fraction:
-    """Exact angle in [0,1) from a Fraction, string 'p/q', int or float."""
-    if isinstance(value, Fraction):
-        return value % 1
-    if isinstance(value, str):
-        return Fraction(value) % 1
-    if isinstance(value, (int, np.integer)):
-        return Fraction(int(value)) % 1
-    return Fraction(float(value)).limit_denominator(10 ** 12) % 1
-
-
 @dataclass(frozen=True)
 class Insertion:
     base_angle: Fraction
@@ -498,15 +482,22 @@ class Insertion:
 
     @classmethod
     def of(cls, spec) -> "Insertion":
-        """An Insertion, or one checked from a {base_angle, length, kind} config."""
+        """An Insertion, or one checked from a {base_angle, length, kind} config.
+
+        The base angle is exact in [0,1): a Fraction, 'p/q' string or int as
+        given, a float through limit_denominator(10**12).
+        """
         if isinstance(spec, Insertion):
             return spec
         p = take(config(spec, "an insertion"),
                  {"base_angle": REQUIRED, "length": REQUIRED, "kind": "north_south"}, "insertion")
-        if not isinstance(p["base_angle"], (str, Fraction, np.integer)):
-            number(p["base_angle"], "base_angle")
+        value = p["base_angle"]
+        if not isinstance(value, (str, Fraction, np.integer)):
+            number(value, "base_angle")
+        if isinstance(value, float):
+            value = Fraction(value).limit_denominator(10 ** 12)
         try:
-            angle = as_angle_fraction(p["base_angle"])
+            angle = Fraction(value) % 1
         except (ValueError, ZeroDivisionError):        # a string that is not 'p/q'
             raise ValidationError(f"base_angle must be a number or 'p/q', "
                                   f"got {p['base_angle']!r}") from None
@@ -524,81 +515,56 @@ def transform_insertions(insertions, c: SelfConjugacy) -> list[Insertion]:
     return out
 
 
-class _Atom:
-    __slots__ = ("angle", "length", "owner", "closing")
+def _orbit_atoms(d: int, specs: list[Insertion], min_len: float, depth: int, forward_cap: int
+                 ) -> tuple[int, dict[int, tuple[float, int]], dict[int, str]]:
+    """Atoms of every insertion orbit and of its preimages, as residues k of k/L.
 
-    def __init__(self, angle: Fraction, length: float, owner: int, closing: str | None = None):
-        self.angle = angle
-        self.length = length
-        self.owner = owner
-        self.closing = closing   # insert kind applied on the step out of this atom
-
-
-def _orbit_atoms(d: int, specs: list[Insertion], min_len: float, depth: int,
-                 forward_cap: int) -> dict[Fraction, _Atom]:
-    """Atoms of every insertion orbit and of its preimages, keyed by exact angle."""
+    Returns L, residue -> (length, owner) and residue -> the insert kind of
+    the step closing its cycle.  Lengths start below 1 and shrink by 2|d|
+    per preimage level, so no atom lives past `levels` and L holds every
+    denominator.
+    """
     ad = abs(d)
-    atoms: dict[Fraction, _Atom] = {}
+    levels = max(0, min(depth, int(math.log(1.0 / min_len, 2 * ad)) + 1))
+    L = math.lcm(*(ins.base_angle.denominator for ins in specs)) * ad ** levels
+    atoms: dict[int, tuple[float, int]] = {}
+    closing: dict[int, str] = {}
 
-    def add(angle: Fraction, length: float, owner: int, closing=None) -> _Atom:
-        if angle in atoms and atoms[angle].owner != owner:
-            raise Clash(f"orbit collision at angle {angle}")
-        atom = _Atom(angle, length, owner, closing)
-        atoms[angle] = atom
-        return atom
+    def add(k: int, length: float, owner: int) -> None:
+        if atoms.setdefault(k, (length, owner))[1] != owner:
+            raise Clash(f"orbit collision at angle {Fraction(k, L)}")
 
     for owner, ins in enumerate(specs):
-        seq = [ins.base_angle]
-        seen = {ins.base_angle: 0}
-        cycle_start = None
-        while len(seq) <= forward_cap:
-            nxt = (d * seq[-1]) % 1
-            if nxt in seen:
-                cycle_start = seen[nxt]
-                break
-            seen[nxt] = len(seq)
-            seq.append(nxt)
-        if cycle_start is not None:
-            for theta in seq:
-                add(theta, ins.length, owner)
-            atoms[seq[-1]].closing = ins.kind   # step closing the cycle
+        seq = [ins.base_angle.numerator * (L // ins.base_angle.denominator)]
+        while len(seq) <= forward_cap and (k := d * seq[-1] % L) not in seq:
+            seq.append(k)
+        if len(seq) <= forward_cap:             # the orbit returned: a rational cycle
+            lengths = [ins.length] * len(seq)
+            closing[seq[-1]] = ins.kind
         else:
-            # no rational return: truncate forward with shrinking lengths
-            length = ins.length
-            seq = [ins.base_angle]
-            while length >= min_len:
-                length /= 2.0 * ad
-                nxt = (d * seq[-1]) % 1
-                if nxt in atoms and atoms[nxt].owner != owner:
-                    raise Clash(f"orbit collision at angle {nxt}")
-                if nxt in atoms:
-                    break
-                seq.append(nxt)
+            # no rational return: a prefix of the walk, with shrinking lengths
             lengths = [ins.length]
-            for _ in seq[1:]:
+            while lengths[-1] >= min_len:
                 lengths.append(lengths[-1] / (2.0 * ad))
-            for theta, ell in zip(seq, lengths):
-                add(theta, ell, owner)
+            while len(seq) < len(lengths):
+                seq.append(d * seq[-1] % L)
+        for k, length in zip(seq, lengths):
+            add(k, length, owner)
 
     # preimage atoms, pruned below the grid floor
-    frontier = list(atoms.values())
-    for _ in range(depth):
-        new: list[_Atom] = []
-        for atom in frontier:
-            child_len = atom.length / (2.0 * ad)
-            if child_len < min_len:
-                continue
-            for j in range(ad):
-                pre = (Fraction(atom.angle + j, d)) % 1
-                if pre in atoms:
-                    if atoms[pre].owner != atom.owner:
-                        raise Clash(f"orbit collision at angle {pre}")
-                    continue
-                new.append(add(pre, child_len, atom.owner))
-        if not new:
-            break
+    frontier = list(atoms)
+    for _ in range(levels):
+        new = []
+        for k in frontier:
+            length, owner = atoms[k]
+            if length / (2.0 * ad) >= min_len:
+                for j in range(ad):
+                    pre = (k + j * L) // d % L
+                    if pre not in atoms:
+                        new.append(pre)
+                    add(pre, length / (2.0 * ad), owner)
         frontier = new
-    return atoms
+    return L, atoms, closing
 
 
 def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12,
@@ -634,20 +600,20 @@ def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12,
         if not 0.0 < ins.length < 1.0:
             raise Overfull(f"insert length {ins.length} out of range")
 
-    atoms = _orbit_atoms(d, specs, 0.05 / grid, depth, forward_cap)
-    total = sum(a.length for a in atoms.values())
+    L, atoms, closing = _orbit_atoms(d, specs, 0.05 / grid, depth, forward_cap)
+    total = sum(length for length, _ in atoms.values())
     if total >= 1.0:
         raise Overfull(f"total inserted length {total} >= 1")
 
-    order = sorted(atoms)                       # exact Fractions sort
-    angles = np.array([float(t) for t in order])
-    lengths = np.array([atoms[t].length for t in order])
+    order = sorted(atoms)
+    angles = np.array([k / L for k in order])   # int division rounds like float(Fraction)
+    lengths = np.array([atoms[k][0] for k in order])
     csum = np.concatenate(([0.0], np.cumsum(lengths)))
     scale = 1.0 - total
     lefts = scale * angles + csum[:-1]
-    index = {t: i for i, t in enumerate(order)}
+    index = {k: i for i, k in enumerate(order)}
 
-    i0 = index[specs[0].base_angle]
+    i0 = index[next(iter(atoms))]               # the first insertion's base angle
     shift = 0.5 - (lefts[i0] + 0.5 * lengths[i0])
     lefts = lefts + shift
     rights = lefts + lengths
@@ -660,11 +626,11 @@ def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12,
     # image of each atom: its atom index (-1 at a truncated chain end, a
     # sub-grid interval collapsing to a point), the exact integer branch and
     # the insert kind of the step out of it
-    images = [(d * t) % 1 for t in order]
+    branch, images = zip(*(divmod(d * k, L) for k in order))
     image_q = np.array([index.get(img, -1) for img in images])
-    branch = np.array([float(d * t - img) for t, img in zip(order, images)])
-    truncated = position(np.array([float(img) for img in images])) + branch
-    kind = np.array([atoms[t].closing or "identity" for t in order])
+    branch = np.array(branch, dtype=float)
+    truncated = position(np.array([img / L for img in images])) + branch
+    kind = np.array([closing.get(k, "identity") for k in order])
 
     xs = np.linspace(0.0, 1.0, grid + 1)
     xw = shift + frac(xs - shift)               # position on the laid-out circle

@@ -1,9 +1,9 @@
 """Command-line front end: reproducible runs, CSV/JSON artifacts, exit codes.
 
 Exit codes: 0 success (or equivalent verdict), 1 negative verdict
-(distinct classification, violated winding bound), 2 inconclusive,
-3 error.  Artifacts embed the config hash and tolerance metadata;
-identical configs yield byte-identical artifacts.
+(distinct classification, violated winding bound, failed perturbation
+certificate), 2 inconclusive, 3 error.  Artifacts embed the config hash
+and tolerance metadata; identical configs yield byte-identical artifacts.
 
 Every command is one entry of ``COMMANDS``: its schema (key -> default or
 ``schema.REQUIRED``) sets both the run-config keys and the ``--<key>``
@@ -207,7 +207,9 @@ def _counterexample_table(cfg: RunConfig, meta: dict):
 def _perturb(cfg: RunConfig, meta: dict):
     spec = stability.perturb_p2(configs.epsilon_from_config(cfg.maps["epsilon"]))
     report = stability.verify_perturbation(spec, grid=int(cfg.params["grid"]))
-    return _json_text(report, meta), 0
+    verified = (report["ratio_ok"] and report["injectivity"]["injective_on_sector"]
+                and report["foliation_preserved"] and report["invariance_fraction"] == 1.0)
+    return _json_text(report, meta), 0 if verified else 1
 
 
 def _record_json(r: classify.PlateauRecord) -> dict:

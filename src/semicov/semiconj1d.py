@@ -41,10 +41,6 @@ class SemiconjugacyField1D:
         val = periodic_gather(self.samples, periodic_plan(x, self.grid, self.orientation))
         return val if val.ndim else float(val)
 
-    def angle(self, x):
-        """Circle image h(x) in [0, 1)."""
-        return frac(self.__call__(x))
-
     def deviation_bound(self) -> float:
         """sup |H(x) - o*x| over [0, 1]; equal on every [k, k+1] shift."""
         xs = np.linspace(0.0, 1.0, self.grid + 1)

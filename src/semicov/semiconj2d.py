@@ -52,9 +52,6 @@ class BandField2D:
         v = band_gather(self.values, plan)
         return v if v.ndim else float(v)
 
-    def angle(self, x, y):
-        return frac(self.__call__(x, y))
-
 
 def _measure(field: BandField2D, m: AnnulusMapLift, closure=None,
              window=None) -> tuple[float, int]:

@@ -95,21 +95,30 @@ def radial_rho(eps: EpsilonSpec, samples_per_band: int = 512,
     factor, and band interiors take the minimum of the eps cap, a bridge
     between the edge values, and a strict fraction of rho at sqrt(x).
     The edge values never touch the other caps at the seams, so the
-    profile is continuous.
+    profile is continuous.  eps must be positive and finite at every
+    sampled radius (BadParams otherwise).
     """
+    def cap(x):
+        with np.errstate(over="ignore"):
+            e = np.asarray(eps(x))
+        bad = e[~((e > 0) & np.isfinite(e))]
+        if bad.size:
+            raise BadParams(f"eps must be positive and finite on [{x_min}, 1), got {float(bad[0])}")
+        return 0.49 * e
+
     edges = [0.5]
     while edges[-1] ** 2 > x_min:
         edges.append(edges[-1] ** 2)
     edges.append(x_min)
 
     pieces: list[tuple[np.ndarray, np.ndarray]] = []   # outermost first
-    e_right = 0.49 * float(np.min(eps(np.linspace(0.25, 0.5, 256))))
+    e_right = float(np.min(cap(np.linspace(0.25, 0.5, 256))))
     for hi, lo in zip(edges[:-1], edges[1:]):
         xs = np.geomspace(lo, hi, samples_per_band)
-        cap = 0.49 * np.asarray(eps(xs))
-        e_left = 0.8 * min(e_right, float(cap.min()))
+        caps = cap(xs)
+        e_left = 0.8 * min(e_right, float(caps.min()))
         s = (np.log(xs) - np.log(lo)) / (np.log(hi) - np.log(lo))
-        vals = np.minimum(cap, e_left + (e_right - e_left) * s)
+        vals = np.minimum(caps, e_left + (e_right - e_left) * s)
         if pieces:
             parent_xs, parent_vals = pieces[-1]
             parent = np.interp(np.log(np.sqrt(xs)), np.log(parent_xs), parent_vals)
@@ -121,7 +130,7 @@ def radial_rho(eps: EpsilonSpec, samples_per_band: int = 512,
     vals_all = np.concatenate([v[:-1] for _, v in reversed(pieces)])
     # the eps cap above 1/2, refined geometrically toward the outer boundary
     top = 1.0 - np.geomspace(0.5, 1e-9, samples_per_band)
-    top_vals = np.minimum(pieces[0][1][-1], 0.49 * np.asarray(eps(top)))
+    top_vals = np.minimum(pieces[0][1][-1], cap(top))
     return RadialProfile(np.concatenate([xs_all, top]),
                          np.concatenate([vals_all, top_vals]))
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semicov import classify
+from semicov import classify, schema
 from semicov.circle import find_periodic_points, make_lift
 from semicov.classify import (INSERT_KINDS, Insertion, IntervalSignature, PlateauRecord,
                               PointClass, _orbit_atoms, blow_up,
@@ -308,13 +308,89 @@ def test_blow_up_negative_degree_smoke():
     assert any(a < 0.5 < b for a, b in plats)
 
 
+class _Atom:
+    __slots__ = ("angle", "length", "owner", "closing")
+
+    def __init__(self, angle, length, owner, closing=None):
+        self.angle = angle
+        self.length = length
+        self.owner = owner
+        self.closing = closing   # insert kind applied on the step out of this atom
+
+
+def _fraction_orbit_atoms(d, specs, min_len, depth, forward_cap):
+    """_orbit_atoms on Fraction angles: atoms keyed by exact angle, in insertion order."""
+    ad = abs(d)
+    atoms = {}
+
+    def add(angle, length, owner, closing=None):
+        if angle in atoms and atoms[angle].owner != owner:
+            raise Clash(f"orbit collision at angle {angle}")
+        atom = _Atom(angle, length, owner, closing)
+        atoms[angle] = atom
+        return atom
+
+    for owner, ins in enumerate(specs):
+        seq = [ins.base_angle]
+        seen = {ins.base_angle: 0}
+        cycle_start = None
+        while len(seq) <= forward_cap:
+            nxt = (d * seq[-1]) % 1
+            if nxt in seen:
+                cycle_start = seen[nxt]
+                break
+            seen[nxt] = len(seq)
+            seq.append(nxt)
+        if cycle_start is not None:
+            for theta in seq:
+                add(theta, ins.length, owner)
+            atoms[seq[-1]].closing = ins.kind   # step closing the cycle
+        else:
+            # no rational return: truncate forward with shrinking lengths
+            length = ins.length
+            seq = [ins.base_angle]
+            while length >= min_len:
+                length /= 2.0 * ad
+                nxt = (d * seq[-1]) % 1
+                if nxt in atoms and atoms[nxt].owner != owner:
+                    raise Clash(f"orbit collision at angle {nxt}")
+                if nxt in atoms:
+                    break
+                seq.append(nxt)
+            lengths = [ins.length]
+            for _ in seq[1:]:
+                lengths.append(lengths[-1] / (2.0 * ad))
+            for theta, ell in zip(seq, lengths):
+                add(theta, ell, owner)
+
+    # preimage atoms, pruned below the grid floor
+    frontier = list(atoms.values())
+    for _ in range(depth):
+        new = []
+        for atom in frontier:
+            child_len = atom.length / (2.0 * ad)
+            if child_len < min_len:
+                continue
+            for j in range(ad):
+                pre = (Fraction(atom.angle + j, d)) % 1
+                if pre in atoms:
+                    if atoms[pre].owner != atom.owner:
+                        raise Clash(f"orbit collision at angle {pre}")
+                    continue
+                new.append(add(pre, child_len, atom.owner))
+        if not new:
+            break
+        frontier = new
+    return atoms
+
+
 def _per_sample_blow_up(d, insertions, grid, depth=12):
     """Reference assembly of blow_up's lift, one grid sample at a time.
 
     Returns the lift samples and the set of branches the samples took
     ("atom", "truncated", "gap")."""
     specs = [Insertion.of(s) for s in insertions]
-    atoms = _orbit_atoms(d, specs, 0.05 / grid, depth, 64)
+    atoms = _fraction_orbit_atoms(d, specs, 0.05 / grid, depth, 64)
     total = sum(a.length for a in atoms.values())
     order = sorted(atoms)
     angles = np.array([float(t) for t in order])
@@ -401,6 +477,42 @@ def test_blow_up_matches_per_sample_reference(d, insertions, grid):
     assert np.array_equal(blow_up(d, insertions, grid=grid).samples, ref)
     if isinstance(insertions[0]["base_angle"], float):
         assert "truncated" in branches
+
+
+@pytest.mark.parametrize("d,insertions,grid", BLOW_UPS)
+def test_residue_atoms_match_fraction_reference(d, insertions, grid):
+    specs = [Insertion.of(s) for s in insertions]
+    ref = _fraction_orbit_atoms(d, specs, 0.05 / grid, 12, 64)
+    L, atoms, closing = _orbit_atoms(d, specs, 0.05 / grid, 12, 64)
+    # same atoms in the same insertion order, so the total length sums alike
+    assert ([(Fraction(k, L), atom) for k, atom in atoms.items()]
+            == [(t, (a.length, a.owner)) for t, a in ref.items()])
+    assert ({Fraction(k, L): kind for k, kind in closing.items()}
+            == {t: a.closing for t, a in ref.items() if a.closing})
+
+
+# a float angle's truncated chain ends at 2^7 times it (length 0.1, grid 4096): a second
+# insertion there clashes on its base, and one at 2^8 times it on a preimage of its own
+X = Fraction(0.5355339059327378).limit_denominator(10 ** 12)
+
+
+@pytest.mark.parametrize("d,angles", [
+    (2, ["1/3", "2/3"]), (3, ["1/8", "3/8"]), (-2, ["1/3", "5/6"]), (2, ["1/10", "3/5"]),
+    (2, [X, 2 ** 7 * X % 1]), (2, [X, 2 ** 8 * X % 1]),
+])
+def test_residue_atoms_clash_like_fraction_reference(d, angles):
+    specs = [Insertion.of(_ins(a, "identity", 0.1)) for a in angles]
+    with pytest.raises(Clash) as ref:
+        _fraction_orbit_atoms(d, specs, 0.05 / 4096, 12, 64)
+    with pytest.raises(Clash) as got:
+        _orbit_atoms(d, specs, 0.05 / 4096, 12, 64)
+    assert str(got.value) == str(ref.value)
+
+
+def test_blow_up_depth_is_capped_where_atoms_fall_below_the_grid():
+    ins = [_ins("1/8", "north_south", 0.1)]
+    assert np.array_equal(blow_up(3, ins, depth=schema.MAX_SIZE).samples,
+                          blow_up(3, ins, depth=12).samples)
 
 
 def _scalar_plateau_set(h, plateau_tol):

@@ -148,6 +148,16 @@ def test_perturb_cli(tmp_path):
     assert rep["ratio_ok"] and rep["invariance_fraction"] == 1.0
 
 
+def test_perturb_cli_exits_1_when_its_certificate_fails(tmp_path):
+    # power 25: eps is positive and finite, but far below the perturbation near x = 0
+    out = tmp_path / "report.json"
+    code = main(["perturb", "--epsilon", '{"family": "edge_poly", "value": 0.1, "power": 25}',
+                 "--grid", "20000", "--out", str(out)])
+    assert code == 1
+    rep = json.loads(out.read_text())
+    assert not rep["ratio_ok"] and rep["sup_ratio"] > 1.0
+
+
 def test_run_config_roundtrip(tmp_path):
     cfg = parse_config({"command": "counterexample-table", "nmax": 3,
                         "out": str(tmp_path / "t.json")})
@@ -236,11 +246,15 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
      '{"kind": "invariant_arc", "p": [0.5, 0.0], "n_fwd": -1}'],
     ["semiconj2d", "--map", '{"base": {"family": "identity"}, "fiber": {"family": "linear", '
      '"degree": 2, "tau": {"family": "linear", "scale": 0.1}}}', "--nx", "1"],
+    # eps profiles that underflow to 0 or overflow to inf at a sampled radius
+    *[(["perturb", "--epsilon", json.dumps({"family": "edge_poly", "value": 0.1, "power": p})],
+       "BadParams") for p in (1000, 40, -60)],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
+    argv, error = argv if isinstance(argv, tuple) else (argv, "ValidationError")
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ValidationError") and err.count("\n") == 1
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
 
 
 CONST_CONNECTOR = {"kind": "const", "height": 0.25}
