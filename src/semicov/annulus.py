@@ -14,7 +14,7 @@ import numpy as np
 from .circle import LiftedCircleMap
 from .errors import (BaseEscapes, BaseNotInvertible, DegreeTooSmall, FiberNotMonotone,
                      NonIntegerDegree, OrbitEscapes, OutOfDomain)
-from .numerics import bisect_brackets, frac
+from .numerics import frac
 from .schema import REQUIRED, Family, fraction, number, numbers, positive
 
 DEGREE_TOL = 1e-9
@@ -103,7 +103,7 @@ class FiberMap:
     """Per-fiber circle-map lift g_x(y) = G(y) + tau(x), or a raw callable.
 
     G is either the linear lift d*y or any LiftedCircleMap; raw callables
-    (used by the stability construction) supply fn(x, y) and a degree.
+    (the stability construction, forward only) supply fn(x, y) and a degree.
     """
 
     degree: int
@@ -136,24 +136,12 @@ class FiberMap:
         start = np.ceil(t) if self.degree > 0 else np.floor(t) - ad + 1
         return start[..., None] + np.arange(ad)
 
-    def inverse(self, x, targets, xtol=1e-13):
-        """Solve g_x(w) = target per component (monotone in the fiber)."""
-        x = np.asarray(x, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        x, targets = np.broadcast_arrays(x, targets)
-        if self.fn is None and self.circle is None:
-            return (targets - self.tau(x)) / self.degree
-        base = self.__call__(x, np.zeros_like(targets))
-        ys = np.linspace(0.0, 1.0, 17)
-        dev = 0.0
-        for y0 in ys:     # deviation of the fiber from its linear part
-            dev = max(dev, float(np.max(np.abs(
-                self.__call__(x, np.full_like(targets, y0)) - base - self.degree * y0))))
-        span = (targets - base) / self.degree
-        pad = 1.0 + dev / abs(self.degree)
-        lo, hi = span - pad, span + pad
-        sgn = 1.0 if self.degree > 0 else -1.0
-        return bisect_brackets(lambda w: sgn * (self.__call__(x, w) - targets), lo, hi, xtol)
+    def inverse(self, x, targets):
+        """Solve g_x(w) = target per component: w = G^-1(target - tau(x))."""
+        if self.fn is not None:
+            raise NotImplementedError("raw-callable fibers have no inverse")
+        t = np.asarray(targets, dtype=float) - self.tau(x)
+        return t / self.degree if self.circle is None else self.circle.inverse(t)
 
     def slope_range(self, xs, n_y: int = 64, dy: float = 1e-5) -> tuple[float, float]:
         """Min/max sampled fiber slope d g_x / dy over xs and a y grid."""
@@ -212,6 +200,8 @@ def make_skew_product(base: BaseMap, fiber: FiberMap, n_check: int = 64,
         raise DegreeTooSmall(f"|degree| must exceed 1, got {d}")
     if d != fiber.degree:
         raise NonIntegerDegree(f"fiber declares degree {fiber.degree}, measured {d}")
+    if fiber.circle is not None and not fiber.circle.is_covering:
+        raise FiberNotMonotone("circle-map fiber samples are not strictly monotone")
     lo, _ = fiber.slope_range(xs)
     if lo <= 0.0:
         raise FiberNotMonotone(f"fiber slope reaches {lo} <= 0")
@@ -245,8 +235,7 @@ def displacement_bound(m: AnnulusMapLift, band: tuple[float, float],
     return {"sup": value, "diverges": diverges, "margin_sups": sups, "band": band}
 
 
-def fiber_preimages(m: AnnulusMapLift, target: tuple[float, float],
-                    tol: float = 1e-10) -> list[tuple[float, float]]:
+def fiber_preimages(m: AnnulusMapLift, target: tuple[float, float]) -> list[tuple[float, float]]:
     """The |d| preimages of an annulus point under a skew product.
 
     Solves base(x) = x' (monotone inverse), then the |d| fiber solutions
@@ -254,9 +243,7 @@ def fiber_preimages(m: AnnulusMapLift, target: tuple[float, float],
     """
     x_t, theta = target
     x = float(np.asarray(m.base.inverse(x_t)))
-    ys = m.fiber.inverse(np.full(abs(m.degree), x), theta + m.fiber.branches(x, theta),
-                         xtol=min(tol, 1e-12))
-    ys = np.sort(frac(ys))
+    ys = np.sort(frac(m.fiber.inverse(x, theta + m.fiber.branches(x, theta))))
     return [(x, float(y)) for y in ys]
 
 

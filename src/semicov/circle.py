@@ -41,6 +41,14 @@ class LiftedCircleMap:
         val = periodic_gather(self.samples, periodic_plan(x, self.grid, self.degree))
         return val if val.ndim else float(val)
 
+    def inverse(self, t):
+        """F^-1(t) for a covering: shift t by k periods into F([0, 1]), interpolate, add k."""
+        t = np.asarray(t, dtype=float)
+        k = np.floor((t - self.samples[0]) / self.degree)
+        s = 1 if self.degree > 0 else -1
+        xs = np.linspace(0.0, 1.0, self.grid + 1)
+        return np.interp(t - k * self.degree, self.samples[::s], xs[::s]) + k
+
     def iterate(self, x, n: int):
         """n-fold composition of the lift."""
         y = np.asarray(x, dtype=float)

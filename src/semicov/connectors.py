@@ -333,18 +333,21 @@ def semiconjugacy_from_repellers(m: AnnulusMapLift, repellers: list[ConnectorCur
                                  nx: int = 65, ny: int = 128) -> BandField2D:
     """Semiconjugacy field coded by repellers and their preimage families.
 
-    The |d-1| repellers receive the (d-1)-st roots of unity; every
+    A repeller r that the fiber maps onto its lift r + k (k the median of
+    fiber(x, r(x)) - r(base(x)) where base(x) stays in r's range) takes the
+    value k/(d-1), a (d-1)-st root of unity, so that d v = v + k.  Every
     preimage curve of a curve with lifted value v and branch offset c
     receives (v + c)/d.  Grid points take the midpoint of the value
-    interval of their enclosing pair of curves.  The field's residual is
-    measured on the grid, not bounded: it exceeds |d|^(-depth+1) 6.5x for
-    d=3 and stalls near 1/3 for d=-2 below depth 8.
+    interval of their enclosing pair of curves.  The residual is measured
+    on the grid; tests assert it is at most |d|^(1-depth) at depths 4-7,
+    on linear fibers with |d| <= 4 and on a sine fiber with |d| <= 3.
     """
-    reps = sorted(repellers, key=lambda cv: float(np.mean(cv.heights)))
-    roots = [j / (m.degree - 1) for j in range(len(reps))]
-    seeds = [ConnectorCurve(r.xs, r.heights, r.margin,      # value on the repeller's lift branch
-                            value=float(v + round(float(np.mean(r.heights)) - v)))
-             for r, v in zip(reps, roots)]
+    seeds = []
+    for r in repellers:
+        bx = np.asarray(m.base(r.xs))
+        on = (bx >= r.xs[0]) & (bx <= r.xs[-1])
+        k = round(float(np.median(m.fiber(r.xs[on], r.heights[on]) - r.height_at(bx[on]))))
+        seeds.append(ConnectorCurve(r.xs, r.heights, r.margin, value=k / (m.degree - 1)))
     return semiconjugacy_from_connectors(m, seeds, depth, band, nx, ny)
 
 

@@ -89,7 +89,7 @@ def _composite_fiber(m: AnnulusMapLift, x_start: float, n: int):
     def inverse(targets):
         t = np.asarray(targets, dtype=float)
         for xc in reversed(xs_chain):
-            t = m.fiber.inverse(np.full_like(t, xc), t)
+            t = m.fiber.inverse(xc, t)
         return t
 
     return xs_chain, forward, inverse

@@ -4,9 +4,10 @@ import pytest
 from semicov.annulus import (BaseMap, FiberMap, TauSpec, displacement_bound,
                              estimate_annulus_rotation, fiber_preimages,
                              make_skew_product)
-from semicov.circle import from_function
+from semicov.circle import from_function, make_lift
 from semicov.errors import (BaseEscapes, BaseNotInvertible, DegreeTooSmall, FiberNotMonotone,
                             NonIntegerDegree, OrbitEscapes, OutOfDomain)
+from semicov.numerics import bisect_brackets
 
 
 def test_product_model_construction(product_z2):
@@ -75,7 +76,7 @@ def test_fiber_preimages_round_trip(example_map):
     rng = np.random.default_rng(3)
     for _ in range(1000):
         target = (rng.uniform(0.55, 0.95), rng.uniform(0, 1))
-        pts = fiber_preimages(example_map, target, tol=1e-10)
+        pts = fiber_preimages(example_map, target)
         assert len(pts) == 2
         for x, y in pts:
             fx, fy = example_map(x, y)
@@ -96,6 +97,48 @@ def test_branches_solve_in_the_fundamental_domain(d, circle):
         assert ks.shape == (40, abs(d)) and np.all(np.diff(ks, axis=1) == 1)
         w = fiber.inverse(x, targets[:, None] + ks)
         assert np.all(w > -1e-12) and np.all(w < 1.0 + 1e-12)
+
+
+def _bisection_inverse(fiber, x, targets, xtol=1e-13):
+    """The generic root finder the closed form replaced: pad the bracket
+    around the linear guess by the fiber's sampled deviation from d*y,
+    then bisect."""
+    x, targets = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(targets, dtype=float))
+    base = fiber(x, np.zeros_like(targets))
+    dev = max(float(np.max(np.abs(fiber(x, np.full_like(targets, y0)) - base - fiber.degree * y0)))
+              for y0 in np.linspace(0.0, 1.0, 17))
+    span = (targets - base) / fiber.degree
+    pad = 1.0 + dev / abs(fiber.degree)
+    sgn = 1.0 if fiber.degree > 0 else -1.0
+    return bisect_brackets(lambda w: sgn * (fiber(x, w) - targets), span - pad, span + pad, xtol)
+
+
+@pytest.mark.parametrize("d", [2, 3, -2, -3])
+def test_circle_fiber_inverse_matches_bisection(d):
+    wobble = from_function(lambda y: d * y + 0.08 * np.sin(2 * np.pi * y))
+    fiber = FiberMap(d, circle=wobble, tau=TauSpec("inv_one_minus", 0.7))
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.05, 0.95, (3, 1))
+    targets = rng.uniform(-5.0, 5.0, (3, 200))
+    w = fiber.inverse(x, targets)
+    np.testing.assert_allclose(w, _bisection_inverse(fiber, x, targets), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(fiber(x, w), targets, rtol=0, atol=1e-13)
+
+
+def test_raw_callable_fiber_has_no_inverse():
+    fiber = FiberMap(2, fn=lambda x, y: 2.0 * y + 0.1 * x)
+    with pytest.raises(NotImplementedError, match="raw-callable"):
+        fiber.inverse(0.5, 0.3)
+
+
+def test_non_covering_circle_fiber_rejected():
+    values = 2.0 * np.arange(129) / 128
+    values[42] = values[40]                 # one backward step
+    circle = make_lift(values)
+    assert not circle.is_covering and FiberMap(2, circle=circle).slope_range([0.5])[0] > 0
+    with pytest.raises(FiberNotMonotone, match="not strictly monotone") as err:
+        make_skew_product(BaseMap("contraction", (0.5, 0.9)), FiberMap(2, circle=circle))
+    assert "\n" not in str(err.value)
 
 
 def test_base_inverse_error_is_one_line():

@@ -249,6 +249,12 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
     # eps profiles that underflow to 0 or overflow to inf at a sampled radius
     *[(["perturb", "--epsilon", json.dumps({"family": "edge_poly", "value": 0.1, "power": p})],
        "BadParams") for p in (1000, 40, -60)],
+    # a circle-map fiber whose samples step backward once: not a covering
+    (["semiconj2d", "--map", json.dumps(
+        {"base": {"family": "contraction"},
+         "fiber": {"family": "circle_map", "map": {"family": "samples", "values": [
+             2 * (i - 2 * (i == 42)) / 128 for i in range(129)]}}}), "--band", "0.2,0.8"],
+     "FiberNotMonotone"),
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     argv, error = argv if isinstance(argv, tuple) else (argv, "ValidationError")

@@ -248,6 +248,27 @@ def test_coded_field_matches_operator_z2(contracting_z2):
     assert best <= 2.0 ** -9 + 1e-8
 
 
+RESIDUAL_CASES = ([("linear", d) for d in (2, -2, 3, -3, 4, -4)]
+                  + [("sine", d) for d in (2, -2, 3, -3)])
+
+
+@pytest.mark.parametrize("kind, d", RESIDUAL_CASES)
+def test_coded_field_residual_bound(kind, d):
+    """Each repeller seeded with its own invariance value codes a field whose
+    residual is at most |d|^(1-depth).  Linear repellers are horizontal, so
+    64 nodes lose nothing; the sine repellers keep 128."""
+    if kind == "linear":
+        fiber, n_samples = FiberMap(d), 64
+    else:
+        wobble = from_function(lambda y: d * y + 0.08 * np.sin(2 * np.pi * y))
+        fiber, n_samples = FiberMap(d, circle=wobble, tau=TauSpec("linear", 0.05)), 128
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.9)), fiber)
+    reps = repelling_connectors(m, constant_connector(0.15), depth=10, n_samples=n_samples)
+    for depth in (4, 5, 6, 7):
+        coded = semiconjugacy_from_repellers(m, reps, depth=depth, band=(0.2, 0.8))
+        assert coded.residual <= abs(d) ** (1 - depth)
+
+
 def test_coded_field_depth_one_is_coarse(contracting_z2):
     reps = repelling_connectors(contracting_z2, constant_connector(0.25), depth=10)
     coarse = semiconjugacy_from_repellers(contracting_z2, reps, depth=1, band=(0.3, 0.7))
