@@ -14,7 +14,7 @@ import numpy as np
 
 from .circle import LiftedCircleMap
 from .errors import DegreeMismatch, MaxIterExceeded, NoRelator
-from .numerics import circle_dist, contract, frac, periodic_gather, periodic_plan
+from .numerics import circle_dist, contract, frac, periodic_gather, periodic_plan, plan_rows
 
 
 @dataclass(eq=False)
@@ -63,9 +63,9 @@ def contraction_step(h: SemiconjugacyField1D, m: LiftedCircleMap) -> Semiconjuga
 
 
 def _pullback(m: LiftedCircleMap, grid: int, orientation: int):
-    """H -> H(F(.)) on the grid nodes, gathering through a plan built once."""
+    """H -> (rows -> H(F(.)) on those grid nodes), gathering through a plan built once."""
     plan = periodic_plan(m(np.linspace(0.0, 1.0, grid + 1)), grid, orientation)
-    return lambda samples: periodic_gather(samples, plan)
+    return lambda samples: lambda rows: periodic_gather(samples, plan_rows(plan, rows))
 
 
 def _grid_residual(h: SemiconjugacyField1D, m: LiftedCircleMap) -> float:

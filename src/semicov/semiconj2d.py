@@ -15,7 +15,9 @@ import numpy as np
 from .annulus import AnnulusMapLift, displacement_bound
 from .errors import (BandNotInvariant, DisplacementDiverges, MaxIterExceeded, NotFixed,
                      OutOfDomain, ValidationError)
-from .numerics import band_gather, band_plan, circle_dist, contract, frac, max_circular_gap
+from .numerics import (band_gather, band_plan, circle_dist, contract, frac, max_circular_gap,
+                       plan_rows)
+from .schema import MAX_SIZE
 
 _ROWS = 64                            # x rows per block of the residual measurement
 
@@ -82,13 +84,15 @@ def _measure(field: BandField2D, m: AnnulusMapLift, closure=None,
 
 def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int,
                orientation: int):
-    """Nodes xs, y grid, image (fx, fy) and the gather plan of H at F(nodes)."""
-    if nx < 2 or ny < 1:
-        raise ValidationError(f"the band grid needs nx >= 2 and ny >= 1, got {nx} x {ny}")
+    """Nodes xs, y grid, x image per row fx (nx, 1), gather plan of H at F(nodes), y image fy."""
+    if nx < 2 or ny < 1 or nx * (ny + 1) > MAX_SIZE:
+        raise ValidationError(f"the band grid needs nx >= 2, ny >= 1 and at most {MAX_SIZE} "
+                              f"nodes, got {nx} x {ny}")
     xs = np.linspace(band[0], band[1], nx)
     xg, yg = np.meshgrid(xs, np.linspace(0.0, 1.0, ny + 1), indexing="ij")
     fx, fy = m(xg, yg)
-    return xs, yg, fx, fy, band_plan(fx, fy, band, nx - 1, ny, orientation)
+    fx = fx[:, :1].copy()                # a skew product's x image depends on the row only
+    return xs, yg, fx, band_plan(fx, fy, band, nx - 1, ny, orientation), fy
 
 
 def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
@@ -102,11 +106,11 @@ def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
     iteration step is below tol*(1 - 1/|d|).
     """
     a, b = band
-    xs, yg, fx, _, plan = _band_grid(m, (a, b), nx, ny, orientation)
+    xs, yg, fx, plan = _band_grid(m, (a, b), nx, ny, orientation)[:4]
     if fx.min() < a - 1e-12 or fx.max() > b + 1e-12:
         raise BandNotInvariant(f"base image [{fx.min()}, {fx.max()}] leaves [{a}, {b}]")
-    cur, it, converged = contract(lambda v: band_gather(v, plan), orientation * yg,
-                                  m.degree, orientation, tol, max_iter)
+    cur, it, converged = contract(lambda v: lambda rows: band_gather(v, plan_rows(plan, rows)),
+                                  orientation * yg, m.degree, orientation, tol, max_iter)
     if not converged:
         raise MaxIterExceeded(f"no convergence to {tol} within {it} iterations")
 
@@ -138,13 +142,15 @@ def solve_bounded_semiconjugacy(m: AnnulusMapLift, truncation: tuple[float, floa
     for k in range(max_widenings + 1):
         a = a0 * 0.5 ** k
         b = 1.0 - (1.0 - b0) * 0.5 ** k
-        xs, yg, fx, fy, plan = _band_grid(m, (a, b), nx, ny, 1)
+        xs, yg, fx, plan, fy = _band_grid(m, (a, b), nx, ny, 1)
         inside = (fx >= a) & (fx <= b)
 
-        def lifted(v):
-            return np.where(inside, band_gather(v, plan), fy + float(np.mean(v - yg)))
+        def step(v):
+            mean = float(np.mean(v - yg))
+            return lambda rows: np.where(inside[rows], band_gather(v, plan_rows(plan, rows)),
+                                         fy[rows] + mean)
 
-        cur, it, converged = contract(lifted, yg.copy(), m.degree, 1, tol, max_iter)
+        cur, it, converged = contract(step, yg.copy(), m.degree, 1, tol, max_iter)
         field = BandField2D((a, b), xs, cur, 1, m.degree, tol=tol, iterations=it)
         field.deviation_bound = float(np.max(np.abs(cur - yg)))
         dev_mean = float(np.mean(cur - yg))

@@ -255,6 +255,8 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
          "fiber": {"family": "circle_map", "map": {"family": "samples", "values": [
              2 * (i - 2 * (i == 42)) / 128 for i in range(129)]}}}), "--band", "0.2,0.8"],
      "FiberNotMonotone"),
+    # each size within the limit, the band grid's nx * (ny + 1) nodes far beyond it
+    ["semiconj2d", "--map", BAND_MAP, "--band", "0.2,0.8", "--nx", "16777216", "--ny", "16777216"],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     argv, error = argv if isinstance(argv, tuple) else (argv, "ValidationError")

@@ -1,7 +1,15 @@
+import os
+import sys
+import time
+
 import numpy as np
 import pytest
 
-from semicov.numerics import band_gather, band_plan, periodic_plan
+from semicov import numerics, semiconj1d, semiconj2d
+from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
+from semicov.circle import from_function
+from semicov.errors import MaxIterExceeded
+from semicov.numerics import band_gather, band_plan, contract, periodic_plan
 from semicov.semiconj2d import BandField2D
 
 
@@ -37,8 +45,10 @@ def test_band_gather_matches_2d_reference(rows, ny, orientation):
                         rng.uniform(0.8, 1.5, 50), [0.2, 0.8, 0.8, np.nextafter(0.8, 0.0)]])
     y = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.integers(-4, 5, 100).astype(float),
                         [-1.0, 0.0, 1.0, -2.5]])
+    # (x[:63, None], ...) has one x per row, as the band solvers' plans do
     for xs, ys in ((x, y), (x.reshape(4, -1), y.reshape(4, -1)),
-                   (x[:, None], y[None, :8]), (np.float64(0.8), y), (x, -3.0)):
+                   (x[:, None], y[None, :8]), (x[:63, None], y[:504].reshape(63, 8)),
+                   (np.float64(0.8), y), (x, -3.0)):
         got = band_gather(values, band_plan(xs, ys, band, nx, ny, orientation))
         want = _band_gather_2d(values, xs, ys, band, orientation)
         assert got.shape == want.shape
@@ -51,3 +61,137 @@ def test_band_gather_matches_2d_reference(rows, ny, orientation):
         assert got == float(_band_gather_2d(values, px, py, band, orientation))
     grid = np.meshgrid(np.linspace(0.2, 0.8, 9), np.linspace(-1.0, 1.0, 11), indexing="ij")
     assert np.array_equal(field(*grid), _band_gather_2d(values, *grid, band, orientation))
+
+
+def _contract_reference(lifted, start, degree, orientation, tol, max_iter=None):
+    """The whole-array fixed-point loop, kept as the reference for the blocked one."""
+    ad = abs(degree)
+    if max_iter is None:
+        max_iter = 2 * int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad))) + 60
+    stop = tol * (1.0 - 1.0 / ad)
+    cur = start
+    for it in range(1, max_iter + 1):
+        new = lifted(cur) / degree
+        new[..., -1] = new[..., 0] + orientation
+        change = float(np.max(np.abs(new - cur)))
+        cur = new
+        if change <= stop:
+            return cur, it, True
+    return cur, max_iter, False
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Make the solvers' contract assert bit-equality with the reference; returns its results."""
+    results = []
+
+    def contract_and_compare(step, start, degree, orientation, tol, max_iter=None):
+        got = contract(step, start, degree, orientation, tol, max_iter)
+        want = _contract_reference(lambda v: step(v)(slice(None)), start, degree,
+                                   orientation, tol, max_iter)
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+        results.append(got)
+        return got
+
+    monkeypatch.setattr(semiconj1d, "contract", contract_and_compare)
+    monkeypatch.setattr(semiconj2d, "contract", contract_and_compare)
+    return results
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("degree", [2, -2, 3])
+@pytest.mark.parametrize("grid", [4096, 2 ** 17 + 3])    # one block; a partial last block
+def test_blocked_1d_contract_matches_reference(checked, grid, degree, orientation):
+    m = from_function(lambda x: degree * x + 0.1 * np.sin(2 * np.pi * x) + 0.2, grid)
+    h = semiconj1d.solve_semiconjugacy(m, orientation, 1e-9)
+    semiconj1d.contraction_step(h, m)
+    with pytest.raises(MaxIterExceeded):
+        semiconj1d.solve_semiconjugacy(m, orientation, 1e-9, max_iter=4)
+    assert [r[1:] for r in checked] == [(h.iterations, True), (1, False), (4, False)]
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("degree", [2, -2, 3])
+@pytest.mark.parametrize("nx, ny", [(97, 1000), (300, 511)])    # rows 65 + 32; 128 + 128 + 44
+def test_blocked_band_contract_matches_reference(checked, nx, ny, degree, orientation):
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.7)),
+                          FiberMap(degree, tau=TauSpec("linear", 0.1)))
+    h = semiconj2d.solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=nx, ny=ny,
+                                            orientation=orientation)
+    with pytest.raises(MaxIterExceeded):
+        semiconj2d.solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, max_iter=3, nx=nx, ny=ny,
+                                            orientation=orientation)
+    assert [r[1:] for r in checked] == [(h.iterations, True), (3, False)]
+
+
+def test_blocked_bounded_contract_matches_reference(checked):
+    # the power base leaves the band, so the mean-deviation closure takes part
+    m = make_skew_product(BaseMap("power", (2.0,)), FiberMap(2, tau=TauSpec("const", 0.3)))
+    h = semiconj2d.solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=300, ny=511)
+    with pytest.raises(MaxIterExceeded):
+        semiconj2d.solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-9, max_iter=2, nx=300, ny=511,
+                                               max_widenings=0)
+    assert checked[0][1] == h.iterations and checked[-1][1:] == (2, False)
+
+
+@pytest.mark.parametrize("nodes", [4097, 2 ** 17 + 4])
+def test_nan_prevents_convergence(nodes):
+    start = np.linspace(0.0, 1.0, nodes)
+    values = np.full(nodes, 0.5)
+    values[nodes // 2] = np.nan
+
+    def step(v):
+        return lambda rows: values[rows].copy()
+
+    got = contract(step, start, 2, 1, 1e300, max_iter=3)
+    want = _contract_reference(lambda v: step(v)(slice(None)), start, 2, 1, 1e300, 3)
+    assert got[1:] == want[1:] == (3, False)
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(2 ** 17 + 4,), (97, 1001)])
+def test_lifted_value_at_the_glued_column_is_overwritten(shape):
+    start = np.broadcast_to(np.linspace(0.0, 1.0, shape[-1]), shape).copy()
+    glued = np.zeros(shape, dtype=bool)
+    glued[..., -1] = True
+
+    def step(v):    # the fixed point is start, whatever lifted says at the glued column
+        return lambda rows: np.where(glued[rows], 1e6, 2.0 * v[rows])
+
+    got = contract(step, start, 2, 1, 1e-9)
+    want = _contract_reference(lambda v: step(v)(slice(None)), start, 2, 1, 1e-9)
+    assert got[1:] == want[1:] == (1, True)
+    assert got[0].tobytes() == want[0].tobytes()
+
+
+def test_one_block_or_one_cpu_runs_without_an_executor(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an executor was created")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    m = from_function(lambda x: 2 * x + 0.1 * np.sin(2 * np.pi * x), numerics.BLOCK - 1)
+    semiconj1d.solve_semiconjugacy(m, 1, 1e-9)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    semiconj1d.solve_semiconjugacy(from_function(m, 4 * numerics.BLOCK), 1, 1e-9)
+
+
+def test_blocked_contract_under_oversubscribed_threads(checked, monkeypatch):
+    # eight workers on fewer cores, switching threads every microsecond
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    m = from_function(lambda x: 3 * x + 0.1 * np.sin(2 * np.pi * x), 8 * numerics.BLOCK - 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 5.0
+        for _ in range(3):
+            semiconj1d.solve_semiconjugacy(m, 1, 1e-9)
+            semiconj2d.solve_band_semiconjugacy(
+                make_skew_product(BaseMap("identity"), FiberMap(-2, tau=TauSpec("linear", 0.1))),
+                (0.2, 0.8), 1e-9, nx=300, ny=2047)
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)
+    assert checked and all(r[2] for r in checked)
