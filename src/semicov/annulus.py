@@ -11,13 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import LiftedCircleMap
+from .circle import DEGREE_TOL, LiftedCircleMap
 from .errors import (BaseEscapes, BaseNotInvertible, DegreeTooSmall, FiberNotMonotone,
                      NonIntegerDegree, OrbitEscapes, OutOfDomain)
 from .numerics import frac
-from .schema import REQUIRED, Family, fraction, number, numbers, positive
-
-DEGREE_TOL = 1e-9
+from .schema import REQUIRED, Family, fraction, number, numbers, positive, band as check_band
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +214,7 @@ def displacement_bound(m: AnnulusMapLift, band: tuple[float, float],
     over six margins shrinking toward the boundary; monotone unbounded
     growth sets the flag.  It is reported as a diagnostic, never a theorem.
     """
-    a, b = band
-    if not 0.0 < a < b < 1.0:
-        raise OutOfDomain(f"band {band} not inside (0,1)")
+    a, b = check_band(band, "band")
 
     def sup_on(lo, hi):
         xs = np.linspace(lo, hi, grid[0])

@@ -8,7 +8,7 @@ and tolerance metadata; identical configs yield byte-identical artifacts.
 Every command is one entry of ``COMMANDS``: its schema (key -> default or
 ``schema.REQUIRED``) sets both the run-config keys and the ``--<key>``
 flags, and its handler turns a validated config into artifact text and an
-exit code.
+exit code.  Every key is one entry of ``KEYS``: check, flag reader, hint.
 """
 from __future__ import annotations
 
@@ -26,11 +26,6 @@ from . import (classify, configs, connectors, obstruction, schema, semiconj1d, s
                stability)
 from .errors import SemicovError, ValidationError
 
-_MAP_KEYS = ("map", "a", "b", "connector", "epsilon")
-_INT_KEYS = ("points", "nx", "ny", "depth", "nmax", "grid", "max_period")
-_HINTS = {"band": "a,b with 0 < a < b < 1; ", "orientation": "+ (1) or - (-1); "}
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -44,25 +39,6 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _check(key: str, value):
-    """Validate one run-config value; None leaves an optional key unset."""
-    if value is None:
-        return
-    if key in _MAP_KEYS:
-        schema.config(value, key)
-    elif key in _INT_KEYS:
-        schema.integer(value, key, least=2 if key == "nx" else 1)  # a band grid spans two x nodes
-    elif key == "band":
-        a, b = schema.pair(value, key)
-        if not 0.0 < a < b < 1.0:
-            raise ValidationError(f"band must be two numbers 0 < a < b < 1, got {value}")
-    elif key == "orientation":
-        if value not in (1, -1) or isinstance(value, bool):
-            raise ValidationError(f"orientation must be +1 or -1, got {value!r}")
-    else:                                               # tol, x
-        schema.number(value, key, positive=key == "tol")
-
-
 def parse_config(text_or_obj) -> RunConfig:
     """Validate a run config given as JSON text, a path, or a dict."""
     obj = configs.load_config(text_or_obj) if isinstance(text_or_obj, str) else dict(text_or_obj)
@@ -70,10 +46,13 @@ def parse_config(text_or_obj) -> RunConfig:
     if not isinstance(command, str) or command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}; known: {list(COMMANDS)}")
     out = obj.pop("out", None)
+    if not isinstance(out, (str, type(None))):
+        raise ValidationError(f"out must be a path string, got {out!r}")
     maps, params = {}, {}
     for key, value in schema.take(obj, COMMANDS[command].schema, command).items():
-        _check(key, value)
-        (maps if key in _MAP_KEYS else params)[key] = value
+        if value is not None:                           # None leaves an optional key unset
+            KEYS[key].check(value, key)
+        (maps if KEYS[key].check is schema.config else params)[key] = value
     return RunConfig(command, maps, params, out)
 
 
@@ -198,9 +177,7 @@ def _star_scan(cfg: RunConfig, meta: dict):
 
 
 def _counterexample_table(cfg: RunConfig, meta: dict):
-    nmax = int(cfg.params["nmax"])
-    if nmax < 2:
-        raise ValidationError(f"nmax must be at least 2, got {nmax!r}")
+    nmax = schema.span(cfg.params["nmax"], "nmax")      # the table starts at n = 2
     return _json_text({"rows": obstruction.counterexample_growth_table(nmax)}, meta), 0
 
 
@@ -236,6 +213,28 @@ class Command(NamedTuple):
     handler: Callable[[RunConfig, dict], tuple[str, int]]
 
 
+class Key(NamedTuple):                                  # one run-config key
+    check: Callable                                     # schema check; validates only
+    read: Callable                                      # flag text -> its JSON config value
+    hint: str = "default: {}"                           # --help text; {} is the default
+
+
+def float_list(text: str) -> list:
+    return [float(v) for v in text.split(",")]
+
+
+KEYS = {
+    **dict.fromkeys(("map", "a", "b", "connector", "epsilon"),
+                    Key(schema.config, configs.load_config, "JSON config or path")),
+    **dict.fromkeys(("points", "ny", "depth", "nmax", "grid", "max_period"), Key(schema.size, int)),
+    "nx": Key(schema.span, int),                        # a band grid spans two x nodes
+    "band": Key(schema.band, float_list, "a,b with 0 < a < b < 1; default: {}"),
+    "orientation": Key(schema.sign, lambda t: {"+": 1, "-": -1}.get(t, t),  # else the check fails
+                       "+ (1) or - (-1); default: {}"),
+    "tol": Key(schema.positive, float),
+    "x": Key(schema.number, float),
+}
+
 _REQ = schema.REQUIRED
 COMMANDS = {
     "semiconj1d": Command("solve the circle semiconjugacy lift",
@@ -268,20 +267,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _from_flag(key: str, text: str):
-    """Convert one flag's text to the value a JSON run config would hold."""
-    if key in _MAP_KEYS:
-        return configs.load_config(text)
-    try:
-        if key == "band":
-            return [float(v) for v in text.split(",")]
-        if key == "orientation":
-            return {"+": 1, "-": -1}[text]
-        return int(text) if key in _INT_KEYS else float(text)
-    except (ValueError, KeyError):
-        raise ValidationError(f"--{key.replace('_', '-')}: cannot read {text!r}") from None
-
-
 @functools.cache
 def _parser() -> _Parser:
     """The argparse tree of every command, built on first use."""
@@ -291,8 +276,7 @@ def _parser() -> _Parser:
         sp = sub.add_parser(name, help=command.help)
         for key, default in command.schema.items():
             sp.add_argument("--" + key.replace("_", "-"), dest=key, required=default is _REQ,
-                            help="JSON config or path" if key in _MAP_KEYS
-                            else f"{_HINTS.get(key, '')}default: {default}")
+                            type=KEYS[key].read, help=KEYS[key].hint.format(default))
         sp.add_argument("--out", help="artifact path (default: stdout)")
     return ap
 
@@ -300,9 +284,7 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         ns = vars(_parser().parse_args(argv))
-        obj = {k: v if k in ("command", "out") else _from_flag(k, v)
-               for k, v in ns.items() if v is not None}
-        return run(parse_config(obj))
+        return run(parse_config({k: v for k, v in ns.items() if v is not None}))
     except SemicovError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

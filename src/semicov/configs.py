@@ -20,7 +20,7 @@ from .circle import LiftedCircleMap, from_function, make_lift
 from .connectors import ConnectorCurve, constant_connector, invariant_connector_from_arc
 from .errors import ParseError, ValidationError
 from .schema import (REQUIRED, Family, config, count, integer, margin, number, numbers, pair,
-                     size, take)
+                     size, span, take)
 from .stability import EPSILONS, EpsilonSpec
 
 
@@ -87,7 +87,7 @@ FIBERS = {
 }
 CONNECTORS = {                                  # builders take the annulus map first
     "const": Family({"height": (REQUIRED, number), "margin": (1e-3, margin),
-                     "samples": (1024, lambda value, name: integer(value, name, least=2))},
+                     "samples": (1024, span)},
                     lambda m, height, margin, samples: constant_connector(height, margin, samples)),
     "invariant_arc": Family({"p": (REQUIRED, pair), "n_back": (8, count),
                              "n_fwd": (14, count), "margin": (1e-5, margin),

@@ -17,6 +17,7 @@ from itertools import groupby
 
 import numpy as np
 
+from . import schema
 from .annulus import AnnulusMapLift
 from .errors import (BranchCollision, ImageNotGraph, NoExpansion, NotFree,
                      NotMonotoneBase, OutOfDomain, ValidationError)
@@ -399,8 +400,8 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
         raise ValidationError(f"the coding grid needs nx >= 2 and ny >= 1, got {nx} x {ny}")
     if depth < 0:
         raise ValidationError(f"the coding depth must be >= 0, got {depth}")
-    if band is not None and not 0.0 < band[0] < band[1] < 1.0:
-        raise ValidationError(f"the coding band needs 0 < a < b < 1, got {tuple(band)}")
+    if band is not None:
+        schema.band(band, "the coding band")
     if not seeds:
         raise ValidationError("the coding needs at least one seed curve")
     if any(s.value is None for s in seeds):

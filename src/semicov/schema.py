@@ -57,7 +57,14 @@ def integer(value, name: str, least: int | None = None) -> int:
 
 positive = partial(number, positive=True)
 size = partial(integer, least=1)
+span = partial(integer, least=2)                     # a grid with a node at each end
 count = partial(integer, least=0)
+
+
+def sign(value, name: str) -> int:                   # an orientation: +1 or -1
+    if value not in (1, -1) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be +1 or -1, got {value!r}")
+    return int(value)
 
 
 def fraction(value, name: str, top: float = 1.0) -> float:     # strictly between 0 and top
@@ -89,3 +96,10 @@ def numbers(value, name: str, length: int | None = None) -> np.ndarray:
 
 
 pair = partial(numbers, length=2)
+
+
+def band(value, name: str) -> tuple[float, float]:  # a sub-interval (a, b) of (0, 1)
+    a, b = pair(value, name)
+    if not 0.0 < a < b < 1.0:
+        raise ValidationError(f"{name} must be two numbers 0 < a < b < 1, got {value}")
+    return float(a), float(b)

@@ -88,7 +88,11 @@ class RadialProfile:
 
 def radial_rho(eps: EpsilonSpec, samples_per_band: int = 512,
                x_min: float = 1e-12) -> RadialProfile:
-    """Angular window profile: 2*rho < eps everywhere, rho(x^2) < rho(x).
+    """Angular window profile: 2*rho < eps at its samples, rho(x^2) < rho(x).
+
+    rho is linear in log x between samples and eps need not be, so 2*rho can
+    pass a steep eps there (edge_poly power 25: 1.098 eps near x = 0.9992);
+    verify_perturbation's sup_ratio is what measures g against eps.
 
     Built band by band over the fundamental domains [x^2, x] of the
     squaring map, from [1/4, 1/2] inward: edge values shrink by a fixed

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from semicov import cli, configs
+from semicov import cli, configs, schema
 from semicov.cli import main, parse_config, run
 from semicov.errors import ParseError, ValidationError
 
@@ -158,6 +158,13 @@ def test_perturb_cli_exits_1_when_its_certificate_fails(tmp_path):
     assert not rep["ratio_ok"] and rep["sup_ratio"] > 1.0
 
 
+@pytest.mark.parametrize("out", [2, []])
+def test_parse_config_rejects_a_non_string_out(out):
+    # an integer out would open and close that file descriptor
+    with pytest.raises(ValidationError):
+        parse_config({"command": "counterexample-table", "nmax": 3, "out": out})
+
+
 def test_run_config_roundtrip(tmp_path):
     cfg = parse_config({"command": "counterexample-table", "nmax": 3,
                         "out": str(tmp_path / "t.json")})
@@ -289,6 +296,22 @@ CONST_CONNECTOR = {"kind": "const", "height": 0.25}
 def test_parse_config_rejects_bad_values(obj):
     with pytest.raises(ValidationError):
         parse_config(obj)
+
+
+MAP_KEYS = {k for k, key in cli.KEYS.items() if key.check is schema.config}
+RUN_KEYS = [(name, key, bad) for name, command in cli.COMMANDS.items() for key in command.schema
+            for bad in ["x", True, float("nan"), *([[1], 2] if key in MAP_KEYS else []),
+                        *([[0.8, 0.2]] if key == "band" else [])]]
+
+
+@pytest.mark.parametrize("command,key,bad", RUN_KEYS,
+                         ids=[f"{c}.{k}-{b!r}" for c, k, b in RUN_KEYS])
+def test_every_run_config_key_rejects_a_wrong_type(command, key, bad):
+    assert set(cli.KEYS) == {k for c in cli.COMMANDS.values() for k in c.schema}
+    required = {k: LINEAR2 for k, default in cli.COMMANDS[command].schema.items()
+                if default is schema.REQUIRED}
+    with pytest.raises(ValidationError):
+        parse_config({"command": command, **required, key: bad})
 
 
 def test_every_schema_key_is_a_flag(tmp_path):

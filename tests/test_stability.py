@@ -60,6 +60,12 @@ def test_radial_profile_shrinking_epsilon():
     assert np.all(2 * np.asarray(rho(xs)) < np.asarray(eps(xs)))
     xs_nest = np.exp(np.linspace(np.log(1e-5), np.log(0.5), 500))
     assert np.all(np.asarray(rho(xs_nest ** 2)) < np.asarray(rho(xs_nest)))
+    # steeper profiles keep the bound on rho's own samples only: between them,
+    # power 25 reads 2 rho = 1.098 eps near x = 0.9992
+    for power in (1.0, 5.0, 10.0, 25.0):
+        eps = EpsilonSpec("edge_poly", 0.2, power)
+        rho = radial_rho(eps)
+        assert np.max(2 * rho.values / eps(rho.xs)) <= 0.98 + 1e-12
 
 
 def test_perturbation_structure():
