@@ -13,6 +13,7 @@ prescribed interval homeomorphism at the first return of a periodic orbit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,6 +84,14 @@ def classify_circle_point(z: Fraction, d: int, max_period: int = 16,
     return PointClass("wandering", depth_limited=True)
 
 
+@functools.lru_cache(maxsize=64)
+def _denominators(d: int, max_period: int, max_depth: int, angle_tol: float) -> tuple[int, ...]:
+    """The q = |d|^m * |d^n - 1| <= 0.1/angle_tol, n <= max_period, m <= max_depth; ascending."""
+    q_max = int(0.1 / angle_tol)
+    return tuple(sorted({q for n in range(1, max_period + 1) for m in range(max_depth + 1)
+                         if (q := abs(d ** n - 1) * abs(d) ** m) <= q_max}))
+
+
 def snap_structured_angle(theta: float, d: int, angle_tol: float,
                           max_period: int = 16, max_depth: int = 24) -> Fraction | None:
     """Nearest angle of the form k / (|d|^m * |d^n - 1|) within angle_tol.
@@ -92,23 +101,13 @@ def snap_structured_angle(theta: float, d: int, angle_tol: float,
     (their spacing is below the measurement resolution); among the rest
     the smallest error wins, ties going to the smaller denominator.
     """
-    q_max = int(0.1 / angle_tol)
-    best: Fraction | None = None
-    best_err = angle_tol
-    best_q = None
-    for n in range(1, max_period + 1):
-        q0 = abs(d ** n - 1)
-        for m in range(0, max_depth + 1):
-            q = q0 * abs(d) ** m
-            if q > q_max:
-                break
-            k = round(theta * q)
-            err = abs(theta - k / q)
-            if err < best_err or (err == best_err and best_q is not None and q < best_q):
-                best = Fraction(k, q) % 1
-                best_err = err
-                best_q = q
-    return best
+    best, best_err = None, angle_tol
+    for q in _denominators(d, max_period, max_depth, angle_tol):    # ascending: ties keep the first
+        k = round(theta * q)
+        err = abs(theta - k / q)
+        if err < best_err:
+            best, best_err = (k, q), err
+    return None if best is None else Fraction(*best) % 1
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,8 @@ def _json_text(obj: dict, meta: dict) -> str:
 
 def run(cfg: RunConfig) -> int:
     """Run a validated config, write its artifact; returns the process exit code."""
+    if cfg.out is not None:     # fail before the work; "a" keeps an earlier artifact if the run fails
+        open(cfg.out, "a").close()
     meta = {"config_sha256": cfg.digest(), **{k: v for k, v in cfg.params.items()
                                               if isinstance(v, (int, float))}}
     text, code = COMMANDS[cfg.command].handler(cfg, meta)
@@ -285,7 +287,7 @@ def main(argv=None) -> int:
     try:
         ns = vars(_parser().parse_args(argv))
         return run(parse_config({k: v for k, v in ns.items() if v is not None}))
-    except SemicovError as e:
+    except (SemicovError, OSError) as e:              # OSError: the --out path
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 

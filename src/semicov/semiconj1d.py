@@ -22,7 +22,7 @@ class SemiconjugacyField1D:
     """Sampled lift H of a semiconjugacy, with H(x+1) = H(x) + orientation.
 
     samples[i] = H(i/N), samples[N] = samples[0] + orientation exactly.
-    residual is sup |H(F(x)) - d H(x)| measured over the stored grid.
+    residual is sup |H(F(x)) - d H(x)| over the nodes x = i/N, i < N, only.
     """
 
     samples: np.ndarray
@@ -55,22 +55,15 @@ def contraction_step(h: SemiconjugacyField1D, m: LiftedCircleMap) -> Semiconjuga
     """
     if h.degree != m.degree:
         raise DegreeMismatch(f"field degree {h.degree} vs map degree {m.degree}")
-    new, _, _ = contract(_pullback(m, h.grid, h.orientation), h.samples, m.degree,
-                         h.orientation, tol=0.0, max_iter=1)
-    out = SemiconjugacyField1D(new, h.orientation, h.degree)
-    out.residual = _grid_residual(out, m)
-    return out
+    new, _, _, residual = contract(_pullback(m, h.grid, h.orientation), h.samples, m.degree,
+                                   h.orientation, tol=0.0, max_iter=1)
+    return SemiconjugacyField1D(new, h.orientation, h.degree, residual)
 
 
 def _pullback(m: LiftedCircleMap, grid: int, orientation: int):
     """H -> (rows -> H(F(.)) on those grid nodes), gathering through a plan built once."""
     plan = periodic_plan(m(np.linspace(0.0, 1.0, grid + 1)), grid, orientation)
     return lambda samples: lambda rows: periodic_gather(samples, plan_rows(plan, rows))
-
-
-def _grid_residual(h: SemiconjugacyField1D, m: LiftedCircleMap) -> float:
-    xs = np.linspace(0.0, 1.0, h.grid, endpoint=False)
-    return float(np.max(np.abs(h(m(xs)) - m.degree * h(xs))))
 
 
 def solve_semiconjugacy(m: LiftedCircleMap, orientation: int = 1,
@@ -83,13 +76,11 @@ def solve_semiconjugacy(m: LiftedCircleMap, orientation: int = 1,
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     start = orientation * np.linspace(0.0, 1.0, m.grid + 1)
-    cur, it, converged = contract(_pullback(m, m.grid, orientation), start, m.degree,
-                                  orientation, tol, max_iter)
+    cur, it, converged, residual = contract(_pullback(m, m.grid, orientation), start, m.degree,
+                                            orientation, tol, max_iter)
     if not converged:
         raise MaxIterExceeded(f"no convergence to {tol} within {it} iterations")
-    out = SemiconjugacyField1D(cur, orientation, m.degree, tol=tol, iterations=it)
-    out.residual = _grid_residual(out, m)
-    return out
+    return SemiconjugacyField1D(cur, orientation, m.degree, residual, tol=tol, iterations=it)
 
 
 def rotation_number(m: LiftedCircleMap, x, tol: float = 1e-10):

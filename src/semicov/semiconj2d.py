@@ -19,8 +19,6 @@ from .numerics import (band_gather, band_plan, circle_dist, contract, frac, max_
                        plan_rows)
 from .schema import MAX_SIZE
 
-_ROWS = 64                            # x rows per block of the residual measurement
-
 
 @dataclass(eq=False)
 class BandField2D:
@@ -55,33 +53,6 @@ class BandField2D:
         return v if v.ndim else float(v)
 
 
-def _measure(field: BandField2D, m: AnnulusMapLift, closure=None,
-             window=None) -> tuple[float, int]:
-    """Sup residual |H(F(p)) - d H(p)| over the field's grid rows inside window.
-
-    Images leaving the band take the closure's value, or are skipped without
-    one.  Returns the sup (0.0 over no points) and the number of points
-    checked.  Rows are measured _ROWS at a time; max and count do not depend
-    on the blocking, so the result is that of the whole grid at once.
-    """
-    xs = field.x_samples
-    if window is not None:
-        xs = xs[(xs >= window[0]) & (xs <= window[1])]
-    ys = np.linspace(0.0, 1.0, field.ny, endpoint=False)
-    a, b = field.band
-    sup, count = 0.0, 0
-    for start in range(0, len(xs), _ROWS):
-        xg, yg = np.meshgrid(xs[start:start + _ROWS], ys, indexing="ij")
-        fx, fy = m(xg, yg)
-        inside = (fx >= a) & (fx <= b)
-        h_there = np.where(inside, field(np.clip(fx, a, b), fy),
-                           closure(fx, fy) if closure else np.nan)
-        r = np.abs(h_there - m.degree * field(xg, yg))
-        sup = max(sup, float(np.nanmax(r, initial=0.0)))
-        count += int(np.count_nonzero(~np.isnan(r)))
-    return sup, count
-
-
 def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int,
                orientation: int):
     """Nodes xs, y grid, x image per row fx (nx, 1), gather plan of H at F(nodes), y image fy."""
@@ -109,15 +80,14 @@ def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
     xs, yg, fx, plan = _band_grid(m, (a, b), nx, ny, orientation)[:4]
     if fx.min() < a - 1e-12 or fx.max() > b + 1e-12:
         raise BandNotInvariant(f"base image [{fx.min()}, {fx.max()}] leaves [{a}, {b}]")
-    cur, it, converged = contract(lambda v: lambda rows: band_gather(v, plan_rows(plan, rows)),
-                                  orientation * yg, m.degree, orientation, tol, max_iter)
+    cur, it, converged, residual = contract(
+        lambda v: lambda rows: band_gather(v, plan_rows(plan, rows)),
+        orientation * yg, m.degree, orientation, tol, max_iter)
     if not converged:
         raise MaxIterExceeded(f"no convergence to {tol} within {it} iterations")
-
-    out = BandField2D((a, b), xs, cur, orientation, m.degree, tol=tol, iterations=it)
-    out.residual = _measure(out, m)[0]
-    out.deviation_bound = float(np.max(np.abs(cur - orientation * yg)))
-    return out
+    return BandField2D((a, b), xs, cur, orientation, m.degree, residual=residual, tol=tol,
+                       deviation_bound=float(np.max(np.abs(cur - orientation * yg))),
+                       iterations=it)
 
 
 def solve_bounded_semiconjugacy(m: AnnulusMapLift, truncation: tuple[float, float],
@@ -150,12 +120,14 @@ def solve_bounded_semiconjugacy(m: AnnulusMapLift, truncation: tuple[float, floa
             return lambda rows: np.where(inside[rows], band_gather(v, plan_rows(plan, rows)),
                                          fy[rows] + mean)
 
-        cur, it, converged = contract(step, yg.copy(), m.degree, 1, tol, max_iter)
-        field = BandField2D((a, b), xs, cur, 1, m.degree, tol=tol, iterations=it)
-        field.deviation_bound = float(np.max(np.abs(cur - yg)))
-        dev_mean = float(np.mean(cur - yg))
-        field.residual = _measure(field, m, closure=lambda x, y: y + dev_mean)[0]
-        interior, points = _measure(field, m, window=(a0, b0))
+        cur, it, converged, residual = contract(step, yg.copy(), m.degree, 1, tol, max_iter)
+        field = BandField2D((a, b), xs, cur, 1, m.degree, residual=residual, tol=tol,
+                            deviation_bound=float(np.max(np.abs(cur - yg))), iterations=it)
+        # the window's rows whose images stay in the truncation, without the glued column
+        rows = slice(int(np.searchsorted(xs, a0, "left")), int(np.searchsorted(xs, b0, "right")))
+        kept = inside[rows, 0]
+        r = np.abs(step(cur)(rows)[kept, :-1] - m.degree * cur[rows][kept, :-1])
+        interior, points = float(r.max(initial=0.0)), r.size
         field.metadata.update(interior_residual=interior, interior_points=points,
                               widenings=k, inner_converged=converged)
         if points and interior <= tol:

@@ -63,6 +63,58 @@ def test_snap_structured_angle():
     assert got is None or abs(float(got) - 0.3819660112) <= 1e-4
 
 
+def _snap_reference(theta, d, angle_tol, max_period=16, max_depth=24):
+    """snap_structured_angle building its denominator ladder on every call, kept as the reference."""
+    q_max = int(0.1 / angle_tol)
+    best = None
+    best_err = angle_tol
+    best_q = None
+    for n in range(1, max_period + 1):
+        q0 = abs(d ** n - 1)
+        for m in range(0, max_depth + 1):
+            q = q0 * abs(d) ** m
+            if q > q_max:
+                break
+            k = round(theta * q)
+            err = abs(theta - k / q)
+            if err < best_err or (err == best_err and best_q is not None and q < best_q):
+                best = Fraction(k, q) % 1
+                best_err = err
+                best_q = q
+    return best
+
+
+def _exact_ties(d, angle_tol, max_period, max_depth):
+    """Angles at the same float distance from two ladder fractions of different value."""
+    q_max = int(0.1 / angle_tol)
+    qs = sorted({abs(d ** n - 1) * abs(d) ** m for n in range(1, max_period + 1)
+                 for m in range(max_depth + 1) if abs(d ** n - 1) * abs(d) ** m <= q_max})
+    points = sorted({Fraction(k, q) for q in qs for k in range(q + 1)})
+    out = []
+    for lo, hi in zip(points, points[1:]):
+        theta = (lo.numerator / lo.denominator + hi.numerator / hi.denominator) / 2
+        if (hi - lo < 2 * angle_tol and abs(theta - lo.numerator / lo.denominator)
+                == abs(theta - hi.numerator / hi.denominator)):
+            out.append(theta)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, -2, 3, -3])
+def test_snap_matches_per_call_ladder(d):
+    rng = np.random.default_rng(abs(d) * 10 + (d < 0))
+    ties = 0
+    for angle_tol, max_period, max_depth in ((5e-4, 16, 24), (1e-3, 4, 3), (1e-2, 16, 24),
+                                             (2e-5, 8, 6)):
+        tied = _exact_ties(d, angle_tol, max_period, max_depth)
+        ties += len(tied)
+        # exact ties between equal values too: every ladder fraction 0 or 1/2 matches alike
+        thetas = [*rng.uniform(-1.0, 2.0, 300), *tied, 0.0, 1e-6, -3e-6, 0.5, 0.5 + 1e-7, 1.0]
+        for theta in thetas:
+            assert (snap_structured_angle(theta, d, angle_tol, max_period, max_depth)
+                    == _snap_reference(theta, d, angle_tol, max_period, max_depth))
+    assert ties > 0
+
+
 # --- plateaus ----------------------------------------------------------------
 
 def test_plateau_set_empty_for_model(m2):

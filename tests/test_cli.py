@@ -264,6 +264,9 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
      "FiberNotMonotone"),
     # each size within the limit, the band grid's nx * (ny + 1) nodes far beyond it
     ["semiconj2d", "--map", BAND_MAP, "--band", "0.2,0.8", "--nx", "16777216", "--ny", "16777216"],
+    # an artifact path that cannot be opened
+    (["counterexample-table", "--nmax", "3", "--out", "/nonexistent/x.json"], "FileNotFoundError"),
+    (["counterexample-table", "--nmax", "3", "--out", ""], "FileNotFoundError"),
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     argv, error = argv if isinstance(argv, tuple) else (argv, "ValidationError")
@@ -312,6 +315,15 @@ def test_every_run_config_key_rejects_a_wrong_type(command, key, bad):
                 if default is schema.REQUIRED}
     with pytest.raises(ValidationError):
         parse_config({"command": command, **required, key: bad})
+
+
+def test_failed_run_keeps_an_earlier_artifact(tmp_path, capsys):
+    out = tmp_path / "h2.csv"
+    out.write_text("earlier\n")
+    bad_base = '{"base": {"family": "power", "exponent": "x"}, "fiber": {"family": "linear", "degree": 2}}'
+    assert main(["semiconj2d", "--map", bad_base, "--out", str(out)]) == 3
+    assert out.read_text() == "earlier\n"
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_every_schema_key_is_a_flag(tmp_path):

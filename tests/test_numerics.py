@@ -64,20 +64,30 @@ def test_band_gather_matches_2d_reference(rows, ny, orientation):
 
 
 def _contract_reference(lifted, start, degree, orientation, tol, max_iter=None):
-    """The whole-array fixed-point loop, kept as the reference for the blocked one."""
+    """The whole-array fixed-point loop and residual, kept as the reference for the blocked one."""
     ad = abs(degree)
     if max_iter is None:
         max_iter = 2 * int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad))) + 60
     stop = tol * (1.0 - 1.0 / ad)
-    cur = start
+    cur, it, converged = start, max_iter, False
     for it in range(1, max_iter + 1):
         new = lifted(cur) / degree
         new[..., -1] = new[..., 0] + orientation
         change = float(np.max(np.abs(new - cur)))
         cur = new
         if change <= stop:
-            return cur, it, True
-    return cur, max_iter, False
+            converged = True
+            break
+    residual = float(np.max(np.abs(lifted(cur)[..., :-1] - degree * cur[..., :-1])))
+    return cur, it, converged, residual
+
+
+def _grid_residual(h, m):
+    """sup |H(F(x)) - d H(x)| over x = i/N, i < N, through the field's own
+    evaluation: the residual measurement the 1D solver made after solving,
+    kept as the reference for the one contract makes."""
+    xs = np.linspace(0.0, 1.0, h.grid, endpoint=False)
+    return float(np.max(np.abs(h(m(xs)) - m.degree * h(xs))))
 
 
 @pytest.fixture
@@ -101,13 +111,19 @@ def checked(monkeypatch):
 @pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("degree", [2, -2, 3])
 @pytest.mark.parametrize("grid", [4096, 2 ** 17 + 3])    # one block; a partial last block
-def test_blocked_1d_contract_matches_reference(checked, grid, degree, orientation):
+def test_blocked_1d_contract_matches_reference(checked, residual_matches, grid, degree,
+                                               orientation):
     m = from_function(lambda x: degree * x + 0.1 * np.sin(2 * np.pi * x) + 0.2, grid)
     h = semiconj1d.solve_semiconjugacy(m, orientation, 1e-9)
-    semiconj1d.contraction_step(h, m)
+    step = semiconj1d.contraction_step(h, m)
     with pytest.raises(MaxIterExceeded):
         semiconj1d.solve_semiconjugacy(m, orientation, 1e-9, max_iter=4)
-    assert [r[1:] for r in checked] == [(h.iterations, True), (1, False), (4, False)]
+    assert [r[1:3] for r in checked] == [(h.iterations, True), (1, False), (4, False)]
+    unconverged = semiconj1d.SemiconjugacyField1D(checked[-1][0], orientation, degree)
+    for field, residual in ((h, h.residual), (step, step.residual),
+                            (unconverged, checked[-1][3])):
+        residual_matches(residual, _grid_residual(field, m), field.samples, degree,
+                         exact=grid == 4096)
 
 
 @pytest.mark.parametrize("orientation", [1, -1])
@@ -121,7 +137,8 @@ def test_blocked_band_contract_matches_reference(checked, nx, ny, degree, orient
     with pytest.raises(MaxIterExceeded):
         semiconj2d.solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, max_iter=3, nx=nx, ny=ny,
                                             orientation=orientation)
-    assert [r[1:] for r in checked] == [(h.iterations, True), (3, False)]
+    assert [r[1:3] for r in checked] == [(h.iterations, True), (3, False)]
+    assert checked[0][3] == h.residual
 
 
 def test_blocked_bounded_contract_matches_reference(checked):
@@ -131,7 +148,8 @@ def test_blocked_bounded_contract_matches_reference(checked):
     with pytest.raises(MaxIterExceeded):
         semiconj2d.solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-9, max_iter=2, nx=300, ny=511,
                                                max_widenings=0)
-    assert checked[0][1] == h.iterations and checked[-1][1:] == (2, False)
+    assert checked[0][1] == h.iterations and checked[-1][1:3] == (2, False)
+    assert checked[0][3] == h.residual
 
 
 @pytest.mark.parametrize("nodes", [4097, 2 ** 17 + 4])
@@ -145,8 +163,9 @@ def test_nan_prevents_convergence(nodes):
 
     got = contract(step, start, 2, 1, 1e300, max_iter=3)
     want = _contract_reference(lambda v: step(v)(slice(None)), start, 2, 1, 1e300, 3)
-    assert got[1:] == want[1:] == (3, False)
+    assert got[1:3] == want[1:3] == (3, False)
     assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.isnan(got[3]) and np.isnan(want[3])
 
 
 @pytest.mark.parametrize("shape", [(2 ** 17 + 4,), (97, 1001)])
@@ -160,7 +179,7 @@ def test_lifted_value_at_the_glued_column_is_overwritten(shape):
 
     got = contract(step, start, 2, 1, 1e-9)
     want = _contract_reference(lambda v: step(v)(slice(None)), start, 2, 1, 1e-9)
-    assert got[1:] == want[1:] == (1, True)
+    assert got[1:] == want[1:] == (1, True, 0.0)
     assert got[0].tobytes() == want[0].tobytes()
 
 

@@ -8,7 +8,7 @@ from semicov.classify import blow_up
 from semicov.errors import (BandNotInvariant, DisplacementDiverges, NotFixed,
                             OutOfDomain, ValidationError)
 from semicov.semiconj1d import solve_semiconjugacy
-from semicov.semiconj2d import (BandField2D, _measure, check_fiber_connector,
+from semicov.semiconj2d import (BandField2D, check_fiber_connector,
                                 check_fiber_surjectivity, fixed_point_h_equality,
                                 solve_band_semiconjugacy, solve_bounded_semiconjugacy)
 
@@ -193,22 +193,55 @@ def _measure_whole_grid(field, m, closure=None, window=None):
     return float(np.nanmax(r, initial=0.0)), int(np.count_nonzero(~np.isnan(r)))
 
 
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("degree", [2, -2, 3])
+@pytest.mark.parametrize("nx, ny, band", [(97, 1000, (0.2, 0.8)), (300, 511, (0.2, 0.8)),
+                                          (129, 256, (0.25, 0.75))])
+def test_band_residual_matches_whole_grid(residual_matches, nx, ny, band, degree, orientation):
+    # every image stays in the band; on the dyadic band and grid the
+    # reference meets the nodes exactly, so it must agree bit for bit
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.7)),
+                          FiberMap(degree, tau=TauSpec("linear", 0.1)))
+    h = solve_band_semiconjugacy(m, band, 1e-9, nx=nx, ny=ny, orientation=orientation)
+    sup, count = _measure_whole_grid(h, m)
+    assert count == nx * ny
+    residual_matches(h.residual, sup, h.values, degree, exact=band == (0.25, 0.75))
+
+
+def _check_bounded_residuals(h, m, window, residual_matches):
+    """The bounded solver's full and interior residuals against the whole-grid reference."""
+    mean = float(np.mean(h.values - np.linspace(0.0, 1.0, h.ny + 1)))
+    full = _measure_whole_grid(h, m, closure=lambda x, y: y + mean)
+    interior = _measure_whole_grid(h, m, window=window)
+    assert h.metadata["interior_points"] == interior[1]
+    residual_matches(h.residual, full[0], h.values, m.degree, exact=False)
+    residual_matches(h.metadata["interior_residual"], interior[0], h.values, m.degree,
+                     exact=False)
+
+
 @pytest.mark.parametrize("nx", [2, 63, 64, 65, 129])
-def test_measure_chunks_match_whole_grid(nx):
-    # base x^2 sends part of the band below it, so the skip, the closure and
-    # the window all change which points count
+def test_measure_chunks_match_whole_grid(residual_matches, nx):
+    # 1025 columns put 63 rows in a block of the contract sweep that measures
+    # the residual; base x^2 sends part of the band below it, so the closure
+    # and the interior window change which points count
     m = make_skew_product(BaseMap("power", (2.0,)), FiberMap(2, tau=TauSpec("linear", 0.1)))
-    rng = np.random.default_rng(nx)
-    ny = 32
-    values = np.linspace(0.0, 1.0, ny + 1) + 0.01 * rng.standard_normal((nx, ny + 1))
-    values[:, -1] = values[:, 0] + 1.0
-    field = BandField2D((0.2, 0.8), np.linspace(0.2, 0.8, nx), values)
-    closure = lambda x, y: y + 0.003                        # noqa: E731
-    for kwargs in ({}, {"closure": closure}, {"window": (0.3, 0.7)},
-                   {"window": (0.85, 0.9)}):
-        got = _measure(field, m, **kwargs)
-        assert got == _measure_whole_grid(field, m, **kwargs)
-    assert _measure(field, m)[1] < nx * ny == _measure(field, m, closure=closure)[1]
+    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=nx, ny=1024)
+    assert h.metadata["widenings"] == 0
+    _check_bounded_residuals(h, m, (0.2, 0.8), residual_matches)
+    assert 0 < h.metadata["interior_points"] < nx * 1024
+
+
+def test_bounded_residuals_match_whole_grid_when_widened_or_unconverged(residual_matches):
+    # the widening case of test_bounded_solver_needs_checked_interior_points
+    # and the one-step field of test_bounded_solver_records_inner_exhaustion
+    m = make_skew_product(BaseMap("power", (0.1,)), FiberMap(2, tau=TauSpec("linear", 0.5)))
+    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-8)
+    assert h.metadata["widenings"] == 1
+    _check_bounded_residuals(h, m, (0.2, 0.8), residual_matches)
+    m = make_skew_product(BaseMap("power", (2.0,)), FiberMap(2, tau=TauSpec("const", 0.015)))
+    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-2, max_iter=1)
+    assert h.metadata["inner_converged"] is False
+    _check_bounded_residuals(h, m, (0.2, 0.8), residual_matches)
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 16), (0, 16), (9, 0)])
