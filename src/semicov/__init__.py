@@ -2,8 +2,7 @@
 
 from .circle import LiftedCircleMap, find_periodic_points, from_function, make_lift, model_lift
 from .semiconj1d import (SelfConjugacy, SemiconjugacyField1D, contraction_step,
-                         relate_semiconjugacies, rotation_number, self_conjugacies,
-                         solve_semiconjugacy)
+                         rotation_number, self_conjugacies, solve_semiconjugacy)
 from .classify import (ClassificationData, IntervalSignature, Insertion, PlateauRecord,
                        Verdict, blow_up, classification_data, classify_circle_point,
                        compare_classification, interval_signature, plateau_set,
@@ -11,8 +10,8 @@ from .classify import (ClassificationData, IntervalSignature, Insertion, Plateau
 
 __all__ = [
     "LiftedCircleMap", "find_periodic_points", "from_function", "make_lift", "model_lift",
-    "SelfConjugacy", "SemiconjugacyField1D", "contraction_step", "relate_semiconjugacies",
-    "rotation_number", "self_conjugacies", "solve_semiconjugacy",
+    "SelfConjugacy", "SemiconjugacyField1D", "contraction_step", "rotation_number",
+    "self_conjugacies", "solve_semiconjugacy",
     "ClassificationData", "IntervalSignature", "Insertion", "PlateauRecord", "Verdict",
     "blow_up", "classification_data", "classify_circle_point", "compare_classification",
     "interval_signature", "plateau_set", "transform_insertions",

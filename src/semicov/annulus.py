@@ -13,8 +13,7 @@ import numpy as np
 
 from .circle import DEGREE_TOL, LiftedCircleMap
 from .errors import (BaseEscapes, BaseNotInvertible, DegreeTooSmall, FiberNotMonotone,
-                     NonIntegerDegree, OrbitEscapes, OutOfDomain)
-from .numerics import frac
+                     NonIntegerDegree, OutOfDomain)
 from .schema import REQUIRED, Family, fraction, number, numbers, positive, band as check_band
 
 
@@ -229,39 +228,3 @@ def displacement_bound(m: AnnulusMapLift, band: tuple[float, float],
     increasing = all(s2 >= s1 for s1, s2 in zip(sups, sups[1:]))
     diverges = increasing and sups[-1] > 10.0 * max(sups[0], 1e-12) and sups[-1] > 1.0
     return {"sup": value, "diverges": diverges, "margin_sups": sups, "band": band}
-
-
-def fiber_preimages(m: AnnulusMapLift, target: tuple[float, float]) -> list[tuple[float, float]]:
-    """The |d| preimages of an annulus point under a skew product.
-
-    Solves base(x) = x' (monotone inverse), then the |d| fiber solutions
-    g_x(y) = theta' + k in [0,1).
-    """
-    x_t, theta = target
-    x = float(np.asarray(m.base.inverse(x_t)))
-    ys = np.sort(frac(m.fiber.inverse(x, theta + m.fiber.branches(x, theta))))
-    return [(x, float(y)) for y in ys]
-
-
-def estimate_annulus_rotation(m: AnnulusMapLift, start: tuple[float, float],
-                              n_max: int = 60, gap_tol: float = 1e-6) -> dict:
-    """Partial rotation estimates y_n / d^n with a Cauchy diagnostic.
-
-    Reports the estimate sequence, the largest gap over the final quarter
-    of the run, and a convergence flag; makes no claim when not Cauchy.
-    """
-    x, y = float(start[0]), float(start[1])
-    estimates = [y]
-    d = float(m.degree)
-    for n in range(1, n_max + 1):
-        if not (0.0 < x < 1.0):
-            raise OrbitEscapes(f"orbit left (0,1) at step {n - 1}")
-        x, y = m(x, y)
-        if not np.isfinite(y) or not np.isfinite(x):
-            raise OrbitEscapes(f"orbit blew up numerically at step {n}")
-        estimates.append(y / d ** n)
-    est = np.asarray(estimates)
-    tail = est[3 * len(est) // 4:]
-    gap = float(np.max(np.abs(np.diff(tail)))) if len(tail) > 1 else float("inf")
-    return {"estimates": estimates, "value": float(est[-1]),
-            "cauchy_gap": gap, "converged": gap <= gap_tol}

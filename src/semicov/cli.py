@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -79,11 +80,17 @@ def _json_text(obj: dict, meta: dict) -> str:
 
 def run(cfg: RunConfig) -> int:
     """Run a validated config, write its artifact; returns the process exit code."""
+    fresh = cfg.out is not None and not os.path.exists(cfg.out)
     if cfg.out is not None:     # fail before the work; "a" keeps an earlier artifact if the run fails
         open(cfg.out, "a").close()
     meta = {"config_sha256": cfg.digest(), **{k: v for k, v in cfg.params.items()
                                               if isinstance(v, (int, float))}}
-    text, code = COMMANDS[cfg.command].handler(cfg, meta)
+    try:
+        text, code = COMMANDS[cfg.command].handler(cfg, meta)
+    except BaseException:
+        if fresh:               # the probe made this file; a failed run leaves none
+            os.remove(cfg.out)
+        raise
     if cfg.out is None:
         sys.stdout.write(text)
     else:
@@ -106,10 +113,10 @@ def _semiconj1d(cfg: RunConfig, meta: dict):
 def _rotation(cfg: RunConfig, meta: dict):
     p = cfg.params
     m = configs.circle_map_from_config(cfg.maps["map"])
-    h = semiconj1d.solve_semiconjugacy(m, 1, p["tol"])
     xs = (np.asarray([float(p["x"])]) if p["x"] is not None
           else np.linspace(0.0, 1.0, int(p["points"]), endpoint=False))
-    return _csv(["x", "rho"], zip(xs.tolist(), h(xs).tolist()), meta), 0
+    rho = semiconj1d.rotation_number(m, xs, p["tol"])
+    return _csv(["x", "rho"], zip(xs.tolist(), rho.tolist()), meta), 0
 
 
 def _classify(cfg: RunConfig, meta: dict):

@@ -29,10 +29,6 @@ class MaxIterExceeded(SemicovError):
     """Fixed-point iteration did not reach the requested tolerance."""
 
 
-class NoRelator(SemicovError):
-    """No self-conjugacy maps one field onto the other within tolerance."""
-
-
 # --- classification ---
 
 class NotInvariant(SemicovError):
@@ -65,10 +61,6 @@ class BaseNotInvertible(SemicovError):
     """Base map cannot be inverted over the required range."""
 
 
-class OrbitEscapes(SemicovError):
-    """Forward orbit left the open annulus before n_max iterates."""
-
-
 # --- band semiconjugacies ---
 
 class BandNotInvariant(SemicovError):
@@ -77,10 +69,6 @@ class BandNotInvariant(SemicovError):
 
 class DisplacementDiverges(SemicovError):
     """Fiber displacement grows without bound toward the boundary."""
-
-
-class NotFixed(SemicovError):
-    """Point is not fixed by the map within tolerance."""
 
 
 # --- connectors ---

@@ -14,7 +14,6 @@ from .errors import ValidationError
 
 REQUIRED = object()
 MAX_SIZE = 2 ** 24
-SIZE_KEYS = ("points", "grid", "nx", "ny", "depth", "samples")
 
 
 class Family(NamedTuple):                # one named family of a map kind
@@ -45,19 +44,19 @@ def number(value, name: str, positive: bool = False) -> float:
     return float(value)
 
 
-def integer(value, name: str, least: int | None = None) -> int:
+def integer(value, name: str, least: int | None = None, most: int | None = None) -> int:
     number(value, name)
     if value != int(value) or (least is not None and value < least):
         raise ValidationError(f"{name} must be an integer"
                               f"{'' if least is None else f' >= {least}'}, got {value!r}")
-    if name in SIZE_KEYS and value > MAX_SIZE:
-        raise ValidationError(f"{name} must be at most {MAX_SIZE}, got {value!r}")
+    if most is not None and value > most:
+        raise ValidationError(f"{name} must be at most {most}, got {value!r}")
     return int(value)
 
 
 positive = partial(number, positive=True)
-size = partial(integer, least=1)
-span = partial(integer, least=2)                     # a grid with a node at each end
+size = partial(integer, least=1, most=MAX_SIZE)
+span = partial(integer, least=2, most=MAX_SIZE)      # a grid with a node at each end
 count = partial(integer, least=0)
 
 

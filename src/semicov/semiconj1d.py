@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import LiftedCircleMap
-from .errors import DegreeMismatch, MaxIterExceeded, NoRelator
-from .numerics import circle_dist, contract, frac, periodic_gather, periodic_plan, plan_rows
+from .errors import DegreeMismatch, MaxIterExceeded
+from .numerics import contract, frac, periodic_gather, periodic_plan, plan_rows
 
 
 @dataclass(eq=False)
@@ -139,29 +139,3 @@ def self_conjugacies(d: int) -> list[SelfConjugacy]:
     out = [SelfConjugacy(j, False, mod) for j in range(mod)]
     out += [SelfConjugacy(j, True, mod) for j in range(mod)]
     return out
-
-
-def relate_semiconjugacies(h1: SemiconjugacyField1D, h2: SemiconjugacyField1D,
-                           tol: float = 1e-8, n_test: int = 2048) -> SelfConjugacy:
-    """The unique self-conjugacy c with h1 = c o h2, by exhaustive search.
-
-    Acceptance threshold is 10*tol, looser than the solve tolerance to
-    absorb interpolation error.  Raises NoRelator when no candidate fits,
-    which signals that one input is not a valid semiconjugacy field.
-    """
-    if h1.degree != h2.degree:
-        raise DegreeMismatch(f"degrees differ: {h1.degree} vs {h2.degree}")
-    if max(h1.residual, h2.residual) > tol:
-        raise ValueError("both fields must carry residual <= tol")
-    xs = np.linspace(0.0, 1.0, n_test, endpoint=False)
-    a1 = frac(h1(xs))
-    a2 = frac(h2(xs))
-    best: SelfConjugacy | None = None
-    best_err = np.inf
-    for c in self_conjugacies(h1.degree):
-        err = float(np.max(circle_dist(a1, c.apply_angle(a2))))
-        if err < best_err:
-            best, best_err = c, err
-    if best is None or best_err > 10.0 * tol:
-        raise NoRelator(f"no self-conjugacy within {10.0 * tol} (best {best_err})")
-    return best

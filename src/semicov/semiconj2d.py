@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annulus import AnnulusMapLift, displacement_bound
-from .errors import (BandNotInvariant, DisplacementDiverges, MaxIterExceeded, NotFixed,
+from .errors import (BandNotInvariant, DisplacementDiverges, MaxIterExceeded,
                      OutOfDomain, ValidationError)
-from .numerics import (band_gather, band_plan, circle_dist, contract, frac, max_circular_gap,
+from .numerics import (band_gather, band_plan, circle_dist, contract, max_circular_gap,
                        plan_rows)
 from .schema import MAX_SIZE
 
@@ -162,40 +162,3 @@ def check_fiber_connector(h: BandField2D, z: float, tol: float = 0.01,
     xg, yg = np.meshgrid(np.clip(x_levels, a, b), np.linspace(0.0, 1.0, h.ny, endpoint=False),
                          indexing="ij")
     return not np.any(np.min(circle_dist(h(xg, yg), z), axis=1) > tol)
-
-
-@dataclass(frozen=True)
-class FixedPointRelation:
-    equal: bool
-    lift_witness: int | None
-    inconclusive: bool = False
-
-
-def fixed_point_h_equality(m: AnnulusMapLift, h: BandField2D,
-                           p: tuple[float, float], q: tuple[float, float],
-                           tol: float = 1e-6) -> FixedPointRelation:
-    """Whether two fixed points share their h-image, with a lift witness.
-
-    When h(p) = h(q), an integer l is sought such that the lift normalized
-    to fix the lift of p also fixes the lift of q translated down by l.
-    Failure of that cross-check downgrades the answer to inconclusive.
-    """
-    for pt in (p, q):
-        fx, fy = m(*pt)
-        if abs(fx - pt[0]) > tol or float(circle_dist(fy, pt[1])) > tol:
-            raise NotFixed(f"{pt} moves to {(fx, fy)}")
-    hp = float(frac(h(*p)))
-    hq = float(frac(h(*q)))
-    equal = float(circle_dist(hp, hq)) <= tol
-    if not equal:
-        return FixedPointRelation(False, None)
-    # normalize the lift to fix p's lift: F_norm = F - (0, k_p)
-    k_p = round(float(m(*p)[1]) - p[1])
-    m_bound = h.deviation_bound if np.isfinite(h.deviation_bound) else 1.0
-    span = int(2 * (m_bound + 1)) + 1
-    for l in range(-span, span + 1):
-        y_shift = q[1] - l
-        fx, fy = m(q[0], y_shift)
-        if abs(fx - q[0]) <= 10 * tol and abs((fy - k_p) - y_shift) <= 10 * tol:
-            return FixedPointRelation(True, int(l))
-    return FixedPointRelation(True, None, inconclusive=True)

@@ -267,6 +267,8 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
     # an artifact path that cannot be opened
     (["counterexample-table", "--nmax", "3", "--out", "/nonexistent/x.json"], "FileNotFoundError"),
     (["counterexample-table", "--nmax", "3", "--out", ""], "FileNotFoundError"),
+    # a table length beyond the size limit, which used to exit 1 with a ValueError traceback
+    ["counterexample-table", "--nmax", "16777217"],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     argv, error = argv if isinstance(argv, tuple) else (argv, "ValidationError")
@@ -295,6 +297,7 @@ CONST_CONNECTOR = {"kind": "const", "height": 0.25}
     {"command": ["semiconj1d"], "map": LINEAR2},
     {"command": "rotation", "map": LINEAR2, "points": 10 ** 20},
     {"command": "semiconj2d", "map": LINEAR2, "ny": 2 ** 24 + 1},
+    {"command": "classify", "map": LINEAR2, "max_period": 2 ** 24 + 1},
 ])
 def test_parse_config_rejects_bad_values(obj):
     with pytest.raises(ValidationError):
@@ -317,13 +320,25 @@ def test_every_run_config_key_rejects_a_wrong_type(command, key, bad):
         parse_config({"command": command, **required, key: bad})
 
 
+BAD_BASES = ['{"base": {"family": "power", "exponent": %s}, "fiber": {"family": "linear", "degree": 2}}'
+             % exponent for exponent in ('"x"', "-1")]
+
+
 def test_failed_run_keeps_an_earlier_artifact(tmp_path, capsys):
     out = tmp_path / "h2.csv"
-    out.write_text("earlier\n")
-    bad_base = '{"base": {"family": "power", "exponent": "x"}, "fiber": {"family": "linear", "degree": 2}}'
-    assert main(["semiconj2d", "--map", bad_base, "--out", str(out)]) == 3
-    assert out.read_text() == "earlier\n"
-    assert capsys.readouterr().err.startswith("error: ")
+    for bad_base in BAD_BASES:
+        out.write_bytes(b"earlier\r\n\x00")
+        assert main(["semiconj2d", "--map", bad_base, "--out", str(out)]) == 3
+        assert out.read_bytes() == b"earlier\r\n\x00"
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_failed_run_leaves_no_file_at_a_fresh_path(tmp_path, capsys):
+    out = tmp_path / "fresh.csv"
+    for bad_base in BAD_BASES:
+        assert main(["semiconj2d", "--map", bad_base, "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_every_schema_key_is_a_flag(tmp_path):

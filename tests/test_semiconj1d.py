@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicov.circle import from_function
-from semicov.errors import DegreeMismatch, NoRelator, OutOfDomain
+from semicov.errors import DegreeMismatch, OutOfDomain
 from semicov.numerics import circle_dist
-from semicov.semiconj1d import (SemiconjugacyField1D, contraction_step,
-                                relate_semiconjugacies, rotation_number,
+from semicov.semiconj1d import (SemiconjugacyField1D, contraction_step, rotation_number,
                                 self_conjugacies, solve_semiconjugacy)
 
 
@@ -167,34 +166,6 @@ def test_group_laws(d, data):
     theta = data.draw(st.floats(0, 1, exclude_max=True))
     assert circle_dist(a.compose(b).apply_angle(theta),
                        a.apply_angle(b.apply_angle(theta))) < 1e-12
-
-
-def test_relate_identity_and_reflection(sine2):
-    h = solve_semiconjugacy(sine2, 1, 1e-9)
-    c = relate_semiconjugacies(h, h, 1e-9)
-    assert c.is_identity
-    conj_h = SemiconjugacyField1D(-h.samples, -1, 2, residual=h.residual)
-    c2 = relate_semiconjugacies(conj_h, h, 1e-9)
-    assert c2.reflect and c2.rotation_index == 0
-
-
-def test_relate_lift_shift():
-    # shift law: solutions for F and F+1 differ by 1/(d-1) on the circle
-    for d, expected_index in ((2, 0), (3, 1)):
-        m = from_function(lambda x: d * x + 0.1 * np.sin(2 * np.pi * x))
-        m_up = from_function(lambda x: d * x + 0.1 * np.sin(2 * np.pi * x) + 1.0)
-        h = solve_semiconjugacy(m, 1, 1e-9)
-        h_up = solve_semiconjugacy(m_up, 1, 1e-9)
-        c = relate_semiconjugacies(h_up, h, 1e-8)
-        assert not c.reflect
-        assert c.rotation_index == expected_index
-
-
-def test_relate_rejects_unrelated_fields(m2, sine2):
-    h1 = solve_semiconjugacy(sine2, 1, 1e-9)
-    h2 = solve_semiconjugacy(m2, 1, 1e-9)
-    with pytest.raises(NoRelator):
-        relate_semiconjugacies(h1, h2, 1e-9)
 
 
 @pytest.mark.parametrize("x", [np.nan, [0.5, np.inf]])

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
-from semicov.classify import blow_up
-from semicov.errors import (BandNotInvariant, DisplacementDiverges, NotFixed,
-                            OutOfDomain, ValidationError)
+from semicov.errors import (BandNotInvariant, DisplacementDiverges, OutOfDomain,
+                            ValidationError)
 from semicov.semiconj1d import solve_semiconjugacy
 from semicov.semiconj2d import (BandField2D, check_fiber_connector,
-                                check_fiber_surjectivity, fixed_point_h_equality,
-                                solve_band_semiconjugacy, solve_bounded_semiconjugacy)
+                                check_fiber_surjectivity, solve_band_semiconjugacy,
+                                solve_bounded_semiconjugacy)
 
 
 def test_product_model_fixed_point(product_z2):
@@ -123,31 +122,6 @@ def test_agreement_with_1d_field_on_products(sine2):
     for x in (0.3, 0.5, 0.7):
         gap = np.max(np.abs(h2(np.full_like(ys, x), ys) - h1(ys)))
         assert gap <= 2 * tol
-
-
-def test_fixed_point_equality_trivial(product_z2):
-    h = solve_band_semiconjugacy(product_z2, (0.2, 0.8), 1e-10)
-    rel = fixed_point_h_equality(product_z2, h, (0.5, 0.0), (0.5, 0.0), 1e-8)
-    assert rel.equal and rel.lift_witness == 0 and not rel.inconclusive
-
-
-def test_fixed_point_equality_plateau_endpoints():
-    # product with a blown-up fiber: both plateau endpoints are fixed and
-    # share the collapse angle, and a translated lift fixes the second one
-    circle = blow_up(2, [{"base_angle": 0, "length": 0.1, "kind": "north_south"}])
-    m = make_skew_product(BaseMap("identity"), FiberMap(2, circle=circle))
-    h = solve_band_semiconjugacy(m, (0.3, 0.7), 1e-9, nx=17, ny=circle.grid)
-    p = (0.5, 0.45)
-    q = (0.5, 0.55)
-    rel = fixed_point_h_equality(m, h, p, q, 1e-3)
-    assert rel.equal
-    assert rel.lift_witness is not None
-
-
-def test_fixed_point_equality_rejects_non_fixed(product_z2):
-    h = solve_band_semiconjugacy(product_z2, (0.2, 0.8), 1e-10)
-    with pytest.raises(NotFixed):
-        fixed_point_h_equality(product_z2, h, (0.5, 0.0), (0.5, 1 / 3), 1e-8)
 
 
 @pytest.mark.parametrize("x, y", [(np.nan, 0.5), (0.5, np.nan), (0.5, np.inf)])
