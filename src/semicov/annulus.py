@@ -140,10 +140,11 @@ class FiberMap:
         t = np.asarray(targets, dtype=float) - self.tau(x)
         return t / self.degree if self.circle is None else self.circle.inverse(t)
 
-    def slope_range(self, xs, n_y: int = 64, dy: float = 1e-5) -> tuple[float, float]:
-        """Min/max sampled fiber slope d g_x / dy over xs and a y grid."""
+    def slope_range(self, xs) -> tuple[float, float]:
+        """Min/max fiber slope d g_x / dy over xs and 64 angles, by steps of 1e-5."""
         xs = np.asarray(xs, dtype=float)
-        ys = np.linspace(0.0, 1.0, n_y, endpoint=False)
+        ys = np.linspace(0.0, 1.0, 64, endpoint=False)
+        dy = 1e-5
         xg, yg = np.meshgrid(xs, ys, indexing="ij")
         s = (self.__call__(xg, yg + dy) - self.__call__(xg, yg)) / dy
         if self.degree < 0:
@@ -180,14 +181,14 @@ class AnnulusMapLift:
         return float(out_x), float(out_y)
 
 
-def make_skew_product(base: BaseMap, fiber: FiberMap, n_check: int = 64,
+def make_skew_product(base: BaseMap, fiber: FiberMap,
                       metadata: dict | None = None) -> AnnulusMapLift:
-    """Validate a skew product and read its degree from fiber equivariance."""
-    xs = np.linspace(0.01, 0.99, n_check)
+    """Validate a skew product on a 64 x 64 grid and read its degree from fiber equivariance."""
+    xs = np.linspace(0.01, 0.99, 64)
     bx = np.asarray(base(xs))
     if np.any(bx <= 0.0) or np.any(bx >= 1.0):
         raise BaseEscapes("base map must send (0,1) into (0,1)")
-    ys = np.linspace(0.0, 1.0, n_check, endpoint=False)
+    ys = np.linspace(0.0, 1.0, 64, endpoint=False)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     jump = np.asarray(fiber(xg, yg + 1.0)) - np.asarray(fiber(xg, yg))
     d = round(float(jump.flat[0]))
@@ -205,9 +206,8 @@ def make_skew_product(base: BaseMap, fiber: FiberMap, n_check: int = 64,
     return AnnulusMapLift(base, fiber, d, metadata=dict(metadata or {}))
 
 
-def displacement_bound(m: AnnulusMapLift, band: tuple[float, float],
-                       grid: tuple[int, int] = (256, 128)) -> dict:
-    """Sampled sup |y1 - d*y0| over band x [0,1), with a divergence diagnostic.
+def displacement_bound(m: AnnulusMapLift, band: tuple[float, float]) -> dict:
+    """Sup |y1 - d*y0| over band x [0,1) on a 256 x 128 grid, with a divergence diagnostic.
 
     The divergence flag is a heuristic: the same supremum is re-measured
     over six margins shrinking toward the boundary; monotone unbounded
@@ -216,8 +216,8 @@ def displacement_bound(m: AnnulusMapLift, band: tuple[float, float],
     a, b = check_band(band, "band")
 
     def sup_on(lo, hi):
-        xs = np.linspace(lo, hi, grid[0])
-        ys = np.linspace(0.0, 1.0, grid[1], endpoint=False)
+        xs = np.linspace(lo, hi, 256)
+        ys = np.linspace(0.0, 1.0, 128, endpoint=False)
         xg, yg = np.meshgrid(xs, ys, indexing="ij")
         disp = np.asarray(m.fiber(xg, yg)) - m.degree * yg
         return float(np.max(np.abs(disp)))

@@ -132,12 +132,11 @@ def find_periodic_points(m: LiftedCircleMap, n: int, tol: float = 1e-9,
     return list(zip(kept, _minimal_periods(m, np.array(kept), n).tolist()))
 
 
-def _minimal_periods(m: LiftedCircleMap, x: np.ndarray, n: int,
-                     period_tol: float = 1e-6) -> np.ndarray:
-    """Least p in 1..n with F^p(x) = x mod 1 within period_tol, per point; n if none."""
+def _minimal_periods(m: LiftedCircleMap, x: np.ndarray, n: int) -> np.ndarray:
+    """Least p in 1..n with F^p(x) = x mod 1 within 1e-6, per point; n if none."""
     period = np.zeros(x.size, dtype=np.int64)
     y = x
     for p in range(1, n + 1):
         y = m(y)
-        period[(period == 0) & (circle_dist(y, x) <= period_tol)] = p
+        period[(period == 0) & (circle_dist(y, x) <= 1e-6)] = p
     return np.where(period == 0, n, period)

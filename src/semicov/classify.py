@@ -208,7 +208,7 @@ class IntervalSignature:
 
 
 def interval_signature(m: LiftedCircleMap, interval: tuple[float, float],
-                       period: int, tol: float = 1e-9) -> IntervalSignature:
+                       period: int) -> IntervalSignature:
     """Signature of F^period restricted to a period-invariant interval.
 
     Fixed points are located by sign-change bisection on a widened window;
@@ -217,6 +217,7 @@ def interval_signature(m: LiftedCircleMap, interval: tuple[float, float],
     that bias reaches the scale of the return map's own displacement the
     signature is reported unresolved rather than guessed.
     """
+    tol = 1e-9                          # the fixed-point tolerance
     a, b = float(interval[0]), float(interval[1])
     width = b - a
     if not 0.0 < width < 1.0:
@@ -300,33 +301,28 @@ class ClassificationData:
     degree: int
     records: list[PlateauRecord]
     grid: int
-    tol: float
-    plateau_tol: float
-    max_period: int
 
 
-def classification_data(m: LiftedCircleMap, tol: float = 1e-8,
-                        plateau_tol: float | None = None, max_period: int = 16,
-                        max_depth: int = 24, angle_tol: float = 5e-4,
+def classification_data(m: LiftedCircleMap, tol: float = 1e-8, max_period: int = 16,
                         h: SemiconjugacyField1D | None = None) -> ClassificationData:
     """Degree plus plateau-image records with periodic-interval signatures.
 
+    Plateaus are the runs on which H varies by at most 2/N, N its grid.
     Measured plateau images are snapped to the nearest eventually-periodic
-    angle before orbit classification (direct iteration of a measured
-    float would amplify its error by |d| per step).  Non-periodic records
-    carry the identity class.
+    angle within 5e-4, preperiod at most 24, before orbit classification
+    (direct iteration of a measured float would amplify its error by |d|
+    per step).  Non-periodic records carry the identity class.
     """
     if not m.is_covering:
         raise NotACovering("classification needs a covering map")
     if h is None:
         h = solve_semiconjugacy(m, 1, tol)
-    if plateau_tol is None:
-        plateau_tol = 2.0 / h.grid
+    plateau_tol = 2.0 / h.grid
     plateaus = plateau_set(h, plateau_tol)
     measured = np.array([float(frac(h(0.5 * (a + b)))) for (a, b) in plateaus])
     records = []
     for (a, b), theta in zip(plateaus, measured):
-        snapped = snap_structured_angle(theta, m.degree, angle_tol, max_period, max_depth)
+        snapped = snap_structured_angle(theta, m.degree, 5e-4, max_period)
         if snapped is not None and not _orbit_corroborated(snapped, m.degree, measured,
                                                           max(2.0 * plateau_tol, 1e-3)):
             # plateau images are plateaus; a snap whose exact forward orbit
@@ -336,11 +332,11 @@ def classification_data(m: LiftedCircleMap, tol: float = 1e-8,
             cls = PointClass("wandering", depth_limited=True)
             angle = theta
         else:
-            cls = classify_circle_point(snapped, m.degree, max_period, max_depth)
+            cls = classify_circle_point(snapped, m.degree, max_period)
             angle = float(snapped)
         if cls.kind == "periodic":
             try:
-                sig = interval_signature(m, (a, b), cls.period, tol=1e-9)
+                sig = interval_signature(m, (a, b), cls.period)
             except NotInvariant:
                 # the snapped angle's periodicity is not confirmed by the map
                 # itself; at this resolution the record cannot be trusted
@@ -351,7 +347,7 @@ def classification_data(m: LiftedCircleMap, tol: float = 1e-8,
         records.append(PlateauRecord(angle, cls.kind, cls.period, cls.preperiod,
                                      cls.depth_limited, (a, b), sig))
     records.sort(key=lambda r: r.image_angle)
-    return ClassificationData(m.degree, records, h.grid, tol, plateau_tol, max_period)
+    return ClassificationData(m.degree, records, h.grid)
 
 
 def _orbit_corroborated(theta: Fraction, d: int, measured_angles: np.ndarray,
@@ -566,8 +562,7 @@ def _orbit_atoms(d: int, specs: list[Insertion], min_len: float, depth: int, for
     return L, atoms, closing
 
 
-def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12,
-            forward_cap: int = 64) -> LiftedCircleMap:
+def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12) -> LiftedCircleMap:
     """Degree-d covering whose semiconjugacy collapses the inserted intervals.
 
     Every point of each base orbit (tail and cycle, exact rational
@@ -575,7 +570,7 @@ def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12,
     to `depth` receive lengths shrunk by 1/(2|d|) per level, pruned below
     the grid floor.  On the cycle the first-return map realizes the
     requested insert kind; all other steps are affine.  Orbits with no
-    rational return within forward_cap steps are truncated forward at
+    rational return within 64 steps are truncated forward at
     sub-grid lengths.  The first insertion's interval is centered at 0.5.
 
     The lift is assembled by masks over the grid: samples inside an atom
@@ -599,7 +594,7 @@ def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12,
         if not 0.0 < ins.length < 1.0:
             raise Overfull(f"insert length {ins.length} out of range")
 
-    L, atoms, closing = _orbit_atoms(d, specs, 0.05 / grid, depth, forward_cap)
+    L, atoms, closing = _orbit_atoms(d, specs, 0.05 / grid, depth, 64)
     total = sum(length for length, _ in atoms.values())
     if total >= 1.0:
         raise Overfull(f"total inserted length {total} >= 1")

@@ -122,13 +122,10 @@ def _preimage_block(m: AnnulusMapLift, xs: np.ndarray, heights: np.ndarray,
     return cx, w.reshape(-1, len(cx)), np.take_along_axis(offsets, order, axis=1).ravel()
 
 
-def preimage_connectors(m: AnnulusMapLift, c: ConnectorCurve,
-                        n_samples: int | None = None,
-                        margin: float | None = None) -> list[ConnectorCurve]:
+def preimage_connectors(m: AnnulusMapLift, c: ConnectorCurve) -> list[ConnectorCurve]:
     """The |d| preimage curves of a graph connector, sorted by height (see _preimage_block)."""
-    margin = c.margin if margin is None else margin
-    xs, hs, offsets = _preimage_block(m, c.xs, c.heights[None, :], margin, n_samples)
-    return [ConnectorCurve(xs.copy(), h, margin, metadata={"offset": int(k)})
+    xs, hs, offsets = _preimage_block(m, c.xs, c.heights[None, :], c.margin)
+    return [ConnectorCurve(xs.copy(), h, c.margin, metadata={"offset": int(k)})
             for h, k in zip(hs, offsets)]
 
 
@@ -140,8 +137,8 @@ def connector_image(m: AnnulusMapLift, c: ConnectorCurve) -> ConnectorCurve:
     return ConnectorCurve(bx, np.asarray(m.fiber(c.xs, c.heights)), c.margin)
 
 
-def is_free(m: AnnulusMapLift, c: ConnectorCurve, tol: float = 1e-6) -> bool:
-    """True iff the image stays off the curve over the overlapping range.
+def is_free(m: AnnulusMapLift, c: ConnectorCurve) -> bool:
+    """True iff the image stays more than 1e-6 off the curve over the overlapping range.
 
     Distances are measured on the circle fiber (mod 1) at equal base
     positions; an empty overlap counts as free.
@@ -153,14 +150,13 @@ def is_free(m: AnnulusMapLift, c: ConnectorCurve, tol: float = 1e-6) -> bool:
         return True
     xs = np.linspace(lo, hi, max(len(c.xs), 256))
     gap = circle_dist(img.height_at(xs), c.height_at(xs))
-    return float(np.min(gap)) > tol
+    return float(np.min(gap)) > 1e-6
 
 
 def invariant_connector_from_arc(m: AnnulusMapLift, p: tuple[float, float],
                                  n_back: int = 6, n_fwd: int = 10,
-                                 samples_per_arc: int = 200,
                                  margin: float = 1e-3) -> ConnectorCurve:
-    """Invariant connector built from an arc joining p to F(p).
+    """Invariant connector built from an arc of 200 samples joining p to F(p).
 
     The base coordinate must strictly increase along the orbit of p.  The
     arc is iterated forward n_fwd times; backward pieces are inverse
@@ -172,7 +168,7 @@ def invariant_connector_from_arc(m: AnnulusMapLift, p: tuple[float, float],
     fx, fy = m(x_p, y_p)
     if fx <= x_p + 1e-12:
         raise NotMonotoneBase(f"base must move {x_p} strictly right, got {fx}")
-    ts = np.linspace(0.0, 1.0, samples_per_arc)
+    ts = np.linspace(0.0, 1.0, 200)
     pieces = [(x_p + (fx - x_p) * ts, y_p + (fy - y_p) * ts)]
 
     cur = pieces[0]
@@ -246,7 +242,7 @@ def _check_expansion(m: AnnulusMapLift, margin: float) -> float:
 
 
 def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve, depth: int = 10,
-                         n_samples: int = 1024, tol: float = 1e-6) -> list[ConnectorCurve]:
+                         n_samples: int = 1024) -> list[ConnectorCurve]:
     """|d-1| repelling connectors from a free connector, to finite depth.
 
     For d > 1: the |d| preimage curves of the free connector cut the
@@ -262,19 +258,18 @@ def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve, depth: int = 10,
     margin = c.margin
     _require_window_invariant(m, margin)
     lam = _check_expansion(m, margin)
-    if not is_free(m, c, tol):
+    if not is_free(m, c):
         raise NotFree("connector meets its image")
     reps = _nest(m, c, depth, n_samples, first_only=m.degree < 0)
     if m.degree < 0:
-        reps += _nest(m, reps[0], depth, n_samples, skip=False, refine=True)
+        reps += _nest(m, reps[0], depth, n_samples, invariant=True)
     for r in reps:
         r.metadata["fiber_expansion"] = lam
     return reps
 
 
 def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
-          skip: bool = True, refine: bool = False,
-          first_only: bool = False) -> list[ConnectorCurve]:
+          invariant: bool = False, first_only: bool = False) -> list[ConnectorCurve]:
     """Nest the gaps between consecutive preimage curves of c, all gaps at once.
 
     Gap k lies between the preimage curves lower[k] and upper[k] = lower[k+1]
@@ -282,10 +277,10 @@ def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
     every row of cur by its unique preimage inside its own gap, whose branch
     offset is read off the side curve (lower for d > 0, upper for d < 0),
     since consecutive preimage curves differ by one period in the fiber
-    image.  skip drops the gap holding c; refine starts the two gaps
-    adjacent to c (which c, being invariant, bounds) from the midline of
-    the strip between the preimages of their boundaries.  first_only nests
-    only the first gap kept.
+    image.  A free c's gap is dropped; for an invariant c, which bounds the
+    two gaps adjacent to it, those gaps start from the midline of the strip
+    between the preimages of their boundaries and no gap is dropped.
+    first_only nests only the first gap kept.
     """
     margin = c.margin
     px, ph, _ = _preimage_block(m, c.xs, c.heights[None, :], margin, n_samples)
@@ -300,10 +295,10 @@ def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
 
     cc = c.height_at(xs)
     u = cc + np.ceil(lower[0] - cc)                 # representative inside the stack
-    k0 = int(np.median(np.sum(np.vstack([lower, upper[-1:]]) <= u, axis=0) - 1)) if skip else -1
+    k0 = -1 if invariant else int(np.median(np.sum(np.vstack([lower, upper[-1:]]) <= u, 0) - 1))
     side = np.asarray(m.fiber(xs, lower if m.degree > 0 else upper))
     cur = 0.5 * (lower + upper)
-    if refine:    # the gaps on either side of the preimage curve closest to c
+    if invariant:    # the gaps on either side of the preimage curve closest to c
         j = int(np.argmin(np.min([np.max(np.abs(lower - cc - t), axis=1) for t in (-1, 0, 1)],
                                  axis=0)))
         r = [(j - 1) % len(lower), j]
@@ -391,7 +386,8 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
     rows below y = 1, O((C + ny) log C) per column; the row y = 1 is row
     y = 0 plus one.  metadata["level_curves"] counts curves per level,
     seeds first, and metadata["dropped_blocks"] the blocks whose
-    preimages left the margins.
+    preimages left the margins.  The residual sup |H(F(p)) - d H(p)| mod 1 runs
+    over the nodes p whose image stays in the band, H(p) read from the stored values.
 
     Raises ValidationError for nx < 2, ny < 1, depth < 0, a band outside
     0 < a < b < 1 or no seeds.
@@ -447,13 +443,11 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
                         metadata={"depth": depth, "curves": len(vals),
                                   "coding": "repeller-preimage", "dropped_blocks": dropped,
                                   "level_curves": [sum(len(b[1]) for b in lv) for lv in levels]})
-    # residual measured where the image stays in the band
-    xg, yg = np.meshgrid(xs, ys[:-1], indexing="ij")
-    fx, fy = m(xg, yg)
+    fx, fy = m(*np.meshgrid(xs, ys[:-1], indexing="ij"))
     ok = (fx >= band[0]) & (fx <= band[1])
     if ok.any():
         hv = field(np.clip(fx, band[0], band[1]), fy)
-        res = np.abs(frac(hv - d * field(xg, yg) + 0.5) - 0.5)
+        res = np.abs(frac(hv - d * values[:, :-1] + 0.5) - 0.5)
         field.residual = float(np.max(res[ok]))
     field.deviation_bound = float(np.max(np.abs(values - ys[None, :])))
     return field

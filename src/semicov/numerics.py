@@ -22,8 +22,8 @@ def circle_dist(a, b):
     return np.minimum(d, 1.0 - d)
 
 
-def bisect_brackets(fn, lo, hi, xtol=1e-13, max_iter=200):
-    """Bisect sign-changing brackets [lo, hi] in parallel.
+def bisect_brackets(fn, lo, hi, xtol=1e-13):
+    """Bisect sign-changing brackets [lo, hi] in parallel, at most 200 steps.
 
     fn must be vectorized; each bracket must satisfy fn(lo)*fn(hi) <= 0.
     Returns the midpoints of the final brackets.
@@ -31,7 +31,7 @@ def bisect_brackets(fn, lo, hi, xtol=1e-13, max_iter=200):
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
     flo = np.asarray(fn(lo), dtype=float)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = np.asarray(fn(mid), dtype=float)
         same = (flo <= 0) == (fm <= 0)

@@ -10,12 +10,13 @@ grow without bound, so no single constant can work for them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .annulus import AnnulusMapLift
-from .errors import BranchAmbiguity, EndpointOutsideK, FiberNotMonotone, OutOfDomain
+from .errors import (BranchAmbiguity, EndpointOutsideK, FiberNotMonotone, OutOfDomain,
+                     ValidationError)
 from .semiconj2d import BandField2D
 
 
@@ -45,10 +46,8 @@ class WindingRecord:
 @dataclass(eq=False)
 class WindingReport:
     band: tuple[float, float]
-    loop: FiberLoop
     records: list[WindingRecord]
     deviation_bound: float | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def max_winding(self) -> int:
@@ -97,14 +96,15 @@ def _composite_fiber(m: AnnulusMapLift, x_start: float, n: int):
 
 def lift_loop_winding(m: AnnulusMapLift, loop: FiberLoop, n: int, j: int,
                       start: tuple[float, float], band: tuple[float, float],
-                      tol: float = 1e-9, path_samples: int = 0) -> WindingRecord:
+                      path_samples: int = 0) -> WindingRecord:
     """Lift the j-fold loop through n iterates from a preimage start point.
 
     For skew products the lift is the unique monotone fiber solution
     beta(t) with G_n(beta(t)) = G_n(start) + j*t, so no branch continuation
     ambiguity arises.  The winding against the reference connector at
     angle 0 is the count of integer heights crossed, reported as the floor
-    difference of the endpoint heights.
+    difference of the endpoint heights; an endpoint within 1e-8 of an
+    integer height is flagged ambiguous.
     """
     lo_slope, _ = m.fiber.slope_range(np.array([start[0]]))
     if lo_slope <= 0:
@@ -123,7 +123,7 @@ def lift_loop_winding(m: AnnulusMapLift, loop: FiberLoop, n: int, j: int,
     g0 = float(forward(y0))
     end = float(inverse(g0 + j))
     winding = abs(int(np.floor(end)) - int(np.floor(y0)))
-    amb = min(abs(end - round(end)), abs(y0 - round(y0))) < 10 * tol
+    amb = min(abs(end - round(end)), abs(y0 - round(y0))) < 1e-8
     path = None
     if path_samples:
         ts = np.linspace(0.0, 1.0, path_samples)
@@ -132,20 +132,17 @@ def lift_loop_winding(m: AnnulusMapLift, loop: FiberLoop, n: int, j: int,
 
 
 def star_condition_scan(m: AnnulusMapLift, band: tuple[float, float], n_max: int,
-                        base_angle: float = 0.25, x_anchor: float | None = None,
-                        h_field: BandField2D | None = None,
-                        tol: float = 1e-9) -> WindingReport:
+                        h_field: BandField2D | None = None) -> WindingReport:
     """Measure windings over n <= n_max, systematic j, all preimage branches.
 
-    For each n the loop is taken in the fiber over the n-th base image of
-    the anchor column, so every lift endpoint lies exactly on the anchor
-    column inside the band.  j ranges over {1, ceil(d^(n-1)/2), d^(n-1)}.
-    When a semiconjugacy field is supplied, its deviation bound M on the
-    band is recorded together with the implied winding bound 2M+1.
+    For each n the loop, at angle 1/4, is taken in the fiber over the n-th
+    base image of the anchor column at the band's midpoint, so every lift
+    endpoint lies exactly on the anchor column inside the band.  j ranges
+    over {1, ceil(d^(n-1)/2), d^(n-1)}.  When a semiconjugacy field is
+    supplied, its deviation bound M on the band is recorded together with
+    the implied winding bound 2M+1.
     """
-    a, b = band
-    if x_anchor is None:
-        x_anchor = 0.5 * (a + b)
+    base_angle, x_anchor = 0.25, 0.5 * (band[0] + band[1])
     d = abs(m.degree)
     records: list[WindingRecord] = []
     for n in range(1, n_max + 1):
@@ -163,22 +160,20 @@ def star_condition_scan(m: AnnulusMapLift, band: tuple[float, float], n_max: int
         for j in js:
             for y0 in starts:
                 records.append(lift_loop_winding(
-                    m, loop, n, j, (x_anchor, float(y0)), band, tol))
-    report = WindingReport(band, FiberLoop(x_anchor, base_angle), records)
+                    m, loop, n, j, (x_anchor, float(y0)), band))
+    report = WindingReport(band, records)
     if h_field is not None:
         report.deviation_bound = measure_deviation_bound(h_field, band)
-    report.meta.update({"n_max": n_max, "x_anchor": x_anchor})
     return report
 
 
-def measure_deviation_bound(h: BandField2D, band: tuple[float, float],
-                            nx: int = 64, ny: int = 128) -> float:
-    """Sup |H(x,y) - y| over the band, sampled on a grid."""
+def measure_deviation_bound(h: BandField2D, band: tuple[float, float]) -> float:
+    """Sup |H(x,y) - y| over the band, sampled on a 64 x 128 grid."""
     a = max(band[0], h.band[0])
     b = min(band[1], h.band[1])
     if b <= a:
         raise OutOfDomain(f"band {band} does not meet field band {h.band}")
-    xg, yg = np.meshgrid(np.linspace(a, b, nx), np.linspace(0.0, 1.0, ny),
+    xg, yg = np.meshgrid(np.linspace(a, b, 64), np.linspace(0.0, 1.0, 128),
                          indexing="ij")
     return float(np.max(np.abs(h(xg, yg) - h.orientation * yg)))
 
@@ -256,6 +251,8 @@ def counterexample_growth_table(n_max: int) -> list[dict]:
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    if n_max > 47:                      # y_prime_height n + 2^-n rounds to n from n = 48 on
+        raise ValidationError(f"nmax must be at most 47 (n + 2^-n == n from 48 on), got {n_max}")
     rows = []
     for n in range(2, n_max + 1):
         model = band_model(n)

@@ -136,14 +136,13 @@ def solve_bounded_semiconjugacy(m: AnnulusMapLift, truncation: tuple[float, floa
                           f"below {tol} after {max_widenings} widenings")
 
 
-def check_fiber_surjectivity(h: BandField2D, x_level: float, max_gap: float = 0.01,
-                             n_y: int = 2048) -> bool:
-    """True iff the values h(x_level, .) mod 1 leave no circular gap > max_gap."""
+def check_fiber_surjectivity(h: BandField2D, x_level: float, max_gap: float = 0.01) -> bool:
+    """True iff h(x_level, .) mod 1 at 2048 angles leaves no circular gap > max_gap."""
     a, b = h.band
     if not a - 1e-12 <= x_level <= b + 1e-12:
         raise OutOfDomain(f"level {x_level} outside band [{a}, {b}]")
-    ys = np.linspace(0.0, 1.0, n_y, endpoint=False)
-    vals = h(np.full(n_y, float(np.clip(x_level, a, b))), ys)
+    ys = np.linspace(0.0, 1.0, 2048, endpoint=False)
+    vals = h(np.full_like(ys, float(np.clip(x_level, a, b))), ys)
     return max_circular_gap(vals) <= max_gap
 
 

@@ -11,7 +11,7 @@ neighborhood of the squaring map is a single conjugacy class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,22 +86,24 @@ class RadialProfile:
         return v if v.ndim else float(v)
 
 
-def radial_rho(eps: EpsilonSpec, samples_per_band: int = 512,
-               x_min: float = 1e-12) -> RadialProfile:
-    """Angular window profile: 2*rho < eps at its samples, rho(x^2) < rho(x).
+def radial_rho(eps: EpsilonSpec) -> RadialProfile:
+    """Angular window profile on [1e-12, 1): 2*rho < eps at its samples, rho(x^2) < rho(x).
 
     rho is linear in log x between samples and eps need not be, so 2*rho can
     pass a steep eps there (edge_poly power 25: 1.098 eps near x = 0.9992);
     verify_perturbation's sup_ratio is what measures g against eps.
 
     Built band by band over the fundamental domains [x^2, x] of the
-    squaring map, from [1/4, 1/2] inward: edge values shrink by a fixed
-    factor, and band interiors take the minimum of the eps cap, a bridge
-    between the edge values, and a strict fraction of rho at sqrt(x).
+    squaring map, 512 samples each, from [1/4, 1/2] inward: edge values
+    shrink by a fixed factor, and band interiors take the minimum of the
+    eps cap, a bridge between the edge values, and a strict fraction of
+    rho at sqrt(x).
     The edge values never touch the other caps at the seams, so the
     profile is continuous.  eps must be positive and finite at every
     sampled radius (BadParams otherwise).
     """
+    samples_per_band, x_min = 512, 1e-12
+
     def cap(x):
         with np.errstate(over="ignore"):
             e = np.asarray(eps(x))
@@ -145,17 +147,16 @@ class PerturbationSpec:
     delta: float
     rho: RadialProfile
     g: AnnulusMapLift
-    meta: dict = field(default_factory=dict)
 
 
-def perturb_p2(eps: EpsilonSpec, x_min: float = 1e-12) -> PerturbationSpec:
+def perturb_p2(eps: EpsilonSpec) -> PerturbationSpec:
     """The perturbed covering g(x e^{it}) = x^2 e^{i phi_{rho(x), rho(x^2)}(t)}.
 
     g equals the squaring map wherever |t| > 2 rho(x).  The fiber lift
     applies the bump on the wrapped fundamental angle (-pi, pi], which
     glues to a degree-2 lift because phi(t) = 2t near the seam.
     """
-    rho = radial_rho(eps, x_min=x_min)
+    rho = radial_rho(eps)
 
     def fiber_fn(x, y):
         x = np.asarray(x, dtype=float)
@@ -167,7 +168,7 @@ def perturb_p2(eps: EpsilonSpec, x_min: float = 1e-12) -> PerturbationSpec:
     fiber = FiberMap(2, fn=fiber_fn)
     g = make_skew_product(BaseMap("power", (2.0,)), fiber,
                           metadata={"family": "perturbed-squaring"})
-    eps_sup = float(np.max(eps(np.linspace(max(x_min, 1e-6), 1.0, 4096, endpoint=False))))
+    eps_sup = float(np.max(eps(np.linspace(1e-6, 1.0, 4096, endpoint=False))))
     delta = max(1e-3, 1.1 * eps_sup)
     return PerturbationSpec(eps, delta, rho, g)
 

@@ -269,6 +269,9 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
     (["counterexample-table", "--nmax", "3", "--out", ""], "FileNotFoundError"),
     # a table length beyond the size limit, which used to exit 1 with a ValueError traceback
     ["counterexample-table", "--nmax", "16777217"],
+    # table lengths within the size limit whose last model no longer verifies (n + 2^-n == n)
+    ["counterexample-table", "--nmax", "48"],
+    ["counterexample-table", "--nmax", "16777216"],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     argv, error = argv if isinstance(argv, tuple) else (argv, "ValidationError")

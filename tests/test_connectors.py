@@ -12,7 +12,7 @@ from semicov.connectors import (ConnectorCurve, _check_expansion, _code_column, 
                                 semiconjugacy_from_repellers)
 from semicov.errors import (NoExpansion, NotFree, NotMonotoneBase, OutOfDomain,
                            ValidationError)
-from semicov.numerics import circle_dist
+from semicov.numerics import circle_dist, frac
 from semicov.semiconj1d import self_conjugacies
 from semicov.semiconj2d import solve_band_semiconjugacy
 
@@ -432,6 +432,32 @@ def test_coded_field_matches_loop_bit_for_bit(name, monkeypatch):
     ys = np.linspace(0.0, 1.0, field.values.shape[1])
     want = np.array([loop_column(hs, vs, ys[:-1]) for hs, vs, _ in columns])
     assert np.array_equal(field.values[:, :-1], want)
+
+
+def gathered_residual(m, field):
+    """The residual as first measured, with d H at the nodes read back through
+    the field's bilinear gather instead of from the stored values."""
+    band, d = field.band, m.degree
+    xg, yg = np.meshgrid(field.x_samples, np.linspace(0.0, 1.0, field.ny + 1)[:-1],
+                         indexing="ij")
+    fx, fy = m(xg, yg)
+    ok = (fx >= band[0]) & (fx <= band[1])
+    res = np.abs(frac(field(np.clip(fx, *band), fy) - d * field(xg, yg) + 0.5) - 0.5)
+    return float(np.max(res[ok])), float(np.max(np.abs(field(xg, yg) - field.values[:, :-1])))
+
+
+@pytest.mark.parametrize("band, nx, ny", [((0.2, 0.8), 65, 128), ((0.23, 0.71), 37, 100)])
+@pytest.mark.parametrize("d, depth", [(2, 10), (3, 5), (-2, 6)])
+def test_coded_residual_reads_the_stored_node_values(d, depth, band, nx, ny):
+    # the gather returns the stored value at a node up to rounding, which only a
+    # non-dyadic band shows; the residual moves by at most d times that
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.9)), FiberMap(d))
+    reps = repelling_connectors(m, constant_connector(0.25 / abs(d - 1)), depth=10)
+    field = semiconjugacy_from_repellers(m, reps, depth=depth, band=band, nx=nx, ny=ny)
+    want, node_gap = gathered_residual(m, field)
+    assert abs(field.residual - want) <= abs(d) * node_gap
+    if band == (0.2, 0.8):                  # the annulus-coding fields: exact nodes
+        assert node_gap == 0.0 and field.residual == want
 
 
 def _dyadic_copies(rng):

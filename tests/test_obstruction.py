@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semicov.connectors import invariant_connector_from_arc, semiconjugacy_from_connectors
-from semicov.errors import BranchAmbiguity, EndpointOutsideK
+from semicov.errors import BranchAmbiguity, EndpointOutsideK, ValidationError
 from semicov.obstruction import (BandModel, FiberLoop, band_model,
                                  counterexample_growth_table, lift_loop_winding,
                                  measure_deviation_bound, star_condition_scan)
@@ -107,3 +107,12 @@ def test_growth_table():
 def test_growth_table_requires_two():
     with pytest.raises(ValueError):
         counterexample_growth_table(1)
+
+
+def test_band_model_holds_up_to_47_only():
+    assert band_model(47).y_prime_height > 47
+    with pytest.raises(ValueError, match="above height n"):
+        band_model(48)                          # 48 + 2^-48 rounds to 48
+    assert len(counterexample_growth_table(47)) == 46
+    with pytest.raises(ValidationError, match="at most 47.*got 48"):
+        counterexample_growth_table(48)
