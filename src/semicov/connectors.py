@@ -80,9 +80,10 @@ def _interp_rows(x, xp, fp):
     """
     j = np.searchsorted(xp, x, side="right") - 1
     jc = np.clip(j, 0, len(xp) - 2)
-    v = (fp[..., jc + 1] - fp[..., jc]) / (xp[jc + 1] - xp[jc]) * (x - xp[jc]) + fp[..., jc]
+    lo = fp.take(jc, axis=-1)
+    v = (fp.take(jc + 1, axis=-1) - lo) / (xp[jc + 1] - xp[jc]) * (x - xp[jc]) + lo
     node = (j < 0) | (j == len(xp) - 1) | (xp[jc] == x)
-    return np.where(node, fp[..., np.clip(j, 0, len(xp) - 1)], v)
+    return np.where(node, fp.take(np.clip(j, 0, len(xp) - 1), axis=-1), v)
 
 
 def _preimage_block(m: AnnulusMapLift, xs: np.ndarray, heights: np.ndarray,

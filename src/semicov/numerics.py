@@ -60,7 +60,7 @@ def sign_changes(values):
 
 
 def periodic_plan(x, grid: int, period):
-    """Plan (i, 1-w, w, k*period) for periodic_gather; rejects NaN and inf.
+    """Plan (i, w, k*period) for periodic_gather; rejects NaN and inf.
 
     The piecewise-linear function on the uniform grid of [0, 1] is extended
     by f(x + k) = f(x) + k*period.
@@ -71,35 +71,34 @@ def periodic_plan(x, grid: int, period):
     k = np.floor(x)
     pos = (x - k) * grid
     i = np.minimum(pos.astype(np.int64), grid - 1)
-    w = pos - i
-    return i, 1.0 - w, w, k * period
+    return i, pos - i, k * period
 
 
 def periodic_gather(samples, plan):
     """Values samples[i]*(1-w) + samples[i+1]*w + k*period of a periodic plan."""
-    i, ow, w, shift = plan
-    return samples.take(i) * ow + samples[1:].take(i) * w + shift
-
-
-def plan_rows(plan, rows):
-    """The plan of the points in rows (a slice of the leading axis); scalars stay whole."""
-    return tuple(p[rows] if isinstance(p, np.ndarray) else p for p in plan)
+    i, w, shift = plan
+    out = samples.take(i)
+    out *= 1.0 - w
+    upper = samples[1:].take(i)
+    upper *= w
+    out += upper
+    out += shift
+    return out
 
 
 def band_plan(x, y, band: tuple[float, float], nx: int, ny: int, period):
     """Bilinear plan on the (nx+1) x (ny+1) nodes of band x [0, 1]; x clipped, y periodic.
 
-    Returns (idx, s, 1-wx, wx, 1-wy, wy, shift): idx = i*s + j is the flat
-    index of each point's lower-left node in the row-major values, s = ny + 1
-    the row stride.  Needs nx >= 1.
+    Returns (idx, s, wx, wy, shift): idx = i*s + j is the flat index of each
+    point's lower-left node in the row-major values, s = ny + 1 the row
+    stride.  Needs nx >= 1.
     """
     a, b = band
     px = np.clip((np.asarray(x, dtype=float) - a) / (b - a) * nx, 0.0, nx)
     i = np.minimum(px.astype(np.int64), nx - 1)
-    wx = px - i
-    j, oy, wy, shift = periodic_plan(y, ny, period)
+    j, wy, shift = periodic_plan(y, ny, period)
     s = ny + 1
-    return i * s + j, s, 1.0 - wx, wx, oy, wy, shift
+    return i * s + j, s, px - i, wy, shift
 
 
 def band_gather(values, plan):
@@ -108,13 +107,15 @@ def band_gather(values, plan):
     The corners (i, j), (i+1, j), (i, j+1) and (i+1, j+1) are the flat index
     taken from views of values.ravel() offset by 0, s, 1 and s + 1.
     """
-    idx, s, ox, wx, oy, wy, shift = plan
+    idx, s, wx, wy, shift = plan
+    ox, oy = 1.0 - wx, 1.0 - wy
     v = np.asarray(values, dtype=float).ravel()
     out = v.take(idx)
     out *= ox
     out *= oy
+    term = np.empty_like(out)
     for offset, wa, wb in ((s, wx, oy), (1, ox, wy), (s + 1, wx, wy)):
-        term = v[offset:].take(idx)
+        v[offset:].take(idx, out=term, mode="clip")     # every corner is in range
         term *= wa
         term *= wb
         out += term
@@ -122,56 +123,76 @@ def band_gather(values, plan):
     return out
 
 
-def contract(step, start, degree: int, orientation: int, tol: float,
+@contextlib.contextmanager
+def blocked(shape):
+    """Yield sweep(task, *per_block) over blocks of about BLOCK points of shape's leading axis.
+
+    sweep calls task(rows, *(a[k] for a in per_block)) for each block k, a
+    slice of the leading axis, on a thread per usable CPU, and returns the
+    results in block order; it raises what a task raised.  With one block or
+    one CPU the tasks run inline.
+    """
+    per_block = max(1, BLOCK * shape[0] // max(1, int(np.prod(shape))))
+    blocks = [slice(a, a + per_block) for a in range(0, shape[0], per_block)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(blocks))
+    from concurrent.futures import ThreadPoolExecutor    # imported here: it takes ~6 ms
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        def sweep(task, *per_block):
+            out = [None] * len(blocks)
+
+            def run(first):                              # static stripes, one per worker
+                for k in range(first, len(blocks), workers):
+                    out[k] = task(blocks[k], *(a[k] for a in per_block))
+            list((pool.map if pool else map)(run, range(workers)))
+            return out
+        yield sweep
+
+
+def contract(plan, lift, start, degree: int, orientation: int, tol: float,
              max_iter: int | None = None):
     """Iterate T(H) = lifted(H) / degree from start, gluing H[..., -1] = H[..., 0] + orientation.
 
-    step(H) returns rows -> lifted(H)[rows], a new array that contract may overwrite;
-    blocks of BLOCK points run on a thread per CPU.
+    plan(rows) builds the plan of a block of leading-axis rows, once per
+    block of ``blocked``, in its pool; lift(H) returns p -> lifted(H) on the
+    rows of block plan p, a new array that contract may overwrite.
     Stops once a step is at most tol*(1 - 1/|degree|), which bounds the
     distance to the fixed point by tol; max_iter defaults to twice the steps
     a 1/|degree| contraction needs, plus 60.  Returns (H, iterations,
-    converged, residual): one more sweep measures residual = sup |lifted(H) -
-    degree*H| of the H returned over its body, every node but the glued one.
+    converged, defect): one more sweep measures |lifted(H) - degree*H| of the
+    H returned over its body, every node but the glued one, and defect holds
+    its maximum per leading index of the body.
     """
     ad = abs(degree)
     if max_iter is None:
         max_iter = 2 * int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad))) + 60
     stop = tol * (1.0 - 1.0 / ad)
-    per_block = max(1, BLOCK * len(start) // start.size)
-    blocks = [slice(a, a + per_block) for a in range(0, len(start), per_block)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(blocks))
-    maxima = np.empty(len(blocks) + 1)          # per block, then the glued column
-    from concurrent.futures import ThreadPoolExecutor    # imported here: it takes ~6 ms
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        def sweep(task):                                 # one task per worker: task(block)
-            def run(first):
-                for k in range(first, len(blocks), workers):
-                    maxima[k] = task(blocks[k])
-            list((pool.map if pool else map)(run, range(workers)))    # raises what a task raised
-
+    with blocked(start.shape) as sweep:
+        plans = sweep(plan)
         cur, it, converged = start, max_iter, False
         for it in range(1, max_iter + 1):
-            lifted, new = step(cur), np.empty(cur.shape)
+            lifted, new = lift(cur), np.empty(cur.shape)
             body, old = new[..., :-1], cur[..., :-1]    # the glued column is measured once glued
 
-            def advance(rows):
-                np.divide(lifted(rows), degree, out=new[rows])
-                return np.abs(body[rows] - old[rows]).max(initial=0.0)
-            sweep(advance)
+            def advance(rows, p):
+                np.divide(lifted(p), degree, out=new[rows])
+                change = np.subtract(body[rows], old[rows])
+                return np.abs(change, out=change).max(initial=0.0)
+            changes = sweep(advance, plans)
             new[..., -1] = new[..., 0] + orientation
-            maxima[-1] = np.abs(new[..., -1] - cur[..., -1]).max()
+            changes.append(np.abs(new[..., -1] - cur[..., -1]).max())
             cur = new
-            if maxima.max() <= stop:
+            if np.max(changes) <= stop:
                 converged = True
                 break
-        lifted, body = step(cur), cur[..., :-1]
+        lifted, body = lift(cur), cur[..., :-1]
+        defect = np.empty(len(body))
 
-        def defect(rows):                        # in 1D the last block's body is one node short
+        def measure(rows, p):                    # in 1D the last block's body is one node short
             h = body[rows]
-            r = lifted(rows)[..., :h.shape[-1]]
+            r = lifted(p)[..., :h.shape[-1]]
             np.subtract(r, degree * h, out=r)
-            return np.abs(r, out=r).max(initial=0.0)
-        sweep(defect)
-    return cur, it, converged, float(maxima[:-1].max())
+            np.max(np.abs(r, out=r), axis=tuple(range(1, r.ndim)), initial=0.0,
+                   out=defect[rows])
+        sweep(measure, plans)
+    return cur, it, converged, defect

@@ -14,7 +14,7 @@ import numpy as np
 
 from .circle import LiftedCircleMap
 from .errors import DegreeMismatch, MaxIterExceeded
-from .numerics import contract, frac, periodic_gather, periodic_plan, plan_rows
+from .numerics import contract, frac, periodic_gather, periodic_plan
 
 
 @dataclass(eq=False)
@@ -55,15 +55,20 @@ def contraction_step(h: SemiconjugacyField1D, m: LiftedCircleMap) -> Semiconjuga
     """
     if h.degree != m.degree:
         raise DegreeMismatch(f"field degree {h.degree} vs map degree {m.degree}")
-    new, _, _, residual = contract(_pullback(m, h.grid, h.orientation), h.samples, m.degree,
-                                   h.orientation, tol=0.0, max_iter=1)
-    return SemiconjugacyField1D(new, h.orientation, h.degree, residual)
+    new, _, _, defect = contract(_pullback(m, h.grid, h.orientation), _gather, h.samples,
+                                 m.degree, h.orientation, tol=0.0, max_iter=1)
+    return SemiconjugacyField1D(new, h.orientation, h.degree, float(defect.max()))
 
 
 def _pullback(m: LiftedCircleMap, grid: int, orientation: int):
-    """H -> (rows -> H(F(.)) on those grid nodes), gathering through a plan built once."""
-    plan = periodic_plan(m(np.linspace(0.0, 1.0, grid + 1)), grid, orientation)
-    return lambda samples: lambda rows: periodic_gather(samples, plan_rows(plan, rows))
+    """rows -> the plan that gathers H at F of those grid nodes."""
+    nodes = np.linspace(0.0, 1.0, grid + 1)
+    return lambda rows: periodic_plan(m(nodes[rows]), grid, orientation)
+
+
+def _gather(samples):
+    """p -> H(F(.)) on the nodes of plan p."""
+    return lambda p: periodic_gather(samples, p)
 
 
 def solve_semiconjugacy(m: LiftedCircleMap, orientation: int = 1,
@@ -76,11 +81,12 @@ def solve_semiconjugacy(m: LiftedCircleMap, orientation: int = 1,
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     start = orientation * np.linspace(0.0, 1.0, m.grid + 1)
-    cur, it, converged, residual = contract(_pullback(m, m.grid, orientation), start, m.degree,
-                                            orientation, tol, max_iter)
+    cur, it, converged, defect = contract(_pullback(m, m.grid, orientation), _gather, start,
+                                          m.degree, orientation, tol, max_iter)
     if not converged:
         raise MaxIterExceeded(f"no convergence to {tol} within {it} iterations")
-    return SemiconjugacyField1D(cur, orientation, m.degree, residual, tol=tol, iterations=it)
+    return SemiconjugacyField1D(cur, orientation, m.degree, float(defect.max()), tol=tol,
+                                iterations=it)
 
 
 def rotation_number(m: LiftedCircleMap, x, tol: float = 1e-10):

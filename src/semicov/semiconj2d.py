@@ -15,8 +15,8 @@ import numpy as np
 from .annulus import AnnulusMapLift, displacement_bound
 from .errors import (BandNotInvariant, DisplacementDiverges, MaxIterExceeded,
                      OutOfDomain, ValidationError)
-from .numerics import (band_gather, band_plan, circle_dist, contract, max_circular_gap,
-                       plan_rows)
+from .numerics import (band_gather, band_plan, blocked, circle_dist, contract,
+                       max_circular_gap)
 from .schema import MAX_SIZE
 
 
@@ -55,15 +55,31 @@ class BandField2D:
 
 def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int,
                orientation: int):
-    """Nodes xs, y grid, x image per row fx (nx, 1), gather plan of H at F(nodes), y image fy."""
+    """Nodes xs and ys, the base image fx of each row, and rows -> (fy, plan): the
+    fiber image of those rows and the gather plan of H at their images."""
     if nx < 2 or ny < 1 or nx * (ny + 1) > MAX_SIZE:
         raise ValidationError(f"the band grid needs nx >= 2, ny >= 1 and at most {MAX_SIZE} "
                               f"nodes, got {nx} x {ny}")
     xs = np.linspace(band[0], band[1], nx)
-    xg, yg = np.meshgrid(xs, np.linspace(0.0, 1.0, ny + 1), indexing="ij")
-    fx, fy = m(xg, yg)
-    fx = fx[:, :1].copy()                # a skew product's x image depends on the row only
-    return xs, yg, fx, band_plan(fx, fy, band, nx - 1, ny, orientation), fy
+    ys = np.linspace(0.0, 1.0, ny + 1)
+    fx = m.base(xs)                       # a skew product's x image depends on the row only
+
+    def image(rows):
+        fy = m(xs[rows, None], ys)[1]
+        return fy, band_plan(fx[rows, None], fy, band, nx - 1, ny, orientation)
+    return xs, ys, fx, image
+
+
+def _gather(values):
+    """p -> H(F(.)) on the rows of band plan p; a broadcast start is copied once, not per block."""
+    flat = values.ravel()
+    return lambda p: band_gather(flat, p)
+
+
+def _deviation(values, ys, orientation: int) -> float:
+    """sup |H(x, y) - orientation*y| over the nodes, a maximum per block of rows."""
+    with blocked(values.shape) as sweep:
+        return float(np.max(sweep(lambda rows: np.abs(values[rows] - orientation * ys).max())))
 
 
 def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
@@ -77,16 +93,16 @@ def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
     iteration step is below tol*(1 - 1/|d|).
     """
     a, b = band
-    xs, yg, fx, plan = _band_grid(m, (a, b), nx, ny, orientation)[:4]
+    xs, ys, fx, image = _band_grid(m, (a, b), nx, ny, orientation)
     if fx.min() < a - 1e-12 or fx.max() > b + 1e-12:
         raise BandNotInvariant(f"base image [{fx.min()}, {fx.max()}] leaves [{a}, {b}]")
-    cur, it, converged, residual = contract(
-        lambda v: lambda rows: band_gather(v, plan_rows(plan, rows)),
-        orientation * yg, m.degree, orientation, tol, max_iter)
+    start = np.broadcast_to(orientation * ys, (nx, ny + 1))
+    cur, it, converged, defect = contract(lambda rows: image(rows)[1], _gather, start,
+                                          m.degree, orientation, tol, max_iter)
     if not converged:
         raise MaxIterExceeded(f"no convergence to {tol} within {it} iterations")
-    return BandField2D((a, b), xs, cur, orientation, m.degree, residual=residual, tol=tol,
-                       deviation_bound=float(np.max(np.abs(cur - orientation * yg))),
+    return BandField2D((a, b), xs, cur, orientation, m.degree, residual=float(defect.max()),
+                       tol=tol, deviation_bound=_deviation(cur, ys, orientation),
                        iterations=it)
 
 
@@ -112,22 +128,25 @@ def solve_bounded_semiconjugacy(m: AnnulusMapLift, truncation: tuple[float, floa
     for k in range(max_widenings + 1):
         a = a0 * 0.5 ** k
         b = 1.0 - (1.0 - b0) * 0.5 ** k
-        xs, yg, fx, plan, fy = _band_grid(m, (a, b), nx, ny, 1)
+        xs, ys, fx, image = _band_grid(m, (a, b), nx, ny, 1)
         inside = (fx >= a) & (fx <= b)
 
-        def step(v):
-            mean = float(np.mean(v - yg))
-            return lambda rows: np.where(inside[rows], band_gather(v, plan_rows(plan, rows)),
-                                         fy[rows] + mean)
+        def plan(rows):                  # the band plan, then the closure's inputs
+            fy, p = image(rows)
+            return p, inside[rows, None], fy
 
-        cur, it, converged, residual = contract(step, yg.copy(), m.degree, 1, tol, max_iter)
-        field = BandField2D((a, b), xs, cur, 1, m.degree, residual=residual, tol=tol,
-                            deviation_bound=float(np.max(np.abs(cur - yg))), iterations=it)
+        def lift(v):
+            closure, gather = float(np.mean(v - ys)), _gather(v)
+            return lambda p: np.where(p[1], gather(p[0]), p[2] + closure)
+
+        cur, it, converged, defect = contract(plan, lift, np.broadcast_to(ys, (nx, ny + 1)),
+                                              m.degree, 1, tol, max_iter)
+        field = BandField2D((a, b), xs, cur, 1, m.degree, residual=float(defect.max()),
+                            tol=tol, deviation_bound=_deviation(cur, ys, 1), iterations=it)
         # the window's rows whose images stay in the truncation, without the glued column
         rows = slice(int(np.searchsorted(xs, a0, "left")), int(np.searchsorted(xs, b0, "right")))
-        kept = inside[rows, 0]
-        r = np.abs(step(cur)(rows)[kept, :-1] - m.degree * cur[rows][kept, :-1])
-        interior, points = float(r.max(initial=0.0)), r.size
+        kept = defect[rows][inside[rows]]
+        interior, points = float(kept.max(initial=0.0)), kept.size * ny
         field.metadata.update(interior_residual=interior, interior_points=points,
                               widenings=k, inner_converged=converged)
         if points and interior <= tol:

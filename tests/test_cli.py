@@ -280,6 +280,21 @@ def test_malformed_input_exits_3_with_one_line(argv, capsys):
     assert err.startswith(f"error: {error}") and err.count("\n") == 1
 
 
+def test_a_non_finite_fiber_value_in_a_worker_block_exits_3(monkeypatch, capsys):
+    # the rows x > 0.75 fall in the last of three blocks, whose plan a worker thread builds
+    from semicov.annulus import AnnulusMapLift
+    call = AnnulusMapLift.__call__
+
+    def blows_up(self, x, y):
+        fx, fy = call(self, x, y)
+        return fx, np.where(np.asarray(x) > 0.75, np.inf, fy)
+
+    monkeypatch.setattr(AnnulusMapLift, "__call__", blows_up)
+    argv = ["semiconj2d", "--map", BAND_MAP, "--band", "0.2,0.8", "--nx", "300", "--ny", "511"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: OutOfDomain: evaluation points must be finite\n"
+
+
 CONST_CONNECTOR = {"kind": "const", "height": 0.25}
 
 

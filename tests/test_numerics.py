@@ -8,7 +8,7 @@ import pytest
 from semicov import numerics, semiconj1d, semiconj2d
 from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.circle import from_function
-from semicov.errors import MaxIterExceeded
+from semicov.errors import MaxIterExceeded, OutOfDomain
 from semicov.numerics import band_gather, band_plan, contract, periodic_plan
 from semicov.semiconj2d import BandField2D
 
@@ -21,7 +21,8 @@ def _band_gather_2d(values, x, y, band, period):
     i = np.minimum(px.astype(np.int64), nx - 1)
     wx = px - i
     ox = 1.0 - wx
-    j, oy, wy, shift = periodic_plan(y, ny, period)
+    j, wy, shift = periodic_plan(y, ny, period)
+    oy = 1.0 - wy
     return (values[i, j] * ox * oy + values[i + 1, j] * wx * oy
             + values[i, j + 1] * ox * wy + values[i + 1, j + 1] * wx * wy + shift)
 
@@ -64,7 +65,8 @@ def test_band_gather_matches_2d_reference(rows, ny, orientation):
 
 
 def _contract_reference(lifted, start, degree, orientation, tol, max_iter=None):
-    """The whole-array fixed-point loop and residual, kept as the reference for the blocked one."""
+    """The whole-array fixed-point loop and residual per leading index, kept as the
+    reference for the blocked one."""
     ad = abs(degree)
     if max_iter is None:
         max_iter = 2 * int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad))) + 60
@@ -78,8 +80,8 @@ def _contract_reference(lifted, start, degree, orientation, tol, max_iter=None):
         if change <= stop:
             converged = True
             break
-    residual = float(np.max(np.abs(lifted(cur)[..., :-1] - degree * cur[..., :-1])))
-    return cur, it, converged, residual
+    r = np.abs(lifted(cur)[..., :-1] - degree * cur[..., :-1])
+    return cur, it, converged, np.max(r, axis=tuple(range(1, r.ndim)), initial=0.0)
 
 
 def _grid_residual(h, m):
@@ -95,11 +97,13 @@ def checked(monkeypatch):
     """Make the solvers' contract assert bit-equality with the reference; returns its results."""
     results = []
 
-    def contract_and_compare(step, start, degree, orientation, tol, max_iter=None):
-        got = contract(step, start, degree, orientation, tol, max_iter)
-        want = _contract_reference(lambda v: step(v)(slice(None)), start, degree,
-                                   orientation, tol, max_iter)
-        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+    def contract_and_compare(plan, lift, start, degree, orientation, tol, max_iter=None):
+        got = contract(plan, lift, start, degree, orientation, tol, max_iter)
+        whole = plan(slice(None))
+        want = _contract_reference(lambda v: lift(v)(whole), start, degree, orientation, tol,
+                                   max_iter)
+        assert got[0].tobytes() == want[0].tobytes() and got[1:3] == want[1:3]
+        assert got[3].tobytes() == want[3].tobytes()
         results.append(got)
         return got
 
@@ -121,7 +125,7 @@ def test_blocked_1d_contract_matches_reference(checked, residual_matches, grid, 
     assert [r[1:3] for r in checked] == [(h.iterations, True), (1, False), (4, False)]
     unconverged = semiconj1d.SemiconjugacyField1D(checked[-1][0], orientation, degree)
     for field, residual in ((h, h.residual), (step, step.residual),
-                            (unconverged, checked[-1][3])):
+                            (unconverged, float(checked[-1][3].max()))):
         residual_matches(residual, _grid_residual(field, m), field.samples, degree,
                          exact=grid == 4096)
 
@@ -138,7 +142,7 @@ def test_blocked_band_contract_matches_reference(checked, nx, ny, degree, orient
         semiconj2d.solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, max_iter=3, nx=nx, ny=ny,
                                             orientation=orientation)
     assert [r[1:3] for r in checked] == [(h.iterations, True), (3, False)]
-    assert checked[0][3] == h.residual
+    assert float(checked[0][3].max()) == h.residual
 
 
 def test_blocked_bounded_contract_matches_reference(checked):
@@ -149,7 +153,7 @@ def test_blocked_bounded_contract_matches_reference(checked):
         semiconj2d.solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-9, max_iter=2, nx=300, ny=511,
                                                max_widenings=0)
     assert checked[0][1] == h.iterations and checked[-1][1:3] == (2, False)
-    assert checked[0][3] == h.residual
+    assert float(checked[0][3].max()) == h.residual
 
 
 @pytest.mark.parametrize("nodes", [4097, 2 ** 17 + 4])
@@ -158,14 +162,15 @@ def test_nan_prevents_convergence(nodes):
     values = np.full(nodes, 0.5)
     values[nodes // 2] = np.nan
 
-    def step(v):
+    def lift(v):                    # a block's plan is its rows
         return lambda rows: values[rows].copy()
 
-    got = contract(step, start, 2, 1, 1e300, max_iter=3)
-    want = _contract_reference(lambda v: step(v)(slice(None)), start, 2, 1, 1e300, 3)
+    got = contract(lambda rows: rows, lift, start, 2, 1, 1e300, max_iter=3)
+    want = _contract_reference(lambda v: lift(v)(slice(None)), start, 2, 1, 1e300, 3)
     assert got[1:3] == want[1:3] == (3, False)
     assert np.array_equal(got[0], want[0], equal_nan=True)
-    assert np.isnan(got[3]) and np.isnan(want[3])
+    assert np.array_equal(got[3], want[3], equal_nan=True)
+    assert np.isnan(got[3].max()) and np.isnan(want[3].max())
 
 
 @pytest.mark.parametrize("shape", [(2 ** 17 + 4,), (97, 1001)])
@@ -174,12 +179,13 @@ def test_lifted_value_at_the_glued_column_is_overwritten(shape):
     glued = np.zeros(shape, dtype=bool)
     glued[..., -1] = True
 
-    def step(v):    # the fixed point is start, whatever lifted says at the glued column
+    def lift(v):    # the fixed point is start, whatever lifted says at the glued column
         return lambda rows: np.where(glued[rows], 1e6, 2.0 * v[rows])
 
-    got = contract(step, start, 2, 1, 1e-9)
-    want = _contract_reference(lambda v: step(v)(slice(None)), start, 2, 1, 1e-9)
-    assert got[1:] == want[1:] == (1, True, 0.0)
+    got = contract(lambda rows: rows, lift, start, 2, 1, 1e-9)
+    want = _contract_reference(lambda v: lift(v)(slice(None)), start, 2, 1, 1e-9)
+    assert got[1:3] == want[1:3] == (1, True)
+    assert not got[3].any() and got[3].tobytes() == want[3].tobytes()
     assert got[0].tobytes() == want[0].tobytes()
 
 
@@ -214,3 +220,74 @@ def test_blocked_contract_under_oversubscribed_threads(checked, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert checked and all(r[2] for r in checked)
+
+
+def _concatenated(parts):
+    """The per-block plans joined along the leading axis; scalars must agree."""
+    out = []
+    for k, first in enumerate(parts[0]):
+        if isinstance(first, np.ndarray):
+            out.append(np.concatenate([p[k] for p in parts]))
+        else:
+            assert all(p[k] == first for p in parts)
+            out.append(first)
+    return out
+
+
+def _assert_plans_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        else:
+            assert g == w
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_block_plans_of_the_1d_solver_join_to_the_whole_plan(orientation):
+    grid = 2 ** 17 + 3
+    m = from_function(lambda x: 3 * x + 0.1 * np.sin(2 * np.pi * x) + 0.2, grid)
+    plan = semiconj1d._pullback(m, grid, orientation)
+    with numerics.blocked((grid + 1,)) as sweep:
+        parts = sweep(plan)
+    assert len(parts) == 3 and len(parts[-1][0]) == 4          # a partial last block
+    # the whole plan as the 1D solver built it before: the map on every node at once
+    whole = periodic_plan(m(np.linspace(0.0, 1.0, grid + 1)), grid, orientation)
+    _assert_plans_equal(_concatenated(parts), whole)
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_block_plans_of_the_band_solvers_join_to_the_whole_plan(orientation):
+    nx, ny, band = 300, 511, (0.2, 0.8)
+    fiber = FiberMap(-3, circle=from_function(lambda x: -3 * x + 0.05 * np.sin(2 * np.pi * x)),
+                     tau=TauSpec("linear", 0.1))
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.7)), fiber)
+    xs, ys, fx, image = semiconj2d._band_grid(m, band, nx, ny, orientation)
+    with numerics.blocked((nx, ny + 1)) as sweep:
+        parts = sweep(image)
+    assert [len(p[0]) for p in parts] == [128, 128, 44]
+    # the whole grid as the band solvers built it before: the map on the meshgrid
+    xg, yg = np.meshgrid(xs, np.linspace(0.0, 1.0, ny + 1), indexing="ij")
+    mx, my = m(xg, yg)
+    assert fx.tobytes() == mx[:, 0].tobytes()
+    _assert_plans_equal(_concatenated([p[0:1] for p in parts]), [my])
+    _assert_plans_equal(_concatenated([p[1] for p in parts]),
+                        band_plan(mx[:, :1], my, band, nx - 1, ny, orientation))
+
+
+def test_a_block_plan_error_keeps_its_type_and_message(monkeypatch):
+    # a fiber value turns infinite on the rows of the last of three blocks
+    m = make_skew_product(BaseMap("identity"), FiberMap(2))
+    call = type(m).__call__
+
+    def blows_up(self, x, y):
+        fx, fy = call(self, x, y)
+        return fx, np.where(np.asarray(x) > 0.75, np.inf, fy)
+
+    monkeypatch.setattr(type(m), "__call__", blows_up)
+    for cpus in (set(range(8)), {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        for solve in (semiconj2d.solve_band_semiconjugacy, semiconj2d.solve_bounded_semiconjugacy):
+            with pytest.raises(OutOfDomain) as err:
+                solve(m, (0.2, 0.8), 1e-9, nx=300, ny=511)
+            assert str(err.value) == "evaluation points must be finite"

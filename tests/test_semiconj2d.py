@@ -6,6 +6,7 @@ import pytest
 from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.errors import (BandNotInvariant, DisplacementDiverges, OutOfDomain,
                             ValidationError)
+from semicov.numerics import band_gather, band_plan
 from semicov.semiconj1d import solve_semiconjugacy
 from semicov.semiconj2d import (BandField2D, check_fiber_connector,
                                 check_fiber_surjectivity, solve_band_semiconjugacy,
@@ -182,12 +183,34 @@ def test_band_residual_matches_whole_grid(residual_matches, nx, ny, band, degree
     residual_matches(h.residual, sup, h.values, degree, exact=band == (0.25, 0.75))
 
 
+def _interior_by_regather(h, m, window):
+    """The window's interior residual and point count as the bounded solver measured them
+    before contract reported its rows: by gathering step(H) a second time over the
+    window's rows, kept as the reference."""
+    a, b = h.band
+    xs, ny = h.x_samples, h.ny
+    xg, yg = np.meshgrid(xs, np.linspace(0.0, 1.0, ny + 1), indexing="ij")
+    fx, fy = m(xg, yg)
+    fx = fx[:, :1]
+    inside = (fx >= a) & (fx <= b)
+    plan = band_plan(fx, fy, (a, b), len(xs) - 1, ny, 1)
+    mean = float(np.mean(h.values - yg))
+    rows = slice(int(np.searchsorted(xs, window[0], "left")),
+                 int(np.searchsorted(xs, window[1], "right")))
+    lifted = np.where(inside, band_gather(h.values, plan), fy + mean)[rows]
+    kept = inside[rows, 0]
+    r = np.abs(lifted[kept, :-1] - m.degree * h.values[rows][kept, :-1])
+    return float(r.max(initial=0.0)), r.size
+
+
 def _check_bounded_residuals(h, m, window, residual_matches):
     """The bounded solver's full and interior residuals against the whole-grid reference."""
     mean = float(np.mean(h.values - np.linspace(0.0, 1.0, h.ny + 1)))
     full = _measure_whole_grid(h, m, closure=lambda x, y: y + mean)
     interior = _measure_whole_grid(h, m, window=window)
     assert h.metadata["interior_points"] == interior[1]
+    got = (h.metadata["interior_residual"], h.metadata["interior_points"])
+    assert got == _interior_by_regather(h, m, window)          # bit for bit
     residual_matches(h.residual, full[0], h.values, m.degree, exact=False)
     residual_matches(h.metadata["interior_residual"], interior[0], h.values, m.degree,
                      exact=False)

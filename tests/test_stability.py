@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -126,3 +127,33 @@ def test_angle_dependent_radius_breaks_foliation():
     rep = verify_perturbation(replace(spec, g=Twisted()), grid=10_000, r_samples=1_000)
     assert not rep["foliation_preserved"]
     assert rep["injectivity"]["injective_on_sector"]
+
+
+def _ratio_grid_whole(spec, grid):
+    """sup |g - p2| / eps and the foliation check on the whole meshgrid at once, as
+    verify_perturbation computed them before it went by blocks of rows; the reference."""
+    n = int(np.sqrt(grid))
+    xs = np.exp(np.linspace(np.log(1e-6), np.log(1.0 - 1e-9), n))
+    ts = np.linspace(-np.pi, np.pi, grid // n, endpoint=False)
+    xg, tg = np.meshgrid(xs, ts, indexing="ij")
+    gx, gy = spec.g(xg, tg / TWO_PI)
+    p2 = xg ** 2 * np.exp(2j * tg)
+    gz = xg ** 2 * np.exp(TWO_PI * 1j * gy)
+    ratio = np.abs(gz - p2) / spec.epsilon(xg)
+    return float(np.max(ratio)), bool(np.all(gx == gx[:, :1]))
+
+
+@pytest.mark.parametrize("grid", [10 ** 6, 100_000])     # 16 blocks of rows; 207 + 109 rows
+@pytest.mark.parametrize("eps", [EpsilonSpec("const", 0.1), EpsilonSpec("edge_poly", 0.2, 1.0),
+                                 EpsilonSpec("edge_poly", 0.2, 5.0),
+                                 EpsilonSpec("edge_poly", 0.2, 25.0)],
+                         ids=["const", "edge_poly-1", "edge_poly-5", "edge_poly-25"])
+def test_blocked_ratio_grid_matches_whole_grid(monkeypatch, eps, grid):
+    spec = perturb_p2(eps)
+    sup_ratio, foliated = _ratio_grid_whole(spec, grid)
+    reports = [verify_perturbation(spec, grid=grid, r_samples=1_000)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    reports.append(verify_perturbation(spec, grid=grid, r_samples=1_000))
+    for rep in reports:
+        assert rep == reports[0]
+        assert rep["sup_ratio"] == sup_ratio and rep["foliation_preserved"] is foliated
