@@ -61,27 +61,26 @@ def classify_circle_point(z: Fraction, d: int, max_period: int = 16,
     residues are equal angles.  Snap a measured angle with
     snap_structured_angle first.
     """
-    q = z.denominator
-
-    def is_per(a):
-        w = a
-        for n in range(1, max_period + 1):
-            w = d * w % q
-            if w == a:
-                return n
-        return None
-
-    z = z.numerator % q
-    n = is_per(z)
-    if n is not None:
-        return PointClass("periodic", period=n)
-    w = z
-    for m in range(1, max_depth + 1):
-        w = d * w % q
-        n = is_per(w)
-        if n is not None:
-            return PointClass("preperiodic", period=n, preperiod=m)
+    walk = _orbit_walk(z.numerator % z.denominator, d, z.denominator, max_depth + max_period)
+    preperiod = walk.index(walk[-1])                # where the repeat first sat
+    period = len(walk) - 1 - preperiod
+    if 0 < period <= max_period and preperiod <= max_depth:
+        if preperiod == 0:
+            return PointClass("periodic", period=period)
+        return PointClass("preperiodic", period=period, preperiod=preperiod)
     return PointClass("wandering", depth_limited=True)
+
+
+def _orbit_walk(w: int, d: int, q: int, steps: int) -> list[int]:
+    """w, d*w, d^2*w, ... mod q, up to and including the first repeat, or steps steps."""
+    walk, seen = [w], {w}
+    for _ in range(steps):
+        w = d * w % q
+        walk.append(w)
+        if w in seen:
+            break
+        seen.add(w)
+    return walk
 
 
 @functools.lru_cache(maxsize=64)
@@ -360,14 +359,7 @@ def _orbit_corroborated(theta: Fraction, d: int, measured_angles: np.ndarray,
     if len(measured_angles) == 0:
         return False
     q = theta.denominator
-    w = theta.numerator % q
-    seen, orbit = {w}, []
-    for _ in range(horizon):
-        w = d * w % q
-        orbit.append(w / q)
-        if w in seen:
-            break
-        seen.add(w)
+    orbit = [w / q for w in _orbit_walk(theta.numerator % q, d, q, horizon)[1:]]
     dist = circle_dist(measured_angles[:, None], np.array(orbit)[None, :])
     return bool(np.all(dist.min(axis=0) <= tol))
 
@@ -530,10 +522,10 @@ def _orbit_atoms(d: int, specs: list[Insertion], min_len: float, depth: int, for
             raise Clash(f"orbit collision at angle {Fraction(k, L)}")
 
     for owner, ins in enumerate(specs):
-        seq = [ins.base_angle.numerator * (L // ins.base_angle.denominator)]
-        while len(seq) <= forward_cap and (k := d * seq[-1] % L) not in seq:
-            seq.append(k)
-        if len(seq) <= forward_cap:             # the orbit returned: a rational cycle
+        seq = _orbit_walk(ins.base_angle.numerator * (L // ins.base_angle.denominator),
+                          d, L, forward_cap)
+        if seq.index(seq[-1]) < len(seq) - 1:   # the orbit returned: a rational cycle
+            seq.pop()
             lengths = [ins.length] * len(seq)
             closing[seq[-1]] = ins.kind
         else:

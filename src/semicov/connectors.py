@@ -326,7 +326,7 @@ def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
 # ---------------------------------------------------------------------------
 
 def semiconjugacy_from_repellers(m: AnnulusMapLift, repellers: list[ConnectorCurve],
-                                 depth: int = 8, band: tuple[float, float] | None = None,
+                                 band: tuple[float, float], depth: int = 8,
                                  nx: int = 65, ny: int = 128) -> BandField2D:
     """Semiconjugacy field coded by repellers and their preimage families.
 
@@ -345,7 +345,7 @@ def semiconjugacy_from_repellers(m: AnnulusMapLift, repellers: list[ConnectorCur
         on = (bx >= r.xs[0]) & (bx <= r.xs[-1])
         k = round(float(np.median(m.fiber(r.xs[on], r.heights[on]) - r.height_at(bx[on]))))
         seeds.append(ConnectorCurve(r.xs, r.heights, r.margin, value=k / (m.degree - 1)))
-    return semiconjugacy_from_connectors(m, seeds, depth, band, nx, ny)
+    return semiconjugacy_from_connectors(m, seeds, band, depth, nx, ny)
 
 
 def _code_column(hs: np.ndarray, vs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -369,7 +369,7 @@ def _code_column(hs: np.ndarray, vs: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve],
-                                  depth: int = 8, band: tuple[float, float] | None = None,
+                                  band: tuple[float, float], depth: int = 8,
                                   nx: int = 65, ny: int = 128) -> BandField2D:
     """Recursive preimage coding seeded by curves with fixed lifted values.
 
@@ -397,8 +397,7 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
         raise ValidationError(f"the coding grid needs nx >= 2 and ny >= 1, got {nx} x {ny}")
     if depth < 0:
         raise ValidationError(f"the coding depth must be >= 0, got {depth}")
-    if band is not None:
-        schema.band(band, "the coding band")
+    schema.band(band, "the coding band")
     if not seeds:
         raise ValidationError("the coding needs at least one seed curve")
     if any(s.value is None for s in seeds):
@@ -421,9 +420,6 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
             break
         levels.append(new)
         frontier = new
-
-    if band is None:
-        band = (max(float(b[0][0]) for b in frontier), min(float(b[0][-1]) for b in frontier))
     xs = np.linspace(band[0], band[1], nx)
     ys = np.linspace(0.0, 1.0, ny + 1)
     blocks = [b for level in levels for b in level]

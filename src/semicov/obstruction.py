@@ -17,6 +17,7 @@ import numpy as np
 from .annulus import AnnulusMapLift
 from .errors import (BranchAmbiguity, EndpointOutsideK, FiberNotMonotone, OutOfDomain,
                      ValidationError)
+from .numerics import frac
 from .semiconj2d import BandField2D
 
 
@@ -79,19 +80,31 @@ def _composite_fiber(m: AnnulusMapLift, x_start: float, n: int):
             raise OutOfDomain(f"base orbit left (0,1) at {nxt}")
         xs_chain.append(nxt)
 
-    def forward(y):
-        out = np.asarray(y, dtype=float)
+    def forward(y):                     # y and t: float arrays
         for xc in xs_chain:
-            out = np.asarray(m.fiber(np.full_like(out, xc), out))
-        return out
+            y = m.fiber(np.full_like(y, xc), y)
+        return y
 
-    def inverse(targets):
-        t = np.asarray(targets, dtype=float)
+    def inverse(t):
         for xc in reversed(xs_chain):
             t = m.fiber.inverse(xc, t)
         return t
 
     return xs_chain, forward, inverse
+
+
+def _lifts(forward, inverse, n: int, j: int, x: float, y0: np.ndarray) -> list[WindingRecord]:
+    """Records of the j-fold loop lifted through the chain from each start height y0 over x.
+
+    The winding against the reference connector at angle 0 is the floor
+    difference of the endpoint heights; an endpoint within 1e-8 of an
+    integer height is flagged ambiguous.
+    """
+    end = inverse(forward(y0) + j)
+    winding = np.abs(np.floor(end) - np.floor(y0)).astype(int)
+    amb = np.minimum(np.abs(end - np.round(end)), np.abs(y0 - np.round(y0))) < 1e-8
+    return [WindingRecord(n, j, (float(x), y), e, w, a)
+            for y, e, w, a in zip(y0.tolist(), end.tolist(), winding.tolist(), amb.tolist())]
 
 
 def lift_loop_winding(m: AnnulusMapLift, loop: FiberLoop, n: int, j: int,
@@ -101,13 +114,9 @@ def lift_loop_winding(m: AnnulusMapLift, loop: FiberLoop, n: int, j: int,
 
     For skew products the lift is the unique monotone fiber solution
     beta(t) with G_n(beta(t)) = G_n(start) + j*t, so no branch continuation
-    ambiguity arises.  The winding against the reference connector at
-    angle 0 is the count of integer heights crossed, reported as the floor
-    difference of the endpoint heights; an endpoint within 1e-8 of an
-    integer height is flagged ambiguous.
+    ambiguity arises; the record is the one-start case of _lifts.
     """
-    lo_slope, _ = m.fiber.slope_range(np.array([start[0]]))
-    if lo_slope <= 0:
+    if m.fiber.slope_range(np.array([start[0]]))[0] <= 0:
         raise FiberNotMonotone("loop lifting needs a monotone fiber")
     a, b = band
     if not a - 1e-12 <= start[0] <= b + 1e-12:
@@ -119,16 +128,12 @@ def lift_loop_winding(m: AnnulusMapLift, loop: FiberLoop, n: int, j: int,
     if abs(base_img - loop.x) > 1e-6:
         raise BranchAmbiguity(
             f"start is not an n-preimage of the loop fiber ({base_img} vs {loop.x})")
-    y0 = float(start[1])
-    g0 = float(forward(y0))
-    end = float(inverse(g0 + j))
-    winding = abs(int(np.floor(end)) - int(np.floor(y0)))
-    amb = min(abs(end - round(end)), abs(y0 - round(y0))) < 1e-8
-    path = None
+    y0 = np.array([float(start[1])])
+    record, = _lifts(forward, inverse, n, j, start[0], y0)
     if path_samples:
         ts = np.linspace(0.0, 1.0, path_samples)
-        path = (ts, inverse(g0 + j * ts))
-    return WindingRecord(n, j, (float(start[0]), y0), end, winding, amb, path)
+        record.path = (ts, inverse(float(forward(y0)[0]) + j * ts))
+    return record
 
 
 def star_condition_scan(m: AnnulusMapLift, band: tuple[float, float], n_max: int,
@@ -138,33 +143,27 @@ def star_condition_scan(m: AnnulusMapLift, band: tuple[float, float], n_max: int
     For each n the loop, at angle 1/4, is taken in the fiber over the n-th
     base image of the anchor column at the band's midpoint, so every lift
     endpoint lies exactly on the anchor column inside the band.  j ranges
-    over {1, ceil(d^(n-1)/2), d^(n-1)}.  When a semiconjugacy field is
-    supplied, its deviation bound M on the band is recorded together with
-    the implied winding bound 2M+1.
+    over {1, ceil(d^(n-1)/2), d^(n-1)}, and all d^n starts of one (n, j)
+    are lifted in one pass.  When a semiconjugacy field is supplied, its
+    deviation bound M on the band is recorded together with the implied
+    winding bound 2M+1.
     """
     base_angle, x_anchor = 0.25, 0.5 * (band[0] + band[1])
+    if m.fiber.slope_range(np.array([x_anchor]))[0] <= 0:
+        raise FiberNotMonotone("loop lifting needs a monotone fiber")
     d = abs(m.degree)
     records: list[WindingRecord] = []
     for n in range(1, n_max + 1):
-        xs_chain, forward, inverse = _composite_fiber(m, x_anchor, n)
-        loop_x = float(np.asarray(m.base(xs_chain[-1])))
+        _, forward, inverse = _composite_fiber(m, x_anchor, n)
         g0 = float(forward(np.array([0.0]))[0])
-        dn = d ** n
         # all d^n fiber preimages of the loop base point over the anchor;
         # any d^n consecutive target offsets cover the branches mod 1
-        first = np.ceil(g0 - base_angle) + np.arange(dn)
-        starts = inverse(base_angle + first)
-        starts = np.sort(starts - np.floor(starts))
-        js = sorted({1, max(1, int(np.ceil(d ** (n - 1) / 2))), max(1, d ** (n - 1))})
-        loop = FiberLoop(loop_x, base_angle)
-        for j in js:
-            for y0 in starts:
-                records.append(lift_loop_winding(
-                    m, loop, n, j, (x_anchor, float(y0)), band))
-    report = WindingReport(band, records)
-    if h_field is not None:
-        report.deviation_bound = measure_deviation_bound(h_field, band)
-    return report
+        first = np.ceil(g0 - base_angle) + np.arange(d ** n)
+        starts = np.sort(frac(inverse(base_angle + first)))
+        for j in sorted({1, max(1, int(np.ceil(d ** (n - 1) / 2))), max(1, d ** (n - 1))}):
+            records += _lifts(forward, inverse, n, j, x_anchor, starts)
+    bound = None if h_field is None else measure_deviation_bound(h_field, band)
+    return WindingReport(band, records, bound)
 
 
 def measure_deviation_bound(h: BandField2D, band: tuple[float, float]) -> float:

@@ -696,6 +696,48 @@ def test_integer_orbits_match_fraction_reference(d):
     assert kinds == {"periodic", "preperiodic", "wandering"}
 
 
+def _nested_classify_point(z, d, max_period, max_depth):
+    """classify_circle_point as nested loops: a period search at every preperiod."""
+    q = z.denominator
+
+    def is_per(a):
+        w = a
+        for n in range(1, max_period + 1):
+            w = d * w % q
+            if w == a:
+                return n
+        return None
+
+    w = z.numerator % q
+    n = is_per(w)
+    if n is not None:
+        return PointClass("periodic", period=n)
+    for m in range(1, max_depth + 1):
+        w = d * w % q
+        n = is_per(w)
+        if n is not None:
+            return PointClass("preperiodic", period=n, preperiod=m)
+    return PointClass("wandering", depth_limited=True)
+
+
+@pytest.mark.parametrize("d", [2, 3, -2, -3, 4, 5])
+def test_orbit_walk_matches_nested_loops(d):
+    # structured denominators up to 10^9 (eventually periodic angles) and
+    # seeded unstructured ones; the walk reads the period and preperiod
+    # from where its first repeat sits
+    rng = np.random.default_rng(30 + d)
+    qs = _structured_denominators(d, 10 ** 9) + [int(q) for q in rng.integers(2, 10 ** 9, 20)]
+    angles = {Fraction(int(k), q) for q in qs
+              for k in (range(q) if q <= 64 else rng.integers(0, q, 6))}
+    kinds = set()
+    for max_period, max_depth in ((16, 24), (3, 2), (1, 0), (5, 30)):
+        for z in sorted(angles):
+            got = classify_circle_point(z, d, max_period, max_depth)
+            assert got == _nested_classify_point(z, d, max_period, max_depth), z
+            kinds.add(got.kind)
+    assert kinds == {"periodic", "preperiodic", "wandering"}
+
+
 def _scalar_orbit_corroborated(theta, d, measured_angles, tol, horizon=12):
     """_orbit_corroborated with one circle_dist call per Fraction orbit point."""
     if len(measured_angles) == 0:

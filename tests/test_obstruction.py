@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from semicov.annulus import AnnulusMapLift, BaseMap, FiberMap, TauSpec, make_skew_product
+from semicov.circle import from_function, make_lift
 from semicov.connectors import invariant_connector_from_arc, semiconjugacy_from_connectors
-from semicov.errors import BranchAmbiguity, EndpointOutsideK, ValidationError
-from semicov.obstruction import (BandModel, FiberLoop, band_model,
+from semicov.errors import BranchAmbiguity, EndpointOutsideK, FiberNotMonotone, ValidationError
+from semicov.obstruction import (BandModel, FiberLoop, _composite_fiber, band_model,
                                  counterexample_growth_table, lift_loop_winding,
                                  measure_deviation_bound, star_condition_scan)
 
@@ -44,6 +46,94 @@ def test_lift_rejects_wrong_start_fiber(example_map):
     with pytest.raises(BranchAmbiguity):
         lift_loop_winding(example_map, FiberLoop(0.9, 0.0), 1, 1,
                           (0.5, 0.0), (0.1, 0.9))
+
+
+def scalar_lift(m, n, j, start):
+    """lift_loop_winding's record from scalar floats: (end, winding, ambiguous)."""
+    _, forward, inverse = _composite_fiber(m, start[0], n)
+    y0 = float(start[1])
+    end = float(inverse(np.array([float(forward(np.array([y0]))[0]) + j]))[0])
+    winding = abs(int(np.floor(end)) - int(np.floor(y0)))
+    return end, winding, min(abs(end - round(end)), abs(y0 - round(y0))) < 1e-8
+
+
+@pytest.mark.parametrize("start", [(0.5, 0.0), (0.5, 0.25), (0.5, 0.999999999999), (0.3, -1.5)])
+@pytest.mark.parametrize("n, j", [(1, 1), (2, 3), (3, 4)])
+def test_lift_matches_scalar_reference(contracting_z2, start, n, j):
+    # starts on or within 1e-8 of an integer height are flagged ambiguous
+    x = start[0]
+    for _ in range(n):
+        x = contracting_z2.base(x)
+    rec = lift_loop_winding(contracting_z2, FiberLoop(x), n, j, start, (0.1, 0.9))
+    assert (rec.end_height, rec.winding, rec.ambiguous_endpoint) == scalar_lift(
+        contracting_z2, n, j, start)
+    assert [type(v) for v in (rec.end_height, rec.winding, rec.ambiguous_endpoint)] == [
+        float, int, bool]
+    if start[1] in (0.0, 0.999999999999):
+        assert rec.ambiguous_endpoint
+
+
+def per_record_scan(m, band, n_max):
+    """star_condition_scan with one lift_loop_winding call per start: the reference."""
+    base_angle, x_anchor = 0.25, 0.5 * (band[0] + band[1])
+    d = abs(m.degree)
+    records = []
+    for n in range(1, n_max + 1):
+        xs_chain, forward, inverse = _composite_fiber(m, x_anchor, n)
+        loop = FiberLoop(float(np.asarray(m.base(xs_chain[-1]))), base_angle)
+        g0 = float(forward(np.array([0.0]))[0])
+        first = np.ceil(g0 - base_angle) + np.arange(d ** n)
+        starts = inverse(base_angle + first)
+        starts = np.sort(starts - np.floor(starts))
+        for j in sorted({1, max(1, int(np.ceil(d ** (n - 1) / 2))), max(1, d ** (n - 1))}):
+            for y0 in starts:
+                rec = lift_loop_winding(m, loop, n, j, (x_anchor, float(y0)), band)
+                assert (rec.end_height, rec.winding, rec.ambiguous_endpoint) == scalar_lift(
+                    m, n, j, rec.start)
+                records.append(rec)
+    return records
+
+
+def _sine_fiber(d, amplitude):
+    circle = from_function(lambda x: d * x + amplitude * np.sin(2 * np.pi * x))
+    return FiberMap(d, circle=circle, tau=TauSpec("linear", 0.05))
+
+
+SCAN_MAPS = {
+    "c11": (BaseMap("affine_to_one"), FiberMap(2, tau=TauSpec("inv_one_minus", 1.0)), 6),
+    "linear d=3": (BaseMap("contraction", (0.5, 0.9)), FiberMap(3, tau=TauSpec("linear", 0.3)), 4),
+    "linear d=-2": (BaseMap("contraction", (0.5, 0.9)), FiberMap(-2), 6),
+    "sine d=2": (BaseMap("contraction", (0.5, 0.9)), _sine_fiber(2, 0.1), 6),
+    "sine d=-3": (BaseMap("contraction", (0.5, 0.9)), _sine_fiber(-3, 0.08), 4),
+}
+
+
+@pytest.mark.parametrize("name", SCAN_MAPS)
+def test_star_scan_matches_per_record_reference(name):
+    base, fiber, n_max = SCAN_MAPS[name]
+    m = make_skew_product(base, fiber)
+    got = star_condition_scan(m, (0.1, 0.9), n_max).records
+    want = per_record_scan(m, (0.1, 0.9), n_max)
+    assert got == want
+    types = lambda r: [type(v) for v in (r.n, r.j, *r.start, r.end_height, r.winding,
+                                         r.ambiguous_endpoint, r.path)]
+    assert [types(r) for r in got] == [types(r) for r in want]
+    assert types(got[0]) == [int, int, float, float, float, int, bool, type(None)]
+
+
+def test_non_monotone_fiber_is_rejected():
+    # built directly: make_skew_product would refuse the fiber.  The samples
+    # fall from 40/128 to 41/128, where slope_range samples an angle
+    values = [2 * i / 128 for i in range(129)]
+    values[41] = values[39]
+    lift = make_lift(values)
+    assert not lift.is_covering
+    m = AnnulusMapLift(BaseMap("contraction", (0.5, 0.9)), FiberMap(2, circle=lift), 2)
+    with pytest.raises(FiberNotMonotone):
+        # the start also lies outside the band: the slope is checked first
+        lift_loop_winding(m, FiberLoop(0.5), 1, 1, (0.95, 0.25), (0.1, 0.9))
+    with pytest.raises(FiberNotMonotone):
+        star_condition_scan(m, (0.1, 0.9), 3)
 
 
 def test_star_scan_product_bounded(product_z2):
