@@ -27,7 +27,7 @@ def _table_inverse(y, table):
     return np.interp(y, table, np.linspace(0.0, 1.0, len(table)))
 
 
-# family -> (schema, x -> base(x), y -> base^-1(y)); both take BaseMap.args
+# family -> (schema, x -> base(x), y -> base^-1(y)); both take BaseMap.params
 BASES = {
     "identity": Family({}, lambda x: x, lambda y: y),
     "power": Family({"exponent": (REQUIRED, positive)},
@@ -44,25 +44,20 @@ BASES = {
 @dataclass(frozen=True)
 class BaseMap:
     """Monotone self-map of (0,1), one family of ``BASES``: params holds its
-    numbers in schema order, the samples family its values on a uniform
-    grid of [0,1] in table."""
+    parameters in schema order (the samples family's one parameter is its
+    values on a uniform grid of [0,1])."""
 
     kind: str
     params: tuple = ()
-    table: np.ndarray | None = None
-
-    @property
-    def args(self) -> tuple:
-        return self.params if self.table is None else (self.table,)
 
     def __call__(self, x):
-        out = BASES[self.kind].call(np.asarray(x, dtype=float), *self.args)
+        out = BASES[self.kind].call(np.asarray(x, dtype=float), *self.params)
         return out if out.ndim else float(out)
 
     def inverse(self, y):
         """Inverse where defined; raises BaseNotInvertible outside the image."""
         y = np.asarray(y, dtype=float)
-        out = BASES[self.kind].inverse(y, *self.args)
+        out = BASES[self.kind].inverse(y, *self.params)
         if np.any(out <= 0.0) or np.any(out >= 1.0):
             raise BaseNotInvertible(f"preimage leaves (0,1) for targets in "
                                     f"[{np.min(y)}, {np.max(y)}]")
@@ -162,8 +157,11 @@ class AnnulusMapLift:
 
     base: BaseMap
     fiber: FiberMap
-    degree: int
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def degree(self) -> int:
+        return self.fiber.degree
 
     def __call__(self, x, y):
         """Lift value with exact fiber equivariance; x must stay in the domain."""
@@ -203,7 +201,7 @@ def make_skew_product(base: BaseMap, fiber: FiberMap,
     lo, _ = fiber.slope_range(xs)
     if lo <= 0.0:
         raise FiberNotMonotone(f"fiber slope reaches {lo} <= 0")
-    return AnnulusMapLift(base, fiber, d, metadata=dict(metadata or {}))
+    return AnnulusMapLift(base, fiber, metadata=dict(metadata or {}))
 
 
 def displacement_bound(m: AnnulusMapLift, band: tuple[float, float]) -> dict:

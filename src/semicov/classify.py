@@ -180,12 +180,18 @@ class IntervalSignature:
     orientation: int
     fixed_point_count: int | None
     sign_pattern: tuple[int, ...] | None
-    endpoint_behavior: tuple[str, str] | None = None
     identity_like: bool = False
 
     @classmethod
     def identity_class(cls, orientation: int = 1) -> "IntervalSignature":
-        return cls(orientation, None, None, None, identity_like=True)
+        return cls(orientation, None, None, identity_like=True)
+
+    @property
+    def endpoint_behavior(self) -> tuple[str, str] | None:
+        """(low, high) endpoint kinds, read from the (outside, inside) flank signs."""
+        p, flag = self.sign_pattern, {(1, -1): "attracting", (-1, 1): "repelling"}
+        return None if p is None else (flag.get((p[0], p[1]), "mixed"),
+                                       flag.get((-p[-1], -p[-2]), "mixed"))
 
     @property
     def resolved(self) -> bool:
@@ -270,10 +276,7 @@ def interval_signature(m: LiftedCircleMap, interval: tuple[float, float],
              [0.5 * (r1 + r2) for r1, r2 in zip(roots, roots[1:])] + \
              [hi + 3 * cell]
     pattern = tuple(1 if v > 0 else -1 for v in g(np.asarray(probes)))
-    flag = {(1, -1): "attracting", (-1, 1): "repelling"}     # (outside, inside) signs
-    behavior = (flag.get((pattern[0], pattern[1]), "mixed"),
-                flag.get((-pattern[-1], -pattern[-2]), "mixed"))
-    return IntervalSignature(orientation, len(roots), pattern, behavior)
+    return IntervalSignature(orientation, len(roots), pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +536,6 @@ def _orbit_atoms(d: int, specs: list[Insertion], min_len: float, depth: int, for
             lengths = [ins.length]
             while lengths[-1] >= min_len:
                 lengths.append(lengths[-1] / (2.0 * ad))
-            while len(seq) < len(lengths):
-                seq.append(d * seq[-1] % L)
         for k, length in zip(seq, lengths):
             add(k, length, owner)
 

@@ -95,10 +95,6 @@ CONNECTORS = {                                  # builders take the annulus map 
 }
 
 
-def _base(name: str, values=None, **params) -> BaseMap:
-    return BaseMap(name, tuple(params.values()), values)   # values: the samples table
-
-
 class Kind(NamedTuple):
     key: str                         # the config key naming the family
     families: dict                   # family name -> Family
@@ -107,7 +103,7 @@ class Kind(NamedTuple):
 
 KINDS = {
     "circle": Kind("family", CIRCLES),
-    "base": Kind("family", BASES, _base),
+    "base": Kind("family", BASES, lambda name, **params: BaseMap(name, tuple(params.values()))),
     "tau": Kind("family", TAUS, TauSpec),
     "fiber": Kind("family", FIBERS),
     "connector": Kind("kind", CONNECTORS),

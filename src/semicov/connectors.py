@@ -436,7 +436,7 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
         values[i, :-1] = _code_column(heights[on, i], vals[on], ys[:-1])
     values[:, -1] = values[:, 0] + 1.0
 
-    field = BandField2D(band, xs, values, 1, d,
+    field = BandField2D(band, values, 1, d,
                         metadata={"depth": depth, "curves": len(vals),
                                   "coding": "repeller-preimage", "dropped_blocks": dropped,
                                   "level_curves": [sum(len(b[1]) for b in lv) for lv in levels]})
@@ -446,5 +446,4 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
         hv = field(np.clip(fx, band[0], band[1]), fy)
         res = np.abs(frac(hv - d * values[:, :-1] + 0.5) - 0.5)
         field.residual = float(np.max(res[ok]))
-    field.deviation_bound = float(np.max(np.abs(values - ys[None, :])))
     return field

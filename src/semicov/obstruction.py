@@ -21,14 +21,6 @@ from .numerics import frac
 from .semiconj2d import BandField2D
 
 
-@dataclass(frozen=True)
-class FiberLoop:
-    """Simple closed loop t -> (x, angle_0 + t), t in [0,1], in one fiber."""
-
-    x: float
-    base_angle: float = 0.0
-
-
 @dataclass
 class WindingRecord:
     n: int
@@ -107,10 +99,10 @@ def _lifts(forward, inverse, n: int, j: int, x: float, y0: np.ndarray) -> list[W
             for y, e, w, a in zip(y0.tolist(), end.tolist(), winding.tolist(), amb.tolist())]
 
 
-def lift_loop_winding(m: AnnulusMapLift, loop: FiberLoop, n: int, j: int,
+def lift_loop_winding(m: AnnulusMapLift, loop_x: float, n: int, j: int,
                       start: tuple[float, float], band: tuple[float, float],
                       path_samples: int = 0) -> WindingRecord:
-    """Lift the j-fold loop through n iterates from a preimage start point.
+    """Lift the j-fold loop over loop_x through n iterates from a preimage start point.
 
     For skew products the lift is the unique monotone fiber solution
     beta(t) with G_n(beta(t)) = G_n(start) + j*t, so no branch continuation
@@ -125,9 +117,9 @@ def lift_loop_winding(m: AnnulusMapLift, loop: FiberLoop, n: int, j: int,
         raise ValueError("loop multiplicity j must be >= 1")
     xs_chain, forward, inverse = _composite_fiber(m, start[0], n)
     base_img = float(np.asarray(m.base(xs_chain[-1])))
-    if abs(base_img - loop.x) > 1e-6:
+    if abs(base_img - loop_x) > 1e-6:
         raise BranchAmbiguity(
-            f"start is not an n-preimage of the loop fiber ({base_img} vs {loop.x})")
+            f"start is not an n-preimage of the loop fiber ({base_img} vs {loop_x})")
     y0 = np.array([float(start[1])])
     record, = _lifts(forward, inverse, n, j, start[0], y0)
     if path_samples:
@@ -181,72 +173,15 @@ def measure_deviation_bound(h: BandField2D, band: tuple[float, float]) -> float:
 # unbounded-winding family: endpoint-height bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BandModel:
-    """Lifted endpoint heights for the n-th glued covering of the family.
-
-    The construction doubles angles band-to-band and re-glues one band so
-    that an arc of winding n and a disjoint arc near angle 1/2 share an
-    image point; tracking only the lifted heights of the relevant points
-    is enough to bound the winding from below.
-    """
-
-    n: int
-    radii: tuple[float, ...]              # a_0 < a_1 < ... inside (0,1)
-    alpha_start_height: float             # lift of the spanning arc starts here
-    alpha_end_height: float               # ... and ends at height n
-    beta_prime_angle: float               # disjoint return arc sits at z = -1
-    x_prime_height: float                 # marked point on the alpha lift
-    y_prime_height: float                 # marked point on the alpha' lift
-    j_max: int                            # loop multiplicities searched
-
-    @property
-    def winding_lower_bound(self) -> int:
-        return self.n - 1
-
-    def verify(self) -> None:
-        if not all(0.0 < r < 1.0 for r in self.radii):
-            raise ValueError("band radii must lie in (0,1)")
-        if any(r2 <= r1 for r1, r2 in zip(self.radii, self.radii[1:])):
-            raise ValueError("band radii must increase")
-        if self.alpha_end_height != float(self.n):
-            raise ValueError("the spanning arc lift must end at height n")
-        if not self.x_prime_height < 0.5:
-            raise ValueError("marked point on alpha must sit below height 1/2")
-        if not self.y_prime_height > self.n:
-            raise ValueError("marked point on alpha' must sit above height n")
-        if not self.y_prime_height - self.x_prime_height > self.n - 1:
-            raise ValueError("height separation must exceed n-1")
-        if self.j_max != 2 ** (self.n - 1):
-            raise ValueError("multiplicity range must be 2^(n-1)")
-
-
-def band_model(n: int) -> BandModel:
-    """The n-th member of the glued family, with verified invariants."""
-    if n < 2:
-        raise ValueError("band models start at n = 2")
-    radii = tuple((k + 1) / (n + 3) for k in range(n + 2))
-    t = 0.5 / 2 ** (n - 1)        # start angle of the chosen preimage of beta'
-    model = BandModel(
-        n=n,
-        radii=radii,
-        alpha_start_height=0.0,
-        alpha_end_height=float(n),
-        beta_prime_angle=0.5,
-        x_prime_height=0.0,       # the start of the alpha lift already qualifies
-        y_prime_height=float(n) + t,
-        j_max=2 ** (n - 1),
-    )
-    model.verify()
-    return model
-
-
 def counterexample_growth_table(n_max: int) -> list[dict]:
     """Certified winding lower bounds n-1 for n = 2..n_max.
 
-    Pure bookkeeping over the glued-family models: each row records the
-    verified endpoint heights and the resulting lower bound on any
-    would-be winding constant for the compact band of the first annulus.
+    Bookkeeping of lifted endpoint heights in the glued family: the n-th
+    covering doubles angles on bands of radii (k+1)/(n+3), k < n+2, and
+    re-glues one band so that the lift of an arc of winding n (heights 0 to
+    n) and a disjoint arc at angle 1/2 share an image point.  Its marked
+    points sit at x' = 0 and y' = n + 2^-n over loops of multiplicity up to
+    2^(n-1); a row is verified when y' > n and y' - x' > n - 1.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -254,15 +189,15 @@ def counterexample_growth_table(n_max: int) -> list[dict]:
         raise ValidationError(f"nmax must be at most 47 (n + 2^-n == n from 48 on), got {n_max}")
     rows = []
     for n in range(2, n_max + 1):
-        model = band_model(n)
+        x_prime, y_prime = 0.0, float(n) + 0.5 / 2 ** (n - 1)
         rows.append({
             "n": n,
-            "lower_bound": model.winding_lower_bound,
-            "x_prime_height": model.x_prime_height,
-            "y_prime_height": model.y_prime_height,
-            "height_separation": model.y_prime_height - model.x_prime_height,
-            "j_max": model.j_max,
-            "radii": list(model.radii),
-            "invariants_verified": True,
+            "lower_bound": n - 1,
+            "x_prime_height": x_prime,
+            "y_prime_height": y_prime,
+            "height_separation": y_prime - x_prime,
+            "j_max": 2 ** (n - 1),
+            "radii": [(k + 1) / (n + 3) for k in range(n + 2)],
+            "invariants_verified": y_prime > n and y_prime - x_prime > n - 1,
         })
     return rows

@@ -41,6 +41,7 @@ class SemiconjugacyField1D:
         val = periodic_gather(self.samples, periodic_plan(x, self.grid, self.orientation))
         return val if val.ndim else float(val)
 
+    @property
     def deviation_bound(self) -> float:
         """sup |H(x) - o*x| over [0, 1]; equal on every [k, k+1] shift."""
         xs = np.linspace(0.0, 1.0, self.grid + 1)

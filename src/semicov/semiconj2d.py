@@ -15,8 +15,7 @@ import numpy as np
 from .annulus import AnnulusMapLift, displacement_bound
 from .errors import (BandNotInvariant, DisplacementDiverges, MaxIterExceeded,
                      OutOfDomain, ValidationError)
-from .numerics import (band_gather, band_plan, blocked, circle_dist, contract,
-                       max_circular_gap)
+from .numerics import band_gather, band_plan, circle_dist, contract, max_circular_gap
 from .schema import MAX_SIZE
 
 
@@ -24,17 +23,15 @@ from .schema import MAX_SIZE
 class BandField2D:
     """Sampled semiconjugacy lift H on band x [0,1], bilinear in between.
 
-    values[i, j] = H(x_i, y_j) with y_Ny = y_0 + 1 column kept exact.
-    deviation_bound is the measured sup |H(x,y) - orientation*y|.
+    values[i, j] = H(x_i, y_j) on uniform nodes of band x [0, 1], with the
+    y_Ny = y_0 + 1 column kept exact.
     """
 
     band: tuple[float, float]
-    x_samples: np.ndarray
     values: np.ndarray                # shape (Nx, Ny+1)
     orientation: int = 1
     degree: int = 2
     residual: float = float("nan")
-    deviation_bound: float = float("nan")
     tol: float = float("nan")
     iterations: int = 0
     metadata: dict = field(default_factory=dict)
@@ -43,12 +40,22 @@ class BandField2D:
     def ny(self) -> int:
         return self.values.shape[1] - 1
 
+    @property
+    def x_samples(self) -> np.ndarray:
+        return np.linspace(*self.band, len(self.values))
+
+    @property
+    def deviation_bound(self) -> float:
+        """sup |H(x, y) - orientation*y|: the node maximum, exact for a bilinear field."""
+        ys = np.linspace(0.0, 1.0, self.ny + 1)
+        return float(np.max(np.abs(self.values - self.orientation * ys)))
+
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         a, b = self.band
         if not np.all((x >= a - 1e-12) & (x <= b + 1e-12)):
             raise OutOfDomain(f"x outside band [{a}, {b}]")
-        plan = band_plan(x, y, self.band, len(self.x_samples) - 1, self.ny, self.orientation)
+        plan = band_plan(x, y, self.band, len(self.values) - 1, self.ny, self.orientation)
         v = band_gather(self.values, plan)
         return v if v.ndim else float(v)
 
@@ -76,12 +83,6 @@ def _gather(values):
     return lambda p: band_gather(flat, p)
 
 
-def _deviation(values, ys, orientation: int) -> float:
-    """sup |H(x, y) - orientation*y| over the nodes, a maximum per block of rows."""
-    with blocked(values.shape) as sweep:
-        return float(np.max(sweep(lambda rows: np.abs(values[rows] - orientation * ys).max())))
-
-
 def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
                              tol: float = 1e-8, max_iter: int | None = None,
                              nx: int = 129, ny: int = 256,
@@ -101,9 +102,8 @@ def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
                                           m.degree, orientation, tol, max_iter)
     if not converged:
         raise MaxIterExceeded(f"no convergence to {tol} within {it} iterations")
-    return BandField2D((a, b), xs, cur, orientation, m.degree, residual=float(defect.max()),
-                       tol=tol, deviation_bound=_deviation(cur, ys, orientation),
-                       iterations=it)
+    return BandField2D((a, b), cur, orientation, m.degree, residual=float(defect.max()),
+                       tol=tol, iterations=it)
 
 
 def solve_bounded_semiconjugacy(m: AnnulusMapLift, truncation: tuple[float, float],
@@ -141,8 +141,8 @@ def solve_bounded_semiconjugacy(m: AnnulusMapLift, truncation: tuple[float, floa
 
         cur, it, converged, defect = contract(plan, lift, np.broadcast_to(ys, (nx, ny + 1)),
                                               m.degree, 1, tol, max_iter)
-        field = BandField2D((a, b), xs, cur, 1, m.degree, residual=float(defect.max()),
-                            tol=tol, deviation_bound=_deviation(cur, ys, 1), iterations=it)
+        field = BandField2D((a, b), cur, 1, m.degree, residual=float(defect.max()),
+                            tol=tol, iterations=it)
         # the window's rows whose images stay in the truncation, without the glued column
         rows = slice(int(np.searchsorted(xs, a0, "left")), int(np.searchsorted(xs, b0, "right")))
         kept = defect[rows][inside[rows]]

@@ -37,7 +37,7 @@ def test_non_monotone_fiber_rejected():
 
 def test_base_escape_rejected():
     with pytest.raises(BaseEscapes):
-        make_skew_product(BaseMap("samples", table=np.linspace(-0.2, 0.8, 33)),
+        make_skew_product(BaseMap("samples", (np.linspace(-0.2, 0.8, 33),)),
                           FiberMap(2))
 
 
@@ -119,6 +119,18 @@ def test_base_inverse_error_is_one_line():
     with pytest.raises(BaseNotInvertible) as err:
         BaseMap("affine_to_one").inverse(np.linspace(0.2, 0.8, 400))
     assert "\n" not in str(err.value) and "[0.2, 0.8]" in str(err.value)
+
+
+def test_samples_base_inverse_round_trip():
+    base = BaseMap("samples", (0.05 + 0.9 * np.linspace(0.0, 1.0, 33) ** 1.5,))
+    xs = np.linspace(0.01, 0.99, 257)
+    np.testing.assert_allclose(base.inverse(base(xs)), xs, rtol=0, atol=1e-12)
+
+
+def test_samples_base_inverse_needs_increasing_table():
+    flat = BaseMap("samples", (np.array([0.1, 0.4, 0.4, 0.9] * 4 + [0.95]),))
+    with pytest.raises(BaseNotInvertible, match="not strictly increasing"):
+        flat.inverse(0.5)
 
 
 @pytest.mark.parametrize("x, y", [(np.nan, 0.5), (-np.inf, 0.5), (0.5, np.nan), (0.5, np.inf)])

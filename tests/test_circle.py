@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semicov.circle import find_periodic_points, from_function, model_lift
+from semicov.circle import find_periodic_points, from_function, make_lift, model_lift
 from semicov.classify import blow_up
 from semicov.errors import DegreeTooSmall, NonIntegerDegree, NotACovering, OutOfDomain
 from semicov.numerics import bisect_brackets, circle_dist, frac, sign_changes
@@ -111,6 +111,21 @@ def test_periodic_points_negative_degree():
     # -2x = x mod 1 has the three solutions k/3
     pts = find_periodic_points(model_lift(-2), 1)
     assert [a for a, _ in pts] == pytest.approx([0.0, 1 / 3, 2 / 3], abs=1e-9)
+
+
+def test_periodic_points_merge_across_angle_zero():
+    # F(x) - x dips 5e-6 below 0 at angle 0 and rises on both sides: a near-tangent
+    # pair of fixed points at about +1.9e-6 and -8.3e-6, within the dedupe gap
+    # 2/npts = 2e-5 across angle 0, so the one at the top of [0, 1) is dropped
+    values = [-5e-6] + [2 * i / 16 + 0.1 for i in range(1, 16)] + [2 - 5e-6]
+    m = make_lift(values)
+    assert m.is_covering
+    g = lambda x: m(x) - x
+    assert g(0.0) < 0 < g(1e-5) and g(1.0 - 1e-5) - 1 > 0 > g(1.0) - 1
+    pts = find_periodic_points(m, 1)
+    assert [p for _, p in pts] == [1, 1]
+    assert 0.0 < pts[0][0] < 1e-5
+    assert pts[1][0] == pytest.approx(0.9, abs=1e-9)
 
 
 def test_periodic_points_requires_covering():

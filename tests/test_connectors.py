@@ -125,6 +125,13 @@ def test_repellers_reject_no_expansion():
         repelling_connectors(m, constant_connector(0.25))
 
 
+def test_repellers_reject_base_moving_the_window():
+    # x -> (x + 1)/2 sends the window's top 1 - margin to 1 - margin/2
+    m = make_skew_product(BaseMap("affine_to_one"), FiberMap(2))
+    with pytest.raises(OutOfDomain, match="margin window"):
+        repelling_connectors(m, constant_connector(0.25))
+
+
 def test_repellers_approximately_invariant(contracting_z2):
     reps = repelling_connectors(contracting_z2, constant_connector(0.25), depth=10)
     r = reps[0]
@@ -298,6 +305,10 @@ def test_coded_field_from_invariant_connector(example_map):
         assert np.max(np.abs(field(np.full_like(ys, x), ys) - expected)) < 5e-3
     assert field.residual < 0.05           # limited by curve interpolation
     assert field.deviation_bound > 1.0     # the true lift deviates a lot here
+    # the coding's own nodes and node maximum, as it computed them before fields derived them
+    assert np.array_equal(field.x_samples, np.linspace(0.1, 0.9, 65))
+    ys = np.linspace(0.0, 1.0, 129)
+    assert field.deviation_bound == float(np.max(np.abs(field.values - ys[None, :])))
 
 
 def test_interp_rows_is_np_interp_bit_for_bit():
@@ -498,6 +509,14 @@ def test_code_column_orders_sub_rounding_neighbours_by_key():
     hs, vs, ys = np.array([0.0, -1e-17]), np.array([0.0, 10.0]), np.array([0.0, 0.5])
     assert np.array_equal(_code_column(hs, vs, ys), [5.5, 5.5])
     assert np.array_equal(loop_column(hs, vs, ys), [0.5, 0.5])
+
+
+def test_coding_rejects_columns_without_curves(contracting_z2):
+    # the seed spans [0.3, 0.7]; the band's first column at x = 0.1 meets no curve
+    seed = constant_connector(0.0, margin=0.3)
+    seed.value = 0.0
+    with pytest.raises(OutOfDomain, match="no coding curves over x = 0.1"):
+        semiconjugacy_from_connectors(contracting_z2, [seed], (0.1, 0.9), depth=0, nx=9, ny=16)
 
 
 @pytest.mark.parametrize("kwargs", [{"nx": 1}, {"nx": 0}, {"ny": 0}, {"ny": -3},

@@ -55,7 +55,7 @@ def test_band_gather_matches_2d_reference(rows, ny, orientation):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
-    field = BandField2D(band, np.linspace(*band, rows), values, orientation)
+    field = BandField2D(band, values, orientation)
     for px, py in ((0.8, 0.0), (0.2, -1.0), (0.5, 2.25), (0.37, -0.61)):
         got = field(np.asarray(px), np.asarray(py))
         assert isinstance(got, float)

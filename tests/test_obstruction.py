@@ -5,28 +5,25 @@ from semicov.annulus import AnnulusMapLift, BaseMap, FiberMap, TauSpec, make_ske
 from semicov.circle import from_function, make_lift
 from semicov.connectors import invariant_connector_from_arc, semiconjugacy_from_connectors
 from semicov.errors import BranchAmbiguity, EndpointOutsideK, FiberNotMonotone, ValidationError
-from semicov.obstruction import (BandModel, FiberLoop, _composite_fiber, band_model,
-                                 counterexample_growth_table, lift_loop_winding,
-                                 measure_deviation_bound, star_condition_scan)
+from semicov.obstruction import (_composite_fiber, counterexample_growth_table,
+                                 lift_loop_winding, measure_deviation_bound, star_condition_scan)
 
 
 def test_single_turn_lifts_to_half_turn(product_z2):
     # one turn lifts under z^2 to half a turn: no connector crossing
-    rec = lift_loop_winding(product_z2, FiberLoop(0.5, 0.5), 1, 1,
-                            (0.5, 0.25), (0.1, 0.9))
+    rec = lift_loop_winding(product_z2, 0.5, 1, 1, (0.5, 0.25), (0.1, 0.9))
     assert rec.winding == 0
     assert rec.height_gap == pytest.approx(0.5, abs=1e-12)
 
 
 def test_double_turn_lifts_to_full_turn(product_z2):
-    rec = lift_loop_winding(product_z2, FiberLoop(0.5, 0.5), 1, 2,
-                            (0.5, 0.25), (0.1, 0.9))
+    rec = lift_loop_winding(product_z2, 0.5, 1, 2, (0.5, 0.25), (0.1, 0.9))
     assert rec.winding == 1
     assert rec.height_gap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lift_pushforward_reproduces_loop(product_z2):
-    rec = lift_loop_winding(product_z2, FiberLoop(0.5, 0.5), 2, 3,
+    rec = lift_loop_winding(product_z2, 0.5, 2, 3,
                             (0.5, 0.125), (0.1, 0.9), path_samples=129)
     ts, path = rec.path
     fwd = path.copy()
@@ -37,15 +34,13 @@ def test_lift_pushforward_reproduces_loop(product_z2):
 
 def test_lift_endpoint_outside_band(product_z2):
     with pytest.raises(EndpointOutsideK):
-        lift_loop_winding(product_z2, FiberLoop(0.5, 0.5), 1, 1,
-                          (0.95, 0.25), (0.1, 0.9))
+        lift_loop_winding(product_z2, 0.5, 1, 1, (0.95, 0.25), (0.1, 0.9))
 
 
 def test_lift_rejects_wrong_start_fiber(example_map):
     # the start column must be an n-th base preimage of the loop fiber
     with pytest.raises(BranchAmbiguity):
-        lift_loop_winding(example_map, FiberLoop(0.9, 0.0), 1, 1,
-                          (0.5, 0.0), (0.1, 0.9))
+        lift_loop_winding(example_map, 0.9, 1, 1, (0.5, 0.0), (0.1, 0.9))
 
 
 def scalar_lift(m, n, j, start):
@@ -64,7 +59,7 @@ def test_lift_matches_scalar_reference(contracting_z2, start, n, j):
     x = start[0]
     for _ in range(n):
         x = contracting_z2.base(x)
-    rec = lift_loop_winding(contracting_z2, FiberLoop(x), n, j, start, (0.1, 0.9))
+    rec = lift_loop_winding(contracting_z2, x, n, j, start, (0.1, 0.9))
     assert (rec.end_height, rec.winding, rec.ambiguous_endpoint) == scalar_lift(
         contracting_z2, n, j, start)
     assert [type(v) for v in (rec.end_height, rec.winding, rec.ambiguous_endpoint)] == [
@@ -80,14 +75,14 @@ def per_record_scan(m, band, n_max):
     records = []
     for n in range(1, n_max + 1):
         xs_chain, forward, inverse = _composite_fiber(m, x_anchor, n)
-        loop = FiberLoop(float(np.asarray(m.base(xs_chain[-1]))), base_angle)
+        loop_x = float(np.asarray(m.base(xs_chain[-1])))
         g0 = float(forward(np.array([0.0]))[0])
         first = np.ceil(g0 - base_angle) + np.arange(d ** n)
         starts = inverse(base_angle + first)
         starts = np.sort(starts - np.floor(starts))
         for j in sorted({1, max(1, int(np.ceil(d ** (n - 1) / 2))), max(1, d ** (n - 1))}):
             for y0 in starts:
-                rec = lift_loop_winding(m, loop, n, j, (x_anchor, float(y0)), band)
+                rec = lift_loop_winding(m, loop_x, n, j, (x_anchor, float(y0)), band)
                 assert (rec.end_height, rec.winding, rec.ambiguous_endpoint) == scalar_lift(
                     m, n, j, rec.start)
                 records.append(rec)
@@ -128,10 +123,10 @@ def test_non_monotone_fiber_is_rejected():
     values[41] = values[39]
     lift = make_lift(values)
     assert not lift.is_covering
-    m = AnnulusMapLift(BaseMap("contraction", (0.5, 0.9)), FiberMap(2, circle=lift), 2)
+    m = AnnulusMapLift(BaseMap("contraction", (0.5, 0.9)), FiberMap(2, circle=lift))
     with pytest.raises(FiberNotMonotone):
         # the start also lies outside the band: the slope is checked first
-        lift_loop_winding(m, FiberLoop(0.5), 1, 1, (0.95, 0.25), (0.1, 0.9))
+        lift_loop_winding(m, 0.5, 1, 1, (0.95, 0.25), (0.1, 0.9))
     with pytest.raises(FiberNotMonotone):
         star_condition_scan(m, (0.1, 0.9), 3)
 
@@ -165,25 +160,6 @@ def test_star_scan_covers_all_branches(product_z2):
         assert k == 2 ** n
 
 
-def test_band_model_invariants():
-    for n in range(2, 9):
-        model = band_model(n)
-        model.verify()
-        assert model.winding_lower_bound == n - 1
-        assert model.y_prime_height - model.x_prime_height > n - 1
-        assert model.alpha_end_height == n
-        assert model.x_prime_height < 0.5
-        assert model.y_prime_height > n
-
-
-def test_band_model_rejects_bad_data():
-    good = band_model(3)
-    bad = BandModel(3, good.radii, 0.0, 2.0, 0.5, good.x_prime_height,
-                    good.y_prime_height, good.j_max)
-    with pytest.raises(ValueError):
-        bad.verify()
-
-
 def test_growth_table():
     rows = counterexample_growth_table(8)
     assert [r["n"] for r in rows] == list(range(2, 9))
@@ -199,10 +175,12 @@ def test_growth_table_requires_two():
         counterexample_growth_table(1)
 
 
-def test_band_model_holds_up_to_47_only():
-    assert band_model(47).y_prime_height > 47
-    with pytest.raises(ValueError, match="above height n"):
-        band_model(48)                          # 48 + 2^-48 rounds to 48
-    assert len(counterexample_growth_table(47)) == 46
+def test_growth_table_holds_up_to_47_only():
+    rows = counterexample_growth_table(47)
+    assert len(rows) == 46
+    assert rows[-1]["y_prime_height"] > 47
+    assert all(r["invariants_verified"] is (r["y_prime_height"] > r["n"] and
+                                            r["height_separation"] > r["n"] - 1) for r in rows)
+    assert all(r["invariants_verified"] for r in rows)
     with pytest.raises(ValidationError, match="at most 47.*got 48"):
         counterexample_growth_table(48)

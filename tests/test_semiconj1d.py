@@ -101,7 +101,7 @@ def test_solution_bounded_deviation_equal_on_shifts(sine2):
     for k in (-2, 1, 5):
         dev = np.abs(h(xs + k) - (xs + k))
         assert np.max(np.abs(dev - dev0)) < 1e-12
-    assert h.deviation_bound() < 0.2
+    assert h.deviation_bound < 0.2
 
 
 def test_solution_monotone_for_covering(sine2):

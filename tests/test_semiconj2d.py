@@ -6,7 +6,7 @@ import pytest
 from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.errors import (BandNotInvariant, DisplacementDiverges, OutOfDomain,
                             ValidationError)
-from semicov.numerics import band_gather, band_plan
+from semicov.numerics import band_gather, band_plan, blocked
 from semicov.semiconj1d import solve_semiconjugacy
 from semicov.semiconj2d import (BandField2D, check_fiber_connector,
                                 check_fiber_surjectivity, solve_band_semiconjugacy,
@@ -81,11 +81,10 @@ def test_fiber_surjectivity(product_z2):
 
 
 def test_fiber_surjectivity_fails_on_corrupted_field():
-    xs = np.linspace(0.2, 0.8, 9)
     values = np.tile(np.linspace(0, 1, 17), (9, 1))
     values[:, -1] = values[:, 0] + 1.0
     values[4, :] = 0.25          # one fiber collapsed to a constant
-    bad = BandField2D((0.2, 0.8), xs, values)
+    bad = BandField2D((0.2, 0.8), values)
     assert not check_fiber_surjectivity(bad, 0.5, 0.01)
 
 
@@ -100,7 +99,7 @@ def test_fiber_connector_fails_on_one_collapsed_level():
     xs = np.linspace(0.2, 0.8, 9)
     values = np.tile(np.linspace(0, 1, 17), (9, 1))
     values[4, :] = 0.25          # the level x = 0.5 takes no other angle
-    bad = BandField2D((0.2, 0.8), xs, values)
+    bad = BandField2D((0.2, 0.8), values)
     assert check_fiber_connector(bad, 0.25, 0.01)
     assert not check_fiber_connector(bad, 0.75, 0.01)
     assert check_fiber_connector(bad, 0.75, 0.01, x_levels=np.delete(xs, 4))
@@ -247,3 +246,26 @@ def test_band_solvers_reject_degenerate_grids(product_z2, nx, ny):
         solve_band_semiconjugacy(product_z2, (0.2, 0.8), nx=nx, ny=ny)
     with pytest.raises(ValidationError):
         solve_bounded_semiconjugacy(product_z2, (0.2, 0.8), nx=nx, ny=ny)
+
+
+def _deviation(values, ys, orientation):
+    """sup |H(x, y) - orientation*y| over the nodes, a maximum per block of rows: the
+    band solvers' own measurement before fields derived it, kept as the reference."""
+    with blocked(values.shape) as sweep:
+        return float(np.max(sweep(lambda rows: np.abs(values[rows] - orientation * ys).max())))
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("nx, ny", [(33, 64), (300, 511)])
+def test_band_field_derives_nodes_and_deviation_bound(nx, ny, orientation):
+    # 300 x 512 nodes span three blocks of the reference's sweep
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.7)),
+                          FiberMap(2, tau=TauSpec("linear", 0.1)))
+    h = solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=nx, ny=ny, orientation=orientation)
+    assert np.array_equal(h.x_samples, np.linspace(0.2, 0.8, nx))
+    assert h.deviation_bound == _deviation(h.values, np.linspace(0.0, 1.0, ny + 1), orientation)
+    m = make_skew_product(BaseMap("power", (0.1,)), FiberMap(2, tau=TauSpec("linear", 0.5)))
+    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-8, nx=nx, ny=ny)
+    assert h.metadata["widenings"] == 1
+    assert np.array_equal(h.x_samples, np.linspace(0.2 * 0.5, 1.0 - (1.0 - 0.8) * 0.5, nx))
+    assert h.deviation_bound == _deviation(h.values, np.linspace(0.0, 1.0, ny + 1), 1)

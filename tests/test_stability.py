@@ -104,7 +104,7 @@ def test_verify_perturbation_shrinking_profile():
 
 def test_non_monotone_base_breaks_injectivity_certificate():
     spec = perturb_p2(EpsilonSpec("const", 0.1))
-    folded = BaseMap("samples", table=np.array([0.01, 0.3, 0.2, 0.4, 0.6]))
+    folded = BaseMap("samples", (np.array([0.01, 0.3, 0.2, 0.4, 0.6]),))
     spec = replace(spec, g=make_skew_product(folded, spec.g.fiber))
     rep = verify_perturbation(spec, grid=10_000, r_samples=1_000)
     cert = rep["injectivity"]
