@@ -14,7 +14,7 @@ import numpy as np
 from .circle import DEGREE_TOL, LiftedCircleMap
 from .errors import (BaseEscapes, BaseNotInvertible, DegreeTooSmall, FiberNotMonotone,
                      NonIntegerDegree, OutOfDomain)
-from .schema import REQUIRED, Family, fraction, number, numbers, positive, band as check_band
+from .schema import REQUIRED, Family, fraction, number, numbers, positive
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +202,3 @@ def make_skew_product(base: BaseMap, fiber: FiberMap,
     if lo <= 0.0:
         raise FiberNotMonotone(f"fiber slope reaches {lo} <= 0")
     return AnnulusMapLift(base, fiber, metadata=dict(metadata or {}))
-
-
-def displacement_bound(m: AnnulusMapLift, band: tuple[float, float]) -> dict:
-    """Sup |y1 - d*y0| over band x [0,1) on a 256 x 128 grid, with a divergence diagnostic.
-
-    The divergence flag is a heuristic: the same supremum is re-measured
-    over six margins shrinking toward the boundary; monotone unbounded
-    growth sets the flag.  It is reported as a diagnostic, never a theorem.
-    """
-    a, b = check_band(band, "band")
-
-    def sup_on(lo, hi):
-        xs = np.linspace(lo, hi, 256)
-        ys = np.linspace(0.0, 1.0, 128, endpoint=False)
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        disp = np.asarray(m.fiber(xg, yg)) - m.degree * yg
-        return float(np.max(np.abs(disp)))
-
-    value = sup_on(a, b)
-    margins = [10.0 ** (-k) for k in range(2, 8)]
-    sups = [sup_on(mg, 1.0 - mg) for mg in margins]
-    increasing = all(s2 >= s1 for s1, s2 in zip(sups, sups[1:]))
-    diverges = increasing and sups[-1] > 10.0 * max(sups[0], 1e-12) and sups[-1] > 1.0
-    return {"sup": value, "diverges": diverges, "margin_sups": sups, "band": band}

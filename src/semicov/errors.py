@@ -67,10 +67,6 @@ class BandNotInvariant(SemicovError):
     """Product band is not forward invariant on the sample grid."""
 
 
-class DisplacementDiverges(SemicovError):
-    """Fiber displacement grows without bound toward the boundary."""
-
-
 # --- connectors ---
 
 class BranchCollision(SemicovError):

@@ -149,33 +149,37 @@ def blocked(shape):
         yield sweep
 
 
-def contract(plan, lift, start, degree: int, orientation: int, tol: float,
+def contract(plan, gather, start, degree: int, orientation: int, tol: float,
              max_iter: int | None = None):
-    """Iterate T(H) = lifted(H) / degree from start, gluing H[..., -1] = H[..., 0] + orientation.
+    """Iterate T(H) = H(F(.)) / degree from start, gluing H[..., -1] = H[..., 0] + orientation.
 
-    plan(rows) builds the plan of a block of leading-axis rows, once per
-    block of ``blocked``, in its pool; lift(H) returns p -> lifted(H) on the
-    rows of block plan p, a new array that contract may overwrite.
-    Stops once a step is at most tol*(1 - 1/|degree|), which bounds the
-    distance to the fixed point by tol; max_iter defaults to twice the steps
-    a 1/|degree| contraction needs, plus 60.  Returns (H, iterations,
-    converged, defect): one more sweep measures |lifted(H) - degree*H| of the
-    H returned over its body, every node but the glued one, and defect holds
-    its maximum per leading index of the body.
+    plan(rows) builds the plan p of a block of leading-axis rows, once per
+    block of ``blocked``, in its pool; gather(H, p) returns H(F(.)) on those
+    rows, a new array that contract may overwrite.  start is made
+    contiguous once, so no block's gather copies a broadcast start.  Raises
+    ValueError unless orientation is +1 or -1.  Stops once a step is at
+    most tol*(1 - 1/|degree|), which bounds the distance to the fixed point
+    by tol; max_iter defaults to twice the steps a 1/|degree| contraction
+    needs, plus 60.  Returns (H, iterations, converged, defect): one more
+    sweep measures |H(F(.)) - degree*H| of the H returned over its body,
+    every node but the glued one, and defect holds its maximum per leading
+    index of the body.
     """
+    if orientation not in (1, -1):
+        raise ValueError("orientation must be +1 or -1")
     ad = abs(degree)
     if max_iter is None:
         max_iter = 2 * int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad))) + 60
     stop = tol * (1.0 - 1.0 / ad)
     with blocked(start.shape) as sweep:
         plans = sweep(plan)
-        cur, it, converged = start, max_iter, False
+        cur, it, converged = np.ascontiguousarray(start), max_iter, False
         for it in range(1, max_iter + 1):
-            lifted, new = lift(cur), np.empty(cur.shape)
+            new = np.empty(cur.shape)
             body, old = new[..., :-1], cur[..., :-1]    # the glued column is measured once glued
 
             def advance(rows, p):
-                np.divide(lifted(p), degree, out=new[rows])
+                np.divide(gather(cur, p), degree, out=new[rows])
                 change = np.subtract(body[rows], old[rows])
                 return np.abs(change, out=change).max(initial=0.0)
             changes = sweep(advance, plans)
@@ -185,12 +189,12 @@ def contract(plan, lift, start, degree: int, orientation: int, tol: float,
             if np.max(changes) <= stop:
                 converged = True
                 break
-        lifted, body = lift(cur), cur[..., :-1]
+        body = cur[..., :-1]
         defect = np.empty(len(body))
 
         def measure(rows, p):                    # in 1D the last block's body is one node short
             h = body[rows]
-            r = lifted(p)[..., :h.shape[-1]]
+            r = gather(cur, p)[..., :h.shape[-1]]
             np.subtract(r, degree * h, out=r)
             np.max(np.abs(r, out=r), axis=tuple(range(1, r.ndim)), initial=0.0,
                    out=defect[rows])

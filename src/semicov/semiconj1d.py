@@ -56,8 +56,8 @@ def contraction_step(h: SemiconjugacyField1D, m: LiftedCircleMap) -> Semiconjuga
     """
     if h.degree != m.degree:
         raise DegreeMismatch(f"field degree {h.degree} vs map degree {m.degree}")
-    new, _, _, defect = contract(_pullback(m, h.grid, h.orientation), _gather, h.samples,
-                                 m.degree, h.orientation, tol=0.0, max_iter=1)
+    new, _, _, defect = contract(_pullback(m, h.grid, h.orientation), periodic_gather,
+                                 h.samples, m.degree, h.orientation, tol=0.0, max_iter=1)
     return SemiconjugacyField1D(new, h.orientation, h.degree, float(defect.max()))
 
 
@@ -67,11 +67,6 @@ def _pullback(m: LiftedCircleMap, grid: int, orientation: int):
     return lambda rows: periodic_plan(m(nodes[rows]), grid, orientation)
 
 
-def _gather(samples):
-    """p -> H(F(.)) on the nodes of plan p."""
-    return lambda p: periodic_gather(samples, p)
-
-
 def solve_semiconjugacy(m: LiftedCircleMap, orientation: int = 1,
                         tol: float = 1e-8, max_iter: int | None = None) -> SemiconjugacyField1D:
     """Fixed point of T to sup-distance tol, started from H0(x) = o*x.
@@ -79,11 +74,9 @@ def solve_semiconjugacy(m: LiftedCircleMap, orientation: int = 1,
     Iteration stops when the step size drops below tol*(1 - 1/|d|), which
     bounds the remaining distance to the fixed point by tol.
     """
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
     start = orientation * np.linspace(0.0, 1.0, m.grid + 1)
-    cur, it, converged, defect = contract(_pullback(m, m.grid, orientation), _gather, start,
-                                          m.degree, orientation, tol, max_iter)
+    cur, it, converged, defect = contract(_pullback(m, m.grid, orientation), periodic_gather,
+                                          start, m.degree, orientation, tol, max_iter)
     if not converged:
         raise MaxIterExceeded(f"no convergence to {tol} within {it} iterations")
     return SemiconjugacyField1D(cur, orientation, m.degree, float(defect.max()), tol=tol,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semicov.annulus import BaseMap, FiberMap, TauSpec, displacement_bound, make_skew_product
+from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.circle import from_function, make_lift
 from semicov.errors import (BaseEscapes, BaseNotInvertible, DegreeTooSmall, FiberNotMonotone,
                             NonIntegerDegree, OutOfDomain)
@@ -44,19 +44,6 @@ def test_base_escape_rejected():
 def test_evaluate_out_of_domain(product_z2):
     with pytest.raises(OutOfDomain):
         product_z2(1.2, 0.0)
-
-
-def test_displacement_product_zero(product_z2):
-    rep = displacement_bound(product_z2, (0.1, 0.9))
-    assert rep["sup"] == 0.0
-    assert not rep["diverges"]
-
-
-def test_displacement_example_band_and_divergence(example_map):
-    rep = displacement_bound(example_map, (0.1, 0.9))
-    # sup of 1/(1-x) over the band is attained at the right edge
-    assert rep["sup"] == pytest.approx(10.0, rel=1e-9)
-    assert rep["diverges"]
 
 
 @pytest.mark.parametrize("d", [2, 3, -2, -3])

@@ -1,7 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+error class is raised somewhere in the library.
 
-No linter ships with the project, so this catches the imports that a
-deleted function leaves behind.  ``__init__.py`` only re-exports.
+No linter ships with the project, so this catches the imports and the
+errors that a deleted function leaves behind.  ``__init__.py`` only
+re-exports.
 """
 import ast
 from pathlib import Path
@@ -35,3 +37,27 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unraised_errors(errors: str, sources: list[str]) -> list[str]:
+    """The SemicovError subclasses defined in errors that no raise statement in sources names."""
+    classes = {node.name for node in ast.walk(ast.parse(errors)) if isinstance(node, ast.ClassDef)
+               and any(isinstance(b, ast.Name) and b.id == "SemicovError" for b in node.bases)}
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return sorted(classes - raised)
+
+
+def test_unraised_errors_are_found():
+    errors = ("class SemicovError(Exception): pass\nclass A(SemicovError): pass\n"
+              "class B(SemicovError): pass\nclass C(SemicovError): pass\nclass D(ValueError): pass\n")
+    assert unraised_errors(errors, ["raise A('x')\n", "raise errors.B\n"]) == ["C"]
+
+
+def test_every_error_is_raised():
+    errors = (MODULES[0].parent / "errors.py").read_text()
+    assert unraised_errors(errors, [p.read_text() for p in MODULES]) == []

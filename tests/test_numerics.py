@@ -97,10 +97,10 @@ def checked(monkeypatch):
     """Make the solvers' contract assert bit-equality with the reference; returns its results."""
     results = []
 
-    def contract_and_compare(plan, lift, start, degree, orientation, tol, max_iter=None):
-        got = contract(plan, lift, start, degree, orientation, tol, max_iter)
+    def contract_and_compare(plan, gather, start, degree, orientation, tol, max_iter=None):
+        got = contract(plan, gather, start, degree, orientation, tol, max_iter)
         whole = plan(slice(None))
-        want = _contract_reference(lambda v: lift(v)(whole), start, degree, orientation, tol,
+        want = _contract_reference(lambda v: gather(v, whole), start, degree, orientation, tol,
                                    max_iter)
         assert got[0].tobytes() == want[0].tobytes() and got[1:3] == want[1:3]
         assert got[3].tobytes() == want[3].tobytes()
@@ -145,28 +145,17 @@ def test_blocked_band_contract_matches_reference(checked, nx, ny, degree, orient
     assert float(checked[0][3].max()) == h.residual
 
 
-def test_blocked_bounded_contract_matches_reference(checked):
-    # the power base leaves the band, so the mean-deviation closure takes part
-    m = make_skew_product(BaseMap("power", (2.0,)), FiberMap(2, tau=TauSpec("const", 0.3)))
-    h = semiconj2d.solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=300, ny=511)
-    with pytest.raises(MaxIterExceeded):
-        semiconj2d.solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-9, max_iter=2, nx=300, ny=511,
-                                               max_widenings=0)
-    assert checked[0][1] == h.iterations and checked[-1][1:3] == (2, False)
-    assert float(checked[0][3].max()) == h.residual
-
-
 @pytest.mark.parametrize("nodes", [4097, 2 ** 17 + 4])
 def test_nan_prevents_convergence(nodes):
     start = np.linspace(0.0, 1.0, nodes)
     values = np.full(nodes, 0.5)
     values[nodes // 2] = np.nan
 
-    def lift(v):                    # a block's plan is its rows
-        return lambda rows: values[rows].copy()
+    def gather(v, rows):            # a block's plan is its rows
+        return values[rows].copy()
 
-    got = contract(lambda rows: rows, lift, start, 2, 1, 1e300, max_iter=3)
-    want = _contract_reference(lambda v: lift(v)(slice(None)), start, 2, 1, 1e300, 3)
+    got = contract(lambda rows: rows, gather, start, 2, 1, 1e300, max_iter=3)
+    want = _contract_reference(lambda v: gather(v, slice(None)), start, 2, 1, 1e300, 3)
     assert got[1:3] == want[1:3] == (3, False)
     assert np.array_equal(got[0], want[0], equal_nan=True)
     assert np.array_equal(got[3], want[3], equal_nan=True)
@@ -179,14 +168,26 @@ def test_lifted_value_at_the_glued_column_is_overwritten(shape):
     glued = np.zeros(shape, dtype=bool)
     glued[..., -1] = True
 
-    def lift(v):    # the fixed point is start, whatever lifted says at the glued column
-        return lambda rows: np.where(glued[rows], 1e6, 2.0 * v[rows])
+    def gather(v, rows):    # the fixed point is start, whatever lifted says at the glued column
+        return np.where(glued[rows], 1e6, 2.0 * v[rows])
 
-    got = contract(lambda rows: rows, lift, start, 2, 1, 1e-9)
-    want = _contract_reference(lambda v: lift(v)(slice(None)), start, 2, 1, 1e-9)
+    got = contract(lambda rows: rows, gather, start, 2, 1, 1e-9)
+    want = _contract_reference(lambda v: gather(v, slice(None)), start, 2, 1, 1e-9)
     assert got[1:3] == want[1:3] == (1, True)
     assert not got[3].any() and got[3].tobytes() == want[3].tobytes()
     assert got[0].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("orientation", [0, 2, 0.5])
+def test_solvers_reject_an_orientation_other_than_plus_or_minus_one(product_z2, orientation):
+    m = from_function(lambda x: 2 * x + 0.1 * np.sin(2 * np.pi * x), 4096)
+    field = semiconj1d.SemiconjugacyField1D(np.linspace(0.0, 1.0, 4097), orientation, 2)
+    for solve in (lambda: semiconj1d.solve_semiconjugacy(m, orientation),
+                  lambda: semiconj1d.contraction_step(field, m),
+                  lambda: semiconj2d.solve_band_semiconjugacy(product_z2, (0.2, 0.8),
+                                                              orientation=orientation)):
+        with pytest.raises(ValueError, match=r"^orientation must be \+1 or -1$"):
+            solve()
 
 
 def test_one_block_or_one_cpu_runs_without_an_executor(monkeypatch):
@@ -266,12 +267,11 @@ def test_block_plans_of_the_band_solvers_join_to_the_whole_plan(orientation):
     with numerics.blocked((nx, ny + 1)) as sweep:
         parts = sweep(image)
     assert [len(p[0]) for p in parts] == [128, 128, 44]
-    # the whole grid as the band solvers built it before: the map on the meshgrid
+    # the whole grid as the band solver built it before: the map on the meshgrid
     xg, yg = np.meshgrid(xs, np.linspace(0.0, 1.0, ny + 1), indexing="ij")
     mx, my = m(xg, yg)
     assert fx.tobytes() == mx[:, 0].tobytes()
-    _assert_plans_equal(_concatenated([p[0:1] for p in parts]), [my])
-    _assert_plans_equal(_concatenated([p[1] for p in parts]),
+    _assert_plans_equal(_concatenated(parts),
                         band_plan(mx[:, :1], my, band, nx - 1, ny, orientation))
 
 
@@ -287,7 +287,6 @@ def test_a_block_plan_error_keeps_its_type_and_message(monkeypatch):
     monkeypatch.setattr(type(m), "__call__", blows_up)
     for cpus in (set(range(8)), {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        for solve in (semiconj2d.solve_band_semiconjugacy, semiconj2d.solve_bounded_semiconjugacy):
-            with pytest.raises(OutOfDomain) as err:
-                solve(m, (0.2, 0.8), 1e-9, nx=300, ny=511)
-            assert str(err.value) == "evaluation points must be finite"
+        with pytest.raises(OutOfDomain) as err:
+            semiconj2d.solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=300, ny=511)
+        assert str(err.value) == "evaluation points must be finite"

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
-from semicov.errors import (BandNotInvariant, DisplacementDiverges, OutOfDomain,
-                            ValidationError)
-from semicov.numerics import band_gather, band_plan, blocked
+from semicov.errors import BandNotInvariant, OutOfDomain, ValidationError
+from semicov.numerics import blocked
 from semicov.semiconj1d import solve_semiconjugacy
 from semicov.semiconj2d import (BandField2D, check_fiber_connector,
-                                check_fiber_surjectivity, solve_band_semiconjugacy,
-                                solve_bounded_semiconjugacy)
+                                check_fiber_surjectivity, solve_band_semiconjugacy)
 
 
 def test_product_model_fixed_point(product_z2):
@@ -52,25 +50,6 @@ def test_deviation_bound_uniform_over_shifts():
         dev = np.max(np.abs(h(xg, yg + k) - (yg + k)))
         assert dev == pytest.approx(dev0, abs=1e-12)
     assert dev0 <= h.deviation_bound + 1e-12
-
-
-def test_bounded_solver_square_base():
-    m = make_skew_product(BaseMap("power", (2.0,)), FiberMap(2))
-    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-9)
-    assert h.deviation_bound <= 1e-9
-    assert h.metadata["interior_residual"] <= 1e-9
-
-
-def test_bounded_solver_constant_translation():
-    m = make_skew_product(BaseMap("power", (2.0,)), FiberMap(2, tau=TauSpec("const", 0.3)))
-    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-9)
-    xg, yg = np.meshgrid(h.x_samples, np.linspace(0, 1, 9), indexing="ij")
-    assert np.max(np.abs(h(xg, yg) - (yg + 0.3))) <= 1e-7
-
-
-def test_bounded_solver_rejects_divergent_displacement(example_map):
-    with pytest.raises(DisplacementDiverges):
-        solve_bounded_semiconjugacy(example_map, (0.2, 0.8))
 
 
 def test_fiber_surjectivity(product_z2):
@@ -131,39 +110,14 @@ def test_band_field_rejects_non_finite(product_z2, x, y):
         h(x, y)
 
 
-def test_bounded_solver_records_inner_exhaustion():
-    # H0 = y steps to y + 0.0075: above the stop 0.005, but the interior
-    # residual 0.0075 already meets tol, so one step returns a field.
-    m = make_skew_product(BaseMap("power", (2.0,)), FiberMap(2, tau=TauSpec("const", 0.015)))
-    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-2, max_iter=1)
-    assert h.iterations == 1
-    assert h.metadata["inner_converged"] is False
-    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-2)
-    assert h.metadata["inner_converged"] is True
-
-
-def test_bounded_solver_needs_checked_interior_points():
-    # base x^0.1 sends the whole window (0.2, 0.8) above 0.85: no interior
-    # residual can be measured until the truncation is widened to 0.9
-    m = make_skew_product(BaseMap("power", (0.1,)), FiberMap(2, tau=TauSpec("linear", 0.5)))
-    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-8)
-    assert h.metadata["widenings"] == 1
-    assert h.metadata["interior_points"] > 0
-    assert h.metadata["interior_residual"] <= 1e-8
-
-
-def _measure_whole_grid(field, m, closure=None, window=None):
+def _measure_whole_grid(field, m):
     """The residual over every grid row at once, kept as the reference."""
-    xs = field.x_samples
-    if window is not None:
-        xs = xs[(xs >= window[0]) & (xs <= window[1])]
-    xg, yg = np.meshgrid(xs, np.linspace(0.0, 1.0, field.ny, endpoint=False), indexing="ij")
+    xg, yg = np.meshgrid(field.x_samples, np.linspace(0.0, 1.0, field.ny, endpoint=False),
+                         indexing="ij")
     fx, fy = m(xg, yg)
     a, b = field.band
     inside = (fx >= a) & (fx <= b)
-    h_there = np.where(inside, field(np.clip(fx, a, b), fy),
-                       closure(fx, fy) if closure else np.nan)
-    r = np.abs(h_there - m.degree * field(xg, yg))
+    r = np.abs(np.where(inside, field(np.clip(fx, a, b), fy), np.nan) - m.degree * field(xg, yg))
     return float(np.nanmax(r, initial=0.0)), int(np.count_nonzero(~np.isnan(r)))
 
 
@@ -182,70 +136,28 @@ def test_band_residual_matches_whole_grid(residual_matches, nx, ny, band, degree
     residual_matches(h.residual, sup, h.values, degree, exact=band == (0.25, 0.75))
 
 
-def _interior_by_regather(h, m, window):
-    """The window's interior residual and point count as the bounded solver measured them
-    before contract reported its rows: by gathering step(H) a second time over the
-    window's rows, kept as the reference."""
-    a, b = h.band
-    xs, ny = h.x_samples, h.ny
-    xg, yg = np.meshgrid(xs, np.linspace(0.0, 1.0, ny + 1), indexing="ij")
-    fx, fy = m(xg, yg)
-    fx = fx[:, :1]
-    inside = (fx >= a) & (fx <= b)
-    plan = band_plan(fx, fy, (a, b), len(xs) - 1, ny, 1)
-    mean = float(np.mean(h.values - yg))
-    rows = slice(int(np.searchsorted(xs, window[0], "left")),
-                 int(np.searchsorted(xs, window[1], "right")))
-    lifted = np.where(inside, band_gather(h.values, plan), fy + mean)[rows]
-    kept = inside[rows, 0]
-    r = np.abs(lifted[kept, :-1] - m.degree * h.values[rows][kept, :-1])
-    return float(r.max(initial=0.0)), r.size
-
-
-def _check_bounded_residuals(h, m, window, residual_matches):
-    """The bounded solver's full and interior residuals against the whole-grid reference."""
-    mean = float(np.mean(h.values - np.linspace(0.0, 1.0, h.ny + 1)))
-    full = _measure_whole_grid(h, m, closure=lambda x, y: y + mean)
-    interior = _measure_whole_grid(h, m, window=window)
-    assert h.metadata["interior_points"] == interior[1]
-    got = (h.metadata["interior_residual"], h.metadata["interior_points"])
-    assert got == _interior_by_regather(h, m, window)          # bit for bit
-    residual_matches(h.residual, full[0], h.values, m.degree, exact=False)
-    residual_matches(h.metadata["interior_residual"], interior[0], h.values, m.degree,
-                     exact=False)
-
-
 @pytest.mark.parametrize("nx", [2, 63, 64, 65, 129])
 def test_measure_chunks_match_whole_grid(residual_matches, nx):
     # 1025 columns put 63 rows in a block of the contract sweep that measures
-    # the residual; base x^2 sends part of the band below it, so the closure
-    # and the interior window change which points count
-    m = make_skew_product(BaseMap("power", (2.0,)), FiberMap(2, tau=TauSpec("linear", 0.1)))
-    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=nx, ny=1024)
-    assert h.metadata["widenings"] == 0
-    _check_bounded_residuals(h, m, (0.2, 0.8), residual_matches)
-    assert 0 < h.metadata["interior_points"] < nx * 1024
-
-
-def test_bounded_residuals_match_whole_grid_when_widened_or_unconverged(residual_matches):
-    # the widening case of test_bounded_solver_needs_checked_interior_points
-    # and the one-step field of test_bounded_solver_records_inner_exhaustion
-    m = make_skew_product(BaseMap("power", (0.1,)), FiberMap(2, tau=TauSpec("linear", 0.5)))
-    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-8)
-    assert h.metadata["widenings"] == 1
-    _check_bounded_residuals(h, m, (0.2, 0.8), residual_matches)
-    m = make_skew_product(BaseMap("power", (2.0,)), FiberMap(2, tau=TauSpec("const", 0.015)))
-    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-2, max_iter=1)
-    assert h.metadata["inner_converged"] is False
-    _check_bounded_residuals(h, m, (0.2, 0.8), residual_matches)
+    # the residual, so these nx end a block early, on its edge and just past it
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.7)),
+                          FiberMap(2, tau=TauSpec("linear", 0.1)))
+    h = solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=nx, ny=1024)
+    sup, count = _measure_whole_grid(h, m)
+    assert count == nx * 1024
+    residual_matches(h.residual, sup, h.values, m.degree, exact=False)
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 16), (0, 16), (9, 0)])
 def test_band_solvers_reject_degenerate_grids(product_z2, nx, ny):
     with pytest.raises(ValidationError):
         solve_band_semiconjugacy(product_z2, (0.2, 0.8), nx=nx, ny=ny)
-    with pytest.raises(ValidationError):
-        solve_bounded_semiconjugacy(product_z2, (0.2, 0.8), nx=nx, ny=ny)
+
+
+@pytest.mark.parametrize("band", [(0.5, 0.5), (0.8, 0.2)])
+def test_band_solver_rejects_an_empty_or_reversed_band(product_z2, band):
+    with pytest.raises(ValidationError, match=r"^band must be two numbers 0 < a < b < 1"):
+        solve_band_semiconjugacy(product_z2, band)
 
 
 def _deviation(values, ys, orientation):
@@ -264,8 +176,3 @@ def test_band_field_derives_nodes_and_deviation_bound(nx, ny, orientation):
     h = solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=nx, ny=ny, orientation=orientation)
     assert np.array_equal(h.x_samples, np.linspace(0.2, 0.8, nx))
     assert h.deviation_bound == _deviation(h.values, np.linspace(0.0, 1.0, ny + 1), orientation)
-    m = make_skew_product(BaseMap("power", (0.1,)), FiberMap(2, tau=TauSpec("linear", 0.5)))
-    h = solve_bounded_semiconjugacy(m, (0.2, 0.8), 1e-8, nx=nx, ny=ny)
-    assert h.metadata["widenings"] == 1
-    assert np.array_equal(h.x_samples, np.linspace(0.2 * 0.5, 1.0 - (1.0 - 0.8) * 0.5, nx))
-    assert h.deviation_bound == _deviation(h.values, np.linspace(0.0, 1.0, ny + 1), 1)
