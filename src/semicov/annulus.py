@@ -157,7 +157,6 @@ class AnnulusMapLift:
 
     base: BaseMap
     fiber: FiberMap
-    metadata: dict = field(default_factory=dict)
 
     @property
     def degree(self) -> int:
@@ -179,8 +178,7 @@ class AnnulusMapLift:
         return float(out_x), float(out_y)
 
 
-def make_skew_product(base: BaseMap, fiber: FiberMap,
-                      metadata: dict | None = None) -> AnnulusMapLift:
+def make_skew_product(base: BaseMap, fiber: FiberMap) -> AnnulusMapLift:
     """Validate a skew product on a 64 x 64 grid and read its degree from fiber equivariance."""
     xs = np.linspace(0.01, 0.99, 64)
     bx = np.asarray(base(xs))
@@ -201,4 +199,4 @@ def make_skew_product(base: BaseMap, fiber: FiberMap,
     lo, _ = fiber.slope_range(xs)
     if lo <= 0.0:
         raise FiberNotMonotone(f"fiber slope reaches {lo} <= 0")
-    return AnnulusMapLift(base, fiber, metadata=dict(metadata or {}))
+    return AnnulusMapLift(base, fiber)

@@ -8,7 +8,7 @@ monotonicity is decidable and root finding reduces to bisection.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class LiftedCircleMap:
     samples: np.ndarray
     degree: int
     is_covering: bool
-    metadata: dict = field(default_factory=dict)
 
     @property
     def grid(self) -> int:
@@ -57,7 +56,7 @@ class LiftedCircleMap:
         return y
 
 
-def make_lift(samples, metadata: dict | None = None) -> LiftedCircleMap:
+def make_lift(samples) -> LiftedCircleMap:
     """Validate lift samples and build a LiftedCircleMap.
 
     The endpoint difference F(1) - F(0) must round to an integer d with
@@ -79,19 +78,19 @@ def make_lift(samples, metadata: dict | None = None) -> LiftedCircleMap:
     s[-1] = s[0] + d
     steps = np.diff(s)
     covering = bool(np.all(steps > 0)) if d > 0 else bool(np.all(steps < 0))
-    return LiftedCircleMap(s, int(d), covering, dict(metadata or {}))
+    return LiftedCircleMap(s, int(d), covering)
 
 
-def from_function(fn, n: int = 4096, metadata: dict | None = None) -> LiftedCircleMap:
+def from_function(fn, n: int = 4096) -> LiftedCircleMap:
     """Sample a callable lift on [0, 1] and validate it."""
     xs = np.linspace(0.0, 1.0, n + 1)
-    return make_lift(fn(xs), metadata)
+    return make_lift(fn(xs))
 
 
 def model_lift(degree: int, n: int = 4096) -> LiftedCircleMap:
     """The linear model lift F(x) = degree * x."""
     xs = np.linspace(0.0, 1.0, n + 1)
-    return make_lift(degree * xs, {"family": "linear", "degree": degree, "offset": 0.0})
+    return make_lift(degree * xs)
 
 
 def find_periodic_points(m: LiftedCircleMap, n: int, tol: float = 1e-9,

@@ -577,7 +577,7 @@ def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12) -> Lifte
     specs = [Insertion.of(s) for s in insertions]
     if not specs:
         xs = np.linspace(0.0, 1.0, grid + 1)
-        return make_lift(d * xs, {"family": "blowup", "degree": d, "insertions": []})
+        return make_lift(d * xs)
     for ins in specs:
         if ins.kind not in INSERT_KINDS:
             raise ValidationError(f"unknown insert kind {ins.kind!r}; "
@@ -648,14 +648,4 @@ def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12) -> Lifte
     t_old = np.where(on, angles[p], angles[-1] - 1.0)
     tau = d * (t_old + (xw[i_gap] - gl) / scale)
     vals[i_gap] = position(frac(tau)) + np.floor(tau)
-    samples = vals - off * d
-
-    meta = {
-        "family": "blowup",
-        "degree": d,
-        "grid": grid,
-        "depth": depth,
-        "insertions": [{"base_angle": str(ins.base_angle), "length": ins.length,
-                        "kind": ins.kind} for ins in specs],
-    }
-    return make_lift(samples, meta)
+    return make_lift(vals - off * d)

@@ -49,9 +49,9 @@ def _insertions(value, name: str) -> list:
     return [classify.Insertion.of(s) for s in value]
 
 
-def _lift(family: str, fn: Callable) -> Callable:
-    """Builder sampling the lift fn(x, **params) on the grid, params as metadata."""
-    return lambda grid, **p: from_function(lambda x: fn(x, **p), grid, {"family": family, **p})
+def _lift(fn: Callable) -> Callable:
+    """Builder sampling the lift fn(x, **params) on the grid."""
+    return lambda grid, **p: from_function(lambda x: fn(x, **p), grid)
 
 
 def _arc(m, p, n_back, n_fwd, margin, value):
@@ -66,13 +66,13 @@ _TAU = (None, lambda value, name: build("tau", value))
 CIRCLES = {
     "linear": Family({"degree": (REQUIRED, integer), "offset": (0.0, number),
                       "grid": (4096, size)},
-                     _lift("linear", lambda x, degree, offset: degree * x + offset)),
+                     _lift(lambda x, degree, offset: degree * x + offset)),
     "sine": Family({"degree": (REQUIRED, integer), "amplitude": (0.1, number),
                     "offset": (0.0, number), "grid": (4096, size)},
-                   _lift("sine", lambda x, degree, amplitude, offset:
+                   _lift(lambda x, degree, amplitude, offset:
                          degree * x + amplitude * np.sin(2 * np.pi * x) + offset)),
     "samples": Family({"values": (REQUIRED, numbers)},
-                      lambda values: make_lift(values, {"family": "samples"})),
+                      lambda values: make_lift(values)),
     "blowup": Family({"degree": (REQUIRED, integer), "insertions": (REQUIRED, _insertions),
                       "grid": (4096, size), "depth": (12, size)},
                      lambda degree, insertions, grid, depth:
@@ -133,8 +133,7 @@ def circle_map_from_config(cfg: dict) -> LiftedCircleMap:
 
 def annulus_map_from_config(cfg: dict) -> AnnulusMapLift:
     p = take(config(cfg, "annulus map"), {"base": REQUIRED, "fiber": REQUIRED}, "annulus map")
-    return make_skew_product(build("base", p["base"]), build("fiber", p["fiber"]),
-                             metadata={"config": cfg})
+    return make_skew_product(build("base", p["base"]), build("fiber", p["fiber"]))
 
 
 def connector_from_config(cfg: dict, m: AnnulusMapLift) -> ConnectorCurve:

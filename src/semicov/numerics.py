@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 
-from .errors import OutOfDomain
+from .errors import MaxIterExceeded, OutOfDomain
 
 BLOCK = 2 ** 16                       # points per block of a contract step: fits a core's L2
 
@@ -159,8 +159,9 @@ def contract(plan, gather, start, degree: int, orientation: int, tol: float,
     contiguous once, so no block's gather copies a broadcast start.  Raises
     ValueError unless orientation is +1 or -1.  Stops once a step is at
     most tol*(1 - 1/|degree|), which bounds the distance to the fixed point
-    by tol; max_iter defaults to twice the steps a 1/|degree| contraction
-    needs, plus 60.  Returns (H, iterations, converged, defect): one more
+    by tol, and raises MaxIterExceeded if max_iter steps do not get there;
+    max_iter defaults to twice the steps a 1/|degree| contraction needs,
+    plus 60, and at least one.  Returns (H, iterations, defect): one more
     sweep measures |H(F(.)) - degree*H| of the H returned over its body,
     every node but the glued one, and defect holds its maximum per leading
     index of the body.
@@ -169,11 +170,11 @@ def contract(plan, gather, start, degree: int, orientation: int, tol: float,
         raise ValueError("orientation must be +1 or -1")
     ad = abs(degree)
     if max_iter is None:
-        max_iter = 2 * int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad))) + 60
+        max_iter = max(1, 2 * int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad))) + 60)
     stop = tol * (1.0 - 1.0 / ad)
     with blocked(start.shape) as sweep:
         plans = sweep(plan)
-        cur, it, converged = np.ascontiguousarray(start), max_iter, False
+        cur = np.ascontiguousarray(start)
         for it in range(1, max_iter + 1):
             new = np.empty(cur.shape)
             body, old = new[..., :-1], cur[..., :-1]    # the glued column is measured once glued
@@ -187,8 +188,9 @@ def contract(plan, gather, start, degree: int, orientation: int, tol: float,
             changes.append(np.abs(new[..., -1] - cur[..., -1]).max())
             cur = new
             if np.max(changes) <= stop:
-                converged = True
                 break
+        else:
+            raise MaxIterExceeded(f"no convergence to {tol} within {max_iter} iterations")
         body = cur[..., :-1]
         defect = np.empty(len(body))
 
@@ -199,4 +201,4 @@ def contract(plan, gather, start, degree: int, orientation: int, tol: float,
             np.max(np.abs(r, out=r), axis=tuple(range(1, r.ndim)), initial=0.0,
                    out=defect[rows])
         sweep(measure, plans)
-    return cur, it, converged, defect
+    return cur, it, defect

@@ -8,12 +8,12 @@ distance-from-fixed-point tolerance via the Banach estimate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circle import LiftedCircleMap
-from .errors import DegreeMismatch, MaxIterExceeded
+from .errors import DegreeMismatch
 from .numerics import contract, frac, periodic_gather, periodic_plan
 
 
@@ -29,9 +29,7 @@ class SemiconjugacyField1D:
     orientation: int
     degree: int
     residual: float = float("nan")
-    tol: float = float("nan")
     iterations: int = 0
-    metadata: dict = field(default_factory=dict)
 
     @property
     def grid(self) -> int:
@@ -56,8 +54,8 @@ def contraction_step(h: SemiconjugacyField1D, m: LiftedCircleMap) -> Semiconjuga
     """
     if h.degree != m.degree:
         raise DegreeMismatch(f"field degree {h.degree} vs map degree {m.degree}")
-    new, _, _, defect = contract(_pullback(m, h.grid, h.orientation), periodic_gather,
-                                 h.samples, m.degree, h.orientation, tol=0.0, max_iter=1)
+    new, _, defect = contract(_pullback(m, h.grid, h.orientation), periodic_gather, h.samples,
+                              m.degree, h.orientation, tol=np.inf, max_iter=1)
     return SemiconjugacyField1D(new, h.orientation, h.degree, float(defect.max()))
 
 
@@ -68,19 +66,16 @@ def _pullback(m: LiftedCircleMap, grid: int, orientation: int):
 
 
 def solve_semiconjugacy(m: LiftedCircleMap, orientation: int = 1,
-                        tol: float = 1e-8, max_iter: int | None = None) -> SemiconjugacyField1D:
+                        tol: float = 1e-8) -> SemiconjugacyField1D:
     """Fixed point of T to sup-distance tol, started from H0(x) = o*x.
 
     Iteration stops when the step size drops below tol*(1 - 1/|d|), which
     bounds the remaining distance to the fixed point by tol.
     """
     start = orientation * np.linspace(0.0, 1.0, m.grid + 1)
-    cur, it, converged, defect = contract(_pullback(m, m.grid, orientation), periodic_gather,
-                                          start, m.degree, orientation, tol, max_iter)
-    if not converged:
-        raise MaxIterExceeded(f"no convergence to {tol} within {it} iterations")
-    return SemiconjugacyField1D(cur, orientation, m.degree, float(defect.max()), tol=tol,
-                                iterations=it)
+    cur, it, defect = contract(_pullback(m, m.grid, orientation), periodic_gather, start,
+                               m.degree, orientation, tol)
+    return SemiconjugacyField1D(cur, orientation, m.degree, float(defect.max()), it)
 
 
 def rotation_number(m: LiftedCircleMap, x, tol: float = 1e-10):

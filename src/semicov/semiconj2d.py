@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annulus import AnnulusMapLift
-from .errors import BandNotInvariant, MaxIterExceeded, OutOfDomain, ValidationError
+from .errors import BandNotInvariant, OutOfDomain, ValidationError
 from .numerics import band_gather, band_plan, circle_dist, contract, max_circular_gap
 from .schema import MAX_SIZE, band as check_band
 
@@ -30,7 +30,6 @@ class BandField2D:
     orientation: int = 1
     degree: int = 2
     residual: float = float("nan")
-    tol: float = float("nan")
     iterations: int = 0
     metadata: dict = field(default_factory=dict)
 
@@ -77,8 +76,7 @@ def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int,
 
 
 def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
-                             tol: float = 1e-8, max_iter: int | None = None,
-                             nx: int = 129, ny: int = 256,
+                             tol: float = 1e-8, nx: int = 129, ny: int = 256,
                              orientation: int = 1) -> BandField2D:
     """Fixed point of T(H) = H(F(.))/d on an invariant product band.
 
@@ -91,12 +89,8 @@ def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
     if fx.min() < a - 1e-12 or fx.max() > b + 1e-12:
         raise BandNotInvariant(f"base image [{fx.min()}, {fx.max()}] leaves [{a}, {b}]")
     start = np.broadcast_to(orientation * ys, (nx, ny + 1))
-    cur, it, converged, defect = contract(image, band_gather, start, m.degree, orientation,
-                                          tol, max_iter)
-    if not converged:
-        raise MaxIterExceeded(f"no convergence to {tol} within {it} iterations")
-    return BandField2D((a, b), cur, orientation, m.degree, residual=float(defect.max()),
-                       tol=tol, iterations=it)
+    cur, it, defect = contract(image, band_gather, start, m.degree, orientation, tol)
+    return BandField2D((a, b), cur, orientation, m.degree, float(defect.max()), it)
 
 
 def check_fiber_surjectivity(h: BandField2D, x_level: float, max_gap: float = 0.01) -> bool:

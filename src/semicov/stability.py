@@ -167,8 +167,7 @@ def perturb_p2(eps: EpsilonSpec) -> PerturbationSpec:
         return phi / TWO_PI + 2.0 * (y - wrap)
 
     fiber = FiberMap(2, fn=fiber_fn)
-    g = make_skew_product(BaseMap("power", (2.0,)), fiber,
-                          metadata={"family": "perturbed-squaring"})
+    g = make_skew_product(BaseMap("power", (2.0,)), fiber)
     eps_sup = float(np.max(eps(np.linspace(1e-6, 1.0, 4096, endpoint=False))))
     delta = max(1e-3, 1.1 * eps_sup)
     return PerturbationSpec(eps, delta, rho, g)

@@ -17,8 +17,7 @@ def m3():
 
 @pytest.fixture(scope="session")
 def sine2():
-    return from_function(lambda x: 2 * x + 0.1 * np.sin(2 * np.pi * x),
-                         metadata={"family": "sine", "degree": 2, "amplitude": 0.1})
+    return from_function(lambda x: 2 * x + 0.1 * np.sin(2 * np.pi * x))
 
 
 @pytest.fixture(scope="session")

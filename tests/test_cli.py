@@ -103,6 +103,19 @@ def test_semiconj2d_artifact(tmp_path):
     assert h == pytest.approx(y + 0.1 * x, abs=1e-6)
 
 
+@pytest.mark.parametrize("command, map_cfg", [
+    ("semiconj1d", {"family": "sine", "degree": 2, "grid": 64}),
+    ("rotation", {"family": "sine", "degree": 2, "grid": 64}),
+    ("semiconj2d", {"base": {"family": "identity"}, "fiber": {"family": "linear", "degree": 2}}),
+])
+def test_a_tol_above_every_step_exits_0(command, map_cfg, tmp_path):
+    # the budget formula 2*ceil(log(tol)/log(1/|d|)) + 60 is negative here; one step converges
+    out = tmp_path / "h.csv"
+    assert main([command, "--map", json.dumps(map_cfg), "--tol", "1e300",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0].endswith("tol=1e+300")
+
+
 def test_repellers_artifact(tmp_path):
     out = tmp_path / "curves.csv"
     cfg = {"base": {"family": "contraction", "center": 0.5, "rate": 0.9},

@@ -9,7 +9,7 @@ from semicov import numerics, semiconj1d, semiconj2d
 from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.circle import from_function
 from semicov.errors import MaxIterExceeded, OutOfDomain
-from semicov.numerics import band_gather, band_plan, contract, periodic_plan
+from semicov.numerics import band_gather, band_plan, contract, periodic_gather, periodic_plan
 from semicov.semiconj2d import BandField2D
 
 
@@ -94,7 +94,8 @@ def _grid_residual(h, m):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Make the solvers' contract assert bit-equality with the reference; returns its results."""
+    """Make the solvers' contract assert bit-equality with the reference, which must
+    converge; returns its results."""
     results = []
 
     def contract_and_compare(plan, gather, start, degree, orientation, tol, max_iter=None):
@@ -102,8 +103,9 @@ def checked(monkeypatch):
         whole = plan(slice(None))
         want = _contract_reference(lambda v: gather(v, whole), start, degree, orientation, tol,
                                    max_iter)
-        assert got[0].tobytes() == want[0].tobytes() and got[1:3] == want[1:3]
-        assert got[3].tobytes() == want[3].tobytes()
+        assert want[2] is True
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        assert got[2].tobytes() == want[3].tobytes()
         results.append(got)
         return got
 
@@ -120,12 +122,12 @@ def test_blocked_1d_contract_matches_reference(checked, residual_matches, grid, 
     m = from_function(lambda x: degree * x + 0.1 * np.sin(2 * np.pi * x) + 0.2, grid)
     h = semiconj1d.solve_semiconjugacy(m, orientation, 1e-9)
     step = semiconj1d.contraction_step(h, m)
-    with pytest.raises(MaxIterExceeded):
-        semiconj1d.solve_semiconjugacy(m, orientation, 1e-9, max_iter=4)
-    assert [r[1:3] for r in checked] == [(h.iterations, True), (1, False), (4, False)]
-    unconverged = semiconj1d.SemiconjugacyField1D(checked[-1][0], orientation, degree)
-    for field, residual in ((h, h.residual), (step, step.residual),
-                            (unconverged, float(checked[-1][3].max()))):
+    start = orientation * np.linspace(0.0, 1.0, grid + 1)
+    with pytest.raises(MaxIterExceeded, match="within 4 iterations"):
+        contract(semiconj1d._pullback(m, grid, orientation), periodic_gather, start, degree,
+                 orientation, 1e-9, max_iter=4)
+    assert [r[1] for r in checked] == [h.iterations, 1]
+    for field, residual in ((h, h.residual), (step, step.residual)):
         residual_matches(residual, _grid_residual(field, m), field.samples, degree,
                          exact=grid == 4096)
 
@@ -138,11 +140,12 @@ def test_blocked_band_contract_matches_reference(checked, nx, ny, degree, orient
                           FiberMap(degree, tau=TauSpec("linear", 0.1)))
     h = semiconj2d.solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=nx, ny=ny,
                                             orientation=orientation)
-    with pytest.raises(MaxIterExceeded):
-        semiconj2d.solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, max_iter=3, nx=nx, ny=ny,
-                                            orientation=orientation)
-    assert [r[1:3] for r in checked] == [(h.iterations, True), (3, False)]
-    assert float(checked[0][3].max()) == h.residual
+    _, ys, _, image = semiconj2d._band_grid(m, (0.2, 0.8), nx, ny, orientation)
+    start = np.broadcast_to(orientation * ys, (nx, ny + 1))
+    with pytest.raises(MaxIterExceeded, match="within 4 iterations"):
+        contract(image, band_gather, start, degree, orientation, 1e-9, max_iter=4)
+    assert [r[1] for r in checked] == [h.iterations]
+    assert float(checked[0][2].max()) == h.residual
 
 
 @pytest.mark.parametrize("nodes", [4097, 2 ** 17 + 4])
@@ -154,12 +157,19 @@ def test_nan_prevents_convergence(nodes):
     def gather(v, rows):            # a block's plan is its rows
         return values[rows].copy()
 
-    got = contract(lambda rows: rows, gather, start, 2, 1, 1e300, max_iter=3)
+    with pytest.raises(MaxIterExceeded, match="within 3 iterations"):
+        contract(lambda rows: rows, gather, start, 2, 1, 1e300, max_iter=3)
     want = _contract_reference(lambda v: gather(v, slice(None)), start, 2, 1, 1e300, 3)
-    assert got[1:3] == want[1:3] == (3, False)
-    assert np.array_equal(got[0], want[0], equal_nan=True)
-    assert np.array_equal(got[3], want[3], equal_nan=True)
-    assert np.isnan(got[3].max()) and np.isnan(want[3].max())
+    assert want[1:3] == (3, False)
+
+
+def test_a_nan_sample_fails_the_contraction_step():
+    m = from_function(lambda x: 2 * x + 0.1 * np.sin(2 * np.pi * x), 4096)
+    samples = np.linspace(0.0, 1.0, 4097)
+    samples[1000] = np.nan
+    field = semiconj1d.SemiconjugacyField1D(samples, 1, 2)
+    with pytest.raises(MaxIterExceeded, match="within 1 iterations"):
+        semiconj1d.contraction_step(field, m)
 
 
 @pytest.mark.parametrize("shape", [(2 ** 17 + 4,), (97, 1001)])
@@ -173,8 +183,8 @@ def test_lifted_value_at_the_glued_column_is_overwritten(shape):
 
     got = contract(lambda rows: rows, gather, start, 2, 1, 1e-9)
     want = _contract_reference(lambda v: gather(v, slice(None)), start, 2, 1, 1e-9)
-    assert got[1:3] == want[1:3] == (1, True)
-    assert not got[3].any() and got[3].tobytes() == want[3].tobytes()
+    assert got[1] == want[1] == 1 and want[2]
+    assert not got[2].any() and got[2].tobytes() == want[3].tobytes()
     assert got[0].tobytes() == want[0].tobytes()
 
 
@@ -220,7 +230,7 @@ def test_blocked_contract_under_oversubscribed_threads(checked, monkeypatch):
                 break
     finally:
         sys.setswitchinterval(interval)
-    assert checked and all(r[2] for r in checked)
+    assert checked
 
 
 def _concatenated(parts):
