@@ -17,6 +17,7 @@ from .numerics import bisect_brackets, circle_dist, frac, periodic_gather, perio
 
 DEGREE_TOL = 1e-9
 MIN_SAMPLES = 16
+CHUNK = 2 ** 14                       # points per chunk of iterate: F^n of a chunk stays in L2
 
 
 @dataclass(eq=False)
@@ -49,8 +50,14 @@ class LiftedCircleMap:
         return np.interp(t - k * self.degree, self.samples[::s], xs[::s]) + k
 
     def iterate(self, x, n: int):
-        """n-fold composition of the lift."""
+        """n-fold composition of the lift, composed n times per chunk of CHUNK points."""
         y = np.asarray(x, dtype=float)
+        if y.size > CHUNK:
+            out = np.empty(y.shape)
+            flat, dst = y.ravel(), out.reshape(-1)
+            for a in range(0, y.size, CHUNK):
+                dst[a:a + CHUNK] = self.iterate(flat[a:a + CHUNK], n)
+            return out
         for _ in range(n):
             y = self.__call__(y)
         return y

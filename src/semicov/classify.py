@@ -305,8 +305,8 @@ class ClassificationData:
     grid: int
 
 
-def classification_data(m: LiftedCircleMap, tol: float = 1e-8, max_period: int = 16,
-                        h: SemiconjugacyField1D | None = None) -> ClassificationData:
+def classification_data(m: LiftedCircleMap, tol: float = 1e-8,
+                        max_period: int = 16) -> ClassificationData:
     """Degree plus plateau-image records with periodic-interval signatures.
 
     Plateaus are the runs on which H varies by at most 2/N, N its grid.
@@ -317,20 +317,18 @@ def classification_data(m: LiftedCircleMap, tol: float = 1e-8, max_period: int =
     """
     if not m.is_covering:
         raise NotACovering("classification needs a covering map")
-    if h is None:
-        h = solve_semiconjugacy(m, 1, tol)
+    h = solve_semiconjugacy(m, 1, tol)
     plateau_tol = 2.0 / h.grid
     plateaus = plateau_set(h, plateau_tol)
-    measured = np.array([float(frac(h(0.5 * (a + b)))) for (a, b) in plateaus])
+    measured = frac(h(np.array([0.5 * (a + b) for (a, b) in plateaus])))
+    thetas = measured.tolist()              # Python floats: snapping a numpy scalar is 4-5x slower
+    snaps = [snap_structured_angle(theta, m.degree, 5e-4, max_period) for theta in thetas]
+    # plateau images are plateaus; a snap whose exact forward orbit misses the
+    # detected plateau angles is a resolution artifact
+    corroborated = _orbit_corroborated(snaps, m.degree, measured, max(2.0 * plateau_tol, 1e-3))
     records = []
-    for (a, b), theta in zip(plateaus, measured):
-        snapped = snap_structured_angle(theta, m.degree, 5e-4, max_period)
-        if snapped is not None and not _orbit_corroborated(snapped, m.degree, measured,
-                                                          max(2.0 * plateau_tol, 1e-3)):
-            # plateau images are plateaus; a snap whose exact forward orbit
-            # misses the detected plateau angles is a resolution artifact
-            snapped = None
-        if snapped is None:
+    for (a, b), theta, snapped, ok in zip(plateaus, thetas, snaps, corroborated):
+        if not ok:
             cls = PointClass("wandering", depth_limited=True)
             angle = theta
         else:
@@ -352,19 +350,33 @@ def classification_data(m: LiftedCircleMap, tol: float = 1e-8, max_period: int =
     return ClassificationData(m.degree, records, h.grid)
 
 
-def _orbit_corroborated(theta: Fraction, d: int, measured_angles: np.ndarray,
-                        tol: float, horizon: int = 12) -> bool:
-    """Every exact forward image of theta matches a detected plateau angle.
+def _orbit_corroborated(thetas: list[Fraction | None], d: int, measured_angles: np.ndarray,
+                        tol: float, horizon: int = 12) -> list[bool]:
+    """Per angle: every exact forward image matches a detected plateau angle; None fails.
 
-    The orbit runs on the residues of theta's numerator mod its denominator,
-    up to horizon steps or the first repeat.
+    Each orbit runs on the residues of theta's numerator mod its denominator,
+    up to horizon steps or the first repeat, and is padded with its last
+    point.  Each image is measured against its two cyclic neighbours among
+    the sorted angles: circle_dist rounds monotonically on either side of
+    the image, so no other angle is nearer, even by an ulp.
     """
-    if len(measured_angles) == 0:
-        return False
-    q = theta.denominator
-    orbit = [w / q for w in _orbit_walk(theta.numerator % q, d, q, horizon)[1:]]
-    dist = circle_dist(measured_angles[:, None], np.array(orbit)[None, :])
-    return bool(np.all(dist.min(axis=0) <= tol))
+    snapped = [i for i, theta in enumerate(thetas) if theta is not None]
+    ok = [False] * len(thetas)
+    if not snapped or len(measured_angles) == 0:
+        return ok
+    orbits = []
+    for i in snapped:
+        q = thetas[i].denominator
+        orbits.append([w / q for w in _orbit_walk(thetas[i].numerator % q, d, q, horizon)[1:]])
+    width = max(map(len, orbits))
+    images = np.array([orbit + orbit[-1:] * (width - len(orbit)) for orbit in orbits])
+    s = np.sort(measured_angles)
+    j = np.searchsorted(s, images)
+    near = s[np.stack((j % len(s), j - 1))]
+    hit = np.all(circle_dist(near, images).min(axis=0) <= tol, axis=1)
+    for i, verdict in zip(snapped, hit.tolist()):
+        ok[i] = verdict
+    return ok
 
 
 @dataclass(frozen=True)

@@ -145,9 +145,10 @@ def _semiconj2d(cfg: RunConfig, meta: dict):
     h = semiconj2d.solve_band_semiconjugacy(m, tuple(p["band"]), p["tol"],
                                             nx=int(p["nx"]), ny=int(p["ny"]))
     meta["residual"] = f"{h.residual:.3e}"
-    ys = np.linspace(0.0, 1.0, h.ny + 1)
-    rows = zip(np.repeat(h.x_samples, len(ys)).tolist(), np.tile(ys, len(h.x_samples)).tolist(),
-               h.values.ravel().tolist())
+    # each label formatted once, as the %.12g its float column would print
+    xs = ["%.12g" % x for x in h.x_samples.tolist()]
+    ys = ["%.12g" % y for y in np.linspace(0.0, 1.0, h.ny + 1).tolist()]
+    rows = zip([x for x in xs for _ in ys], ys * len(xs), h.values.ravel().tolist())
     return _csv(["x", "y", "H"], rows, meta), 0
 
 

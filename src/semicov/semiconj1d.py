@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import LiftedCircleMap
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, OutOfDomain
 from .numerics import contract, frac, periodic_gather, periodic_plan
 
 
@@ -47,13 +47,15 @@ class SemiconjugacyField1D:
 
 
 def contraction_step(h: SemiconjugacyField1D, m: LiftedCircleMap) -> SemiconjugacyField1D:
-    """One application of T(H) = H(F(.)) / d.
+    """One application of T(H) = H(F(.)) / d; a NaN or inf sample raises OutOfDomain.
 
     Preserves the equivariance class of H and contracts sup distances
     between fields by 1/|d| up to interpolation slack.
     """
     if h.degree != m.degree:
         raise DegreeMismatch(f"field degree {h.degree} vs map degree {m.degree}")
+    if not np.isfinite(h.samples).all():
+        raise OutOfDomain("field samples must be finite")
     new, _, defect = contract(_pullback(m, h.grid, h.orientation), periodic_gather, h.samples,
                               m.degree, h.orientation, tol=np.inf, max_iter=1)
     return SemiconjugacyField1D(new, h.orientation, h.degree, float(defect.max()))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semicov.circle import find_periodic_points, from_function, make_lift, model_lift
+from semicov.circle import CHUNK, find_periodic_points, from_function, make_lift, model_lift
 from semicov.classify import blow_up
 from semicov.errors import DegreeTooSmall, NonIntegerDegree, NotACovering, OutOfDomain
 from semicov.numerics import bisect_brackets, circle_dist, frac, sign_changes
@@ -182,3 +182,32 @@ def test_periodic_points_match_per_level_reference(make, n):
 def test_lift_rejects_non_finite(m2, x):
     with pytest.raises(OutOfDomain):
         m2(x)
+
+
+def _composed(m, x, n):
+    for _ in range(n):
+        x = m(x)
+    return x
+
+
+@pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 100_001])
+def test_iterate_matches_composed_calls(sine2, size):
+    x = np.random.default_rng(size).uniform(-2.0, 3.0, size)
+    assert sine2.iterate(x, 3).tobytes() == _composed(sine2, x, 3).tobytes()
+
+
+def test_iterate_keeps_0d_and_2d_inputs(sine2):
+    got = sine2.iterate(0.3, 2)
+    assert type(got) is float and got == _composed(sine2, 0.3, 2)
+    x = np.random.default_rng(0).uniform(0.0, 1.0, (3, CHUNK // 2 + 7))    # over one chunk
+    for grid in (x, x.T):
+        got = sine2.iterate(grid, 2)
+        assert got.shape == grid.shape
+        assert got.tobytes() == _composed(sine2, grid, 2).tobytes()
+
+
+def test_iterate_rejects_nan_in_the_last_chunk(sine2):
+    x = np.linspace(0.0, 1.0, 2 * CHUNK + 5)
+    x[-1] = np.nan
+    with pytest.raises(OutOfDomain):
+        sine2.iterate(x, 2)

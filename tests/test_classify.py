@@ -641,7 +641,7 @@ def test_plateaus_and_dip_roots_match_scalar_references(d, insertions, grid, mon
 
     add_dip_roots = classify._add_dip_roots
     monkeypatch.setattr(classify, "_add_dip_roots", compare)
-    records = classification_data(m, h=h).records
+    records = classification_data(m).records
     assert all(checked)
     if any(not r.signature.identity_like and r.signature.resolved for r in records):
         assert checked
@@ -758,7 +758,7 @@ def _scalar_orbit_corroborated(theta, d, measured_angles, tol, horizon=12):
 def test_orbit_corroboration_matches_scalar_reference(d):
     rng = np.random.default_rng(20 + d)
     denominators = _structured_denominators(d, 2000)
-    verdicts = []
+    verdicts, thetas, seen = [], [], []
     for _ in range(200):
         q = int(rng.choice(denominators))
         theta = Fraction(int(rng.integers(q)), q)
@@ -771,17 +771,78 @@ def test_orbit_corroboration_matches_scalar_reference(d):
         shift = tol * rng.choice([0.0, 0.5, 1.0, -1.0, 2.0], len(orbit), p=[.3, .3, .2, .1, .1])
         keep = rng.random(len(orbit)) < 0.9
         measured = np.concatenate((frac(np.array(orbit) + shift)[keep], rng.random(3)))
+        thetas.append(theta)
+        seen.append(measured)
         for horizon in (0, 3, 12):
-            got = classify._orbit_corroborated(theta, d, measured, tol, horizon)
+            [got] = classify._orbit_corroborated([theta], d, measured, tol, horizon)
             assert got == _scalar_orbit_corroborated(theta, d, measured, tol, horizon), theta
             verdicts.append(got)
-    assert not classify._orbit_corroborated(Fraction(1, 3), d, np.array([]), 1e-3)
+    # one call for orbits of every length against the first half's angles; None fails
+    shared = np.concatenate(seen[:100])
+    batch = classify._orbit_corroborated([None] + thetas, d, shared, 1e-3)
+    assert batch == [False] + [_scalar_orbit_corroborated(t, d, shared, 1e-3) for t in thetas]
+    assert set(batch[1:101]) == set(batch[101:]) == {True, False}
+    assert classify._orbit_corroborated([Fraction(1, 3)], d, np.array([]), 1e-3) == [False]
     # dyadic orbit 1/2 -> 0 -> 0, each measured exactly 2^-10 away: the bound is inclusive
     measured = np.array([0.5 + 2.0 ** -10, 1.0 - 2.0 ** -10])
     for tol in (2.0 ** -10, 2.0 ** -11):
-        assert (classify._orbit_corroborated(Fraction(1, 4), 2, measured, tol)
-                == _scalar_orbit_corroborated(Fraction(1, 4), 2, measured, tol) == (tol == 2.0 ** -10))
+        assert (classify._orbit_corroborated([Fraction(1, 4)], 2, measured, tol)
+                == [_scalar_orbit_corroborated(Fraction(1, 4), 2, measured, tol)]
+                == [tol == 2.0 ** -10])
     assert set(verdicts) == {True, False}
+
+
+def _scalar_classification_data(m, tol=1e-8, max_period=16):
+    """classification_data's records from one h() call, snap and corroboration per plateau."""
+    h = solve_semiconjugacy(m, 1, tol)
+    plateau_tol = 2.0 / h.grid
+    plateaus = plateau_set(h, plateau_tol)
+    measured = np.array([float(frac(h(0.5 * (a + b)))) for (a, b) in plateaus])
+    records = []
+    for (a, b), theta in zip(plateaus, measured):
+        snapped = snap_structured_angle(theta, m.degree, 5e-4, max_period)
+        if snapped is not None and not _scalar_orbit_corroborated(
+                snapped, m.degree, measured, max(2.0 * plateau_tol, 1e-3)):
+            snapped = None
+        if snapped is None:
+            cls = PointClass("wandering", depth_limited=True)
+            angle = theta
+        else:
+            cls = classify_circle_point(snapped, m.degree, max_period)
+            angle = float(snapped)
+        if cls.kind == "periodic":
+            try:
+                sig = interval_signature(m, (a, b), cls.period)
+            except NotInvariant:
+                cls = PointClass("wandering", depth_limited=True)
+                sig = IntervalSignature.identity_class()
+        else:
+            sig = IntervalSignature.identity_class()
+        records.append(PlateauRecord(angle, cls.kind, cls.period, cls.preperiod,
+                                     cls.depth_limited, (a, b), sig))
+    records.sort(key=lambda r: r.image_angle)
+    return records
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_classification_data_matches_per_record_reference(seed):
+    """The c06 recipe's blow-ups at every degree and period: records and angle bits agree."""
+    rng = np.random.default_rng(300 + seed)
+    kinds = sorted(INSERT_KINDS)
+    seen = set()
+    for d in (2, 3):
+        for period in (1, 2, 3):
+            q = d ** period - 1
+            ins = [{"base_angle": Fraction(int(rng.integers(0, q)), q),
+                    "length": float(rng.uniform(0.08, 0.18)),
+                    "kind": kinds[rng.integers(0, len(kinds))]}]
+            got = classification_data(blow_up(d, ins)).records
+            want = _scalar_classification_data(blow_up(d, ins))
+            assert got == want
+            assert (np.array([r.image_angle for r in got]).tobytes()
+                    == np.array([r.image_angle for r in want]).tobytes())
+            seen.update(r.kind for r in got)
+    assert {"periodic", "wandering"} <= seen
 
 
 def _scalar_match_angles(xs, ys, tol):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from semicov import cli, configs, schema
+from semicov import cli, configs, schema, semiconj2d
 from semicov.cli import main, parse_config, run
 from semicov.errors import ParseError, ValidationError
 
@@ -101,6 +101,24 @@ def test_semiconj2d_artifact(tmp_path):
     assert lines[1] == "x,y,H"
     x, y, h = map(float, lines[2].split(","))
     assert h == pytest.approx(y + 0.1 * x, abs=1e-6)
+
+
+@pytest.mark.parametrize("nx, ny", [(129, 256), (100, 255)])      # short labels, then rounded ones
+def test_semiconj2d_rows_match_three_float_formatting(tmp_path, nx, ny):
+    cfg = {"base": {"family": "identity"},
+           "fiber": {"family": "circle_map", "map": {"family": "sine", "degree": -3,
+                                                     "amplitude": 0.08},
+                     "tau": {"family": "linear", "scale": 0.05}}}
+    out = tmp_path / "h2.csv"
+    assert main(["semiconj2d", "--map", json.dumps(cfg), "--band", "0.2,0.8",
+                 "--nx", str(nx), "--ny", str(ny), "--out", str(out)]) == 0
+    h = semiconj2d.solve_band_semiconjugacy(configs.annulus_map_from_config(cfg), (0.2, 0.8),
+                                            1e-8, nx=nx, ny=ny)
+    ys = np.linspace(0.0, 1.0, h.ny + 1)
+    rows = ["%.12g,%.12g,%.12g" % (x, y, h.values[i, j])
+            for i, x in enumerate(h.x_samples.tolist()) for j, y in enumerate(ys.tolist())]
+    assert len(rows) == nx * (ny + 1)
+    assert out.read_text().split("\n")[2:] == rows + [""]
 
 
 @pytest.mark.parametrize("command, map_cfg", [

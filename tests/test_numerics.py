@@ -165,11 +165,12 @@ def test_nan_prevents_convergence(nodes):
 
 def test_a_nan_sample_fails_the_contraction_step():
     m = from_function(lambda x: 2 * x + 0.1 * np.sin(2 * np.pi * x), 4096)
-    samples = np.linspace(0.0, 1.0, 4097)
-    samples[1000] = np.nan
-    field = semiconj1d.SemiconjugacyField1D(samples, 1, 2)
-    with pytest.raises(MaxIterExceeded, match="within 1 iterations"):
-        semiconj1d.contraction_step(field, m)
+    for bad in (np.nan, np.inf, -np.inf):
+        samples = np.linspace(0.0, 1.0, 4097)
+        samples[1000] = bad
+        field = semiconj1d.SemiconjugacyField1D(samples, 1, 2)
+        with pytest.raises(OutOfDomain, match="finite"):
+            semiconj1d.contraction_step(field, m)
 
 
 @pytest.mark.parametrize("shape", [(2 ** 17 + 4,), (97, 1001)])
