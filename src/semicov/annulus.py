@@ -132,8 +132,11 @@ class FiberMap:
         """Solve g_x(w) = target per component: w = G^-1(target - tau(x))."""
         if self.fn is not None:
             raise NotImplementedError("raw-callable fibers have no inverse")
-        t = np.asarray(targets, dtype=float) - self.tau(x)
-        return t / self.degree if self.circle is None else self.circle.inverse(t)
+        t = np.asarray(targets, dtype=float) - self.tau(x)      # a fresh array
+        if self.circle is not None:
+            return self.circle.inverse(t)
+        t /= self.degree
+        return t
 
     def slope_range(self, xs) -> tuple[float, float]:
         """Min/max fiber slope d g_x / dy over xs and 64 angles, by steps of 1e-5."""

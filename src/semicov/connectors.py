@@ -43,8 +43,10 @@ class ConnectorCurve:
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
         self.heights = np.asarray(self.heights, dtype=float)
-        if len(self.xs) < 2 or np.any(np.diff(self.xs) <= 0):
-            raise ValueError("curve needs strictly increasing base samples")
+        if (len(self.xs) < 2 or not np.all(np.diff(self.xs) > 0)
+                or not (np.isfinite(self.xs).all() and np.isfinite(self.heights).all())):
+            raise ValueError("curve needs finite heights over strictly increasing "
+                             "finite base samples")
 
     @property
     def x_range(self) -> tuple[float, float]:
@@ -92,35 +94,36 @@ def _preimage_block(m: AnnulusMapLift, xs: np.ndarray, heights: np.ndarray,
 
     Branch k solves g_x(w) = c(base(x)) + k, for the |d| offsets k of
     FiberMap.branches at the first node; fiber monotonicity separates the
-    branches, which are continuous in x.  Children are sampled
-    at the base preimages of the parent's nodes, so the recursion never
-    interpolates the parent (steepening curves keep their node refinement)
-    and a block's children share nodes.  Returns those nodes, the children's
-    heights (|d| rows per parent, sorted by mean height) and branch offsets.
+    branches, which are continuous in x, and orders them: ascending offsets
+    give ascending heights for d > 0, descending ones for d < 0.  Children
+    are sampled at the base preimages of the parent's nodes, so the
+    recursion never interpolates the parent (steepening curves keep their
+    node refinement) and a block's children share nodes.  Returns those
+    nodes, the children's heights (|d| rows per parent, in ascending height)
+    and branch offsets; a row out of order fails the gap check.
     """
     lo_img = float(np.asarray(m.base(margin)))
     hi_img = float(np.asarray(m.base(1.0 - margin)))
-    mask = (xs >= lo_img - 1e-15) & (xs <= hi_img + 1e-15)
-    if mask.sum() < 2:
+    idx = np.flatnonzero((xs >= lo_img - 1e-15) & (xs <= hi_img + 1e-15))
+    if len(idx) < 2:
         raise OutOfDomain("preimage range is empty inside the margins")
-    base_pts, targets = xs[mask], heights[:, mask]
-    if n_samples is not None and len(base_pts) < n_samples:
-        extra = np.linspace(base_pts[0], base_pts[-1], n_samples)
-        targets = _interp_rows(extra, base_pts, targets)
-        base_pts = extra
+    base_pts, targets = xs[idx], heights
+    if n_samples is not None and len(idx) < n_samples:
+        base_pts = np.linspace(base_pts[0], base_pts[-1], n_samples)
+        targets, idx = _interp_rows(base_pts, xs[idx], heights[:, idx]), np.arange(n_samples)
     cx = np.asarray(m.base.inverse(base_pts))
     keep = (cx >= margin - 1e-15) & (cx <= 1.0 - margin + 1e-15)
     if keep.sum() < 2:
         raise OutOfDomain("preimage range is empty inside the margins")
-    cx, targets = cx[keep], targets[:, keep]
+    cx, targets = cx[keep], targets[:, idx[keep]]        # one copy of the parent's nodes
     offsets = m.fiber.branches(cx[0], targets[:, 0])
+    if m.degree < 0:
+        offsets = offsets[:, ::-1]
     w = m.fiber.inverse(cx, targets[:, None, :] + offsets[..., None])
-    order = np.argsort(np.mean(w, axis=2), axis=1, kind="stable")
-    w = np.take_along_axis(w, order[..., None], axis=1)
     gap = float(np.min(np.diff(w, axis=1), initial=np.inf))
     if gap <= 1e-9:
         raise BranchCollision(f"branch separation {gap} below resolution")
-    return cx, w.reshape(-1, len(cx)), np.take_along_axis(offsets, order, axis=1).ravel()
+    return cx, w.reshape(-1, len(cx)), offsets.ravel()
 
 
 def preimage_connectors(m: AnnulusMapLift, c: ConnectorCurve) -> list[ConnectorCurve]:
@@ -380,12 +383,13 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
 
     A level is a list of blocks (xs, heights (n_curves, n_nodes), values,
     margin); a block's children share the base preimages of its nodes, so
-    they form one block.  Every level is kept (8 bytes x curves x nodes)
-    until one gather per block, in family order, so ties go to the
-    earlier curve.  Each of the nx columns is then coded by _code_column:
-    one stable sort of the C curve keys and one searchsorted of the ny
-    rows below y = 1, O((C + ny) log C) per column; the row y = 1 is row
-    y = 0 plus one.  metadata["level_curves"] counts curves per level,
+    they form one block.  Each block is evaluated at the nx columns when it
+    is built and keeps only those heights, so only the frontier and the
+    level being built hold nodes; blocks are collected in level and block
+    order, so ties go to the earlier curve.  Each of the nx columns is then
+    coded by _code_column: one stable sort of the C curve keys and one
+    searchsorted of the ny rows below y = 1, O((C + ny) log C) per column;
+    the row y = 1 is row y = 0 plus one.  metadata["level_curves"] counts curves per level,
     seeds first, and metadata["dropped_blocks"] the blocks whose
     preimages left the margins.  The residual sup |H(F(p)) - d H(p)| mod 1 runs
     over the nodes p whose image stays in the band, H(p) read from the stored values.
@@ -403,30 +407,36 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
     if any(s.value is None for s in seeds):
         raise ValueError("seed curves need declared lifted values")
     d = m.degree
+    xs = np.linspace(band[0], band[1], nx)
+    ys = np.linspace(0.0, 1.0, ny + 1)
+    coded = []                          # per block: column heights, values, inside row
+
+    def code(block):
+        bx, hs, vs, _ = block
+        inside = (xs >= bx[0] - 1e-12) & (xs <= bx[-1] + 1e-12)
+        coded.append((_interp_rows(xs, bx, hs), vs, inside))
+        return block
+
     groups = [list(g) for _, g in groupby(seeds, lambda s: (s.margin, s.xs.tobytes()))]
-    frontier = [(g[0].xs, np.array([s.heights for s in g]),
-                 np.array([s.value for s in g], dtype=float), g[0].margin) for g in groups]
-    levels, dropped = [frontier], 0
+    frontier = [code((g[0].xs, np.array([s.heights for s in g]),
+                      np.array([s.value for s in g], dtype=float), g[0].margin)) for g in groups]
+    level_curves, dropped = [len(seeds)], 0
     for _ in range(depth):
         new = []
-        for xs, hs, vs, mg in frontier:
+        for bx, hs, vs, mg in frontier:
             try:
-                cx, ch, offsets = _preimage_block(m, xs, hs, mg)
+                cx, ch, offsets = _preimage_block(m, bx, hs, mg)
             except OutOfDomain:
                 dropped += 1
                 continue
-            new.append((cx, ch, (np.repeat(vs, abs(d)) + offsets) / d, mg))
+            new.append(code((cx, ch, (np.repeat(vs, abs(d)) + offsets) / d, mg)))
         if not new:
             break
-        levels.append(new)
+        level_curves.append(sum(len(b[2]) for b in new))
         frontier = new
-    xs = np.linspace(band[0], band[1], nx)
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    blocks = [b for level in levels for b in level]
-    heights = np.concatenate([_interp_rows(xs, b[0], b[1]) for b in blocks])
-    vals = np.concatenate([b[2] for b in blocks])
-    inside = np.repeat([(xs >= b[0][0] - 1e-12) & (xs <= b[0][-1] + 1e-12) for b in blocks],
-                       [len(b[1]) for b in blocks], axis=0)
+    heights = np.concatenate([c[0] for c in coded])
+    vals = np.concatenate([c[1] for c in coded])
+    inside = np.repeat([c[2] for c in coded], [len(c[1]) for c in coded], axis=0)
     values = np.empty((nx, ny + 1))
     for i, x in enumerate(xs):
         on = inside[:, i]
@@ -439,7 +449,7 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
     field = BandField2D(band, values, 1, d,
                         metadata={"depth": depth, "curves": len(vals),
                                   "coding": "repeller-preimage", "dropped_blocks": dropped,
-                                  "level_curves": [sum(len(b[1]) for b in lv) for lv in levels]})
+                                  "level_curves": level_curves})
     fx, fy = m(*np.meshgrid(xs, ys[:-1], indexing="ij"))
     ok = (fx >= band[0]) & (fx <= band[1])
     if ok.any():

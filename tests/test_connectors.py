@@ -1,3 +1,7 @@
+import hashlib
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -10,8 +14,8 @@ from semicov.connectors import (ConnectorCurve, _check_expansion, _code_column, 
                                 preimage_connectors, repelling_connectors,
                                 semiconjugacy_from_connectors,
                                 semiconjugacy_from_repellers)
-from semicov.errors import (NoExpansion, NotFree, NotMonotoneBase, OutOfDomain,
-                           ValidationError)
+from semicov.errors import (BranchCollision, NoExpansion, NotFree, NotMonotoneBase,
+                            OutOfDomain, ValidationError)
 from semicov.numerics import circle_dist, frac
 from semicov.semiconj1d import self_conjugacies
 from semicov.semiconj2d import solve_band_semiconjugacy
@@ -55,6 +59,72 @@ def test_preimage_count_and_disjointness(contracting_z3):
         assert len(pre) == 3
         for a, b in zip(pre, pre[1:]):
             assert np.min(b.heights - a.heights) > 1e-6
+
+
+@pytest.mark.parametrize("at", [0, 7, -1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["xs", "heights"])
+def test_curve_rejects_non_finite_samples(where, bad, at):
+    # NaN differences are never <= 0 and an inf at an end differs by +inf, so
+    # both used to pass the monotonicity check and reach the coding
+    arrays = {"xs": np.linspace(0.1, 0.9, 16), "heights": np.zeros(16)}
+    arrays[where][at] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ConnectorCurve(arrays["xs"], arrays["heights"])
+
+
+def sorted_preimage_block(m, xs, heights, margin, n_samples=None):
+    """Reference: the preimage block with its branch rows sorted by mean height."""
+    lo_img = float(np.asarray(m.base(margin)))
+    hi_img = float(np.asarray(m.base(1.0 - margin)))
+    mask = (xs >= lo_img - 1e-15) & (xs <= hi_img + 1e-15)
+    base_pts, targets = xs[mask], heights[:, mask]
+    if n_samples is not None and len(base_pts) < n_samples:
+        extra = np.linspace(base_pts[0], base_pts[-1], n_samples)
+        targets = _interp_rows(extra, base_pts, targets)
+        base_pts = extra
+    cx = np.asarray(m.base.inverse(base_pts))
+    keep = (cx >= margin - 1e-15) & (cx <= 1.0 - margin + 1e-15)
+    cx, targets = cx[keep], targets[:, keep]
+    offsets = m.fiber.branches(cx[0], targets[:, 0])
+    w = m.fiber.inverse(cx, targets[:, None, :] + offsets[..., None])
+    order = np.argsort(np.mean(w, axis=2), axis=1, kind="stable")
+    w = np.take_along_axis(w, order[..., None], axis=1)
+    return cx, w.reshape(-1, len(cx)), np.take_along_axis(offsets, order, axis=1).ravel()
+
+
+BRANCH_ORDER_CASES = ([("linear", d, tau) for d in (2, 3, 4, -2, -3, -4)
+                       for tau in ("zero", "linear", "inv_one_minus")]
+                      + [("sine", 2, "zero"), ("sine", -3, "zero")])
+
+
+@pytest.mark.parametrize("kind, d, tau", BRANCH_ORDER_CASES)
+def test_branch_order_matches_mean_height_sort(kind, d, tau):
+    # children come out in ascending height by fiber monotonicity, as the sort put them
+    circle = None if kind == "linear" else from_function(
+        lambda y: d * y + 0.05 * np.sin(2 * np.pi * y))
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.9)),
+                          FiberMap(d, circle=circle, tau=TauSpec(tau, 0.3)))
+    rng = np.random.default_rng(abs(d))
+    xs = np.linspace(0.02, 0.98, 64)
+    hs = rng.uniform(-2.0, 2.0, (3, 1)) + 0.2 * np.sin(2 * np.pi * rng.uniform(1, 3, (3, 1)) * xs)
+    for n_samples in (None, 200):
+        block = (xs, hs)
+        for _ in range(2):                          # a seeded block, then its children
+            got = _preimage_block(m, *block, 1e-3, n_samples)
+            want = sorted_preimage_block(m, *block, 1e-3, n_samples)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            block = got[:2]
+
+
+def test_branch_rows_out_of_order_fail_the_gap_check(contracting_z2, monkeypatch):
+    # the gap check guards the order: descending offsets give descending rows
+    ascending = FiberMap.branches
+    monkeypatch.setattr(FiberMap, "branches", lambda self, x, t: ascending(self, x, t)[..., ::-1])
+    c = constant_connector(0.0)
+    with pytest.raises(BranchCollision):
+        _preimage_block(contracting_z2, c.xs, c.heights[None, :], c.margin)
 
 
 # --- freeness -----------------------------------------------------------------
@@ -401,6 +471,71 @@ def test_coding_counts_dropped_blocks(contracting_z2):
     assert len(levels) < 13 and levels == [2 ** k for k in range(len(levels))]
     values, curves = reference_coding(contracting_z2, [seed], 12, (0.3, 0.31), 5, 8)
     assert np.array_equal(field.values, values) and field.metadata["curves"] == curves
+
+
+def test_coding_breaks_ties_by_level_and_block_order(contracting_z2):
+    # two seeds on different nodes form two blocks whose curves, and their
+    # preimages, coincide at every column: the earlier block's values win
+    seeds = [ConnectorCurve(np.linspace(0.01, 0.99, n), np.zeros(n), value=v)
+             for n, v in ((64, 0.0), (33, 0.25))]
+    field = semiconjugacy_from_connectors(contracting_z2, seeds, depth=3, band=(0.3, 0.7),
+                                          nx=9, ny=16)
+    values, _ = reference_coding(contracting_z2, seeds, 3, (0.3, 0.7), 9, 16)
+    assert np.array_equal(field.values, values)
+    assert field.metadata["level_curves"] == [2, 4, 8, 16]
+
+
+@lru_cache(maxsize=None)
+def deep_repellers(kind, d):
+    """1024-node depth-10 repellers on the contraction base; a sine fiber has linear tau."""
+    if kind == "linear":
+        fiber = FiberMap(d)
+    else:
+        wobble = from_function(lambda y: d * y + 0.08 * np.sin(2 * np.pi * y))
+        fiber = FiberMap(d, circle=wobble, tau=TauSpec("linear", 0.05))
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.9)), fiber)
+    return m, repelling_connectors(m, constant_connector(0.25 / abs(d - 1)), depth=10)
+
+
+# SHA-256 of the coded values, the residual's repr and the level counts, recorded
+# from the coding that kept every level and sorted each block's branches by mean height
+DEEP_CODINGS = {
+    ("linear", 2, 10): ("68ee5ba02b06322a9646b28100aef8b3e2ae64c702997ceae919eb2b9b8f523f",
+                        "0.00048828125", [2 ** k for k in range(11)]),
+    ("linear", 3, 8): ("fd93f3dbd38c64d5496a46974508ba486749aee3cb44fc89d91dcb9226281c00",
+                       "7.620789513840265e-05", [2 * 3 ** k for k in range(9)]),
+    ("linear", -4, 6): ("6abfd65cf9360cc5f2531425a8ba43d991e15234c9a12432a593f97e85aa771a",
+                        "0.0", [5 * 4 ** k for k in range(7)]),
+    ("sine", -3, 5): ("6a5dd59efd41143460f1336e024b2d18a864fec7d8b36c88e5cc2ce44a7ab431",
+                      "0.002477043735631901", [4 * 3 ** k for k in range(6)]),
+}
+
+
+@pytest.mark.parametrize("kind, d, depth", DEEP_CODINGS)
+def test_deep_coding_is_pinned(kind, d, depth):
+    m, reps = deep_repellers(kind, d)
+    field = semiconjugacy_from_repellers(m, reps, depth=depth, band=(0.2, 0.8))
+    digest, residual, levels = DEEP_CODINGS[kind, d, depth]
+    assert hashlib.sha256(field.values.tobytes()).hexdigest() == digest
+    assert repr(field.residual) == residual
+    assert field.metadata == {"depth": depth, "curves": sum(levels), "coding": "repeller-preimage",
+                              "dropped_blocks": 0, "level_curves": levels}
+
+
+def test_deep_coding_memory_peak():
+    # 174.7 MiB with every level kept and the branch sort's copies (numpy 2.4)
+    m, reps = deep_repellers("linear", 3)
+    ours = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        semiconjugacy_from_repellers(m, reps, depth=8, band=(0.2, 0.8))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if ours:
+            tracemalloc.stop()
+    assert peak < 150 * 2 ** 20
 
 
 # --- the column kernel against the argmax/argmin loop it replaced -----------
