@@ -120,14 +120,15 @@ def find_periodic_points(m: LiftedCircleMap, n: int, tol: float = 1e-9,
     # candidate (interval i, level k): every integer k in [min, max] of g on [xs[i], xs[i+1]]
     k_lo = np.ceil(np.minimum(g[:-1], g[1:]))
     count = (np.floor(np.maximum(g[:-1], g[1:])) - k_lo + 1).astype(np.int64)
-    i = np.repeat(np.arange(npts), count)
+    cells = np.flatnonzero(count)                   # only the cells that reach a level
+    count, k_lo = count[cells], k_lo[cells]
+    i = np.repeat(cells, count)
     k = np.repeat(k_lo, count) + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
     cross = (g[i] - k) * (g[i + 1] - k) < 0        # strict sign change of g - k
     i, k = i[cross], k[cross]
-    roots = [xs[g == np.floor(g)]]                  # exact roots at an integer level
-    if i.size:
-        roots.append(bisect_brackets(lambda x: m.iterate(x, n) - x - k,
-                                     xs[i], xs[i + 1], xtol=min(tol, 1e-12)))
+    roots = [xs[g == np.floor(g)],                  # exact roots at an integer level
+             bisect_brackets(lambda x: m.iterate(x, n) - x - k, xs[i], xs[i + 1],
+                             xtol=min(tol, 1e-12))]
     gap = max(tol, 2.0 / npts)
     kept: list[float] = []
     for r in np.sort(frac(np.concatenate(roots))):

@@ -91,22 +91,26 @@ def _denominators(d: int, max_period: int, max_depth: int, angle_tol: float) -> 
                          if (q := abs(d ** n - 1) * abs(d) ** m) <= q_max}))
 
 
-def snap_structured_angle(theta: float, d: int, angle_tol: float,
-                          max_period: int = 16, max_depth: int = 24) -> Fraction | None:
-    """Nearest angle of the form k / (|d|^m * |d^n - 1|) within angle_tol.
+def snap_structured_angle(thetas, d: int, angle_tol: float, max_period: int = 16,
+                          max_depth: int = 24) -> list[Fraction | None]:
+    """Nearest angle of the form k / (|d|^m * |d^n - 1|) within angle_tol, for each of thetas.
 
     These are exactly the angles with eventually-periodic orbits under
     multiplication by d.  Denominators above 0.1/angle_tol are skipped
     (their spacing is below the measurement resolution); among the rest
-    the smallest error wins, ties going to the smaller denominator.
+    the smallest error wins, ties going to the smaller denominator.  The
+    angles are snapped in one pass over angles x denominators; the list
+    holds None where no denominator comes within angle_tol.
     """
-    best, best_err = None, angle_tol
-    for q in _denominators(d, max_period, max_depth, angle_tol):    # ascending: ties keep the first
-        k = round(theta * q)
-        err = abs(theta - k / q)
-        if err < best_err:
-            best, best_err = (k, q), err
-    return None if best is None else Fraction(*best) % 1
+    qs = _denominators(d, max_period, max_depth, angle_tol)
+    t = np.asarray(thetas, dtype=float).reshape(-1, 1)
+    if not qs:
+        return [None] * len(t)
+    k = np.rint(t * qs)                   # half to even, as round()
+    err = np.abs(t - k / qs)              # k / q as int / int: both exact below 2^53
+    best = np.argmin(err, axis=1).tolist()    # the first minimum: ties keep the smaller q
+    return [Fraction(int(k[i, j]), qs[j]) % 1 if err[i, j] < angle_tol else None
+            for i, j in enumerate(best)]
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +264,7 @@ def interval_signature(m: LiftedCircleMap, interval: tuple[float, float],
     vals = g(xs)
     scan_cell = xs[1] - xs[0]
     idx = sign_changes(vals)
-    roots = [float(r) for r in
-             bisect_brackets(g, xs[idx], xs[idx + 1], xtol=min(tol, 1e-12))] if idx.size else []
+    roots = bisect_brackets(g, xs[idx], xs[idx + 1], xtol=min(tol, 1e-12)).tolist()
     _add_dip_roots(roots, xs, vals, tang_tol, 4 * scan_cell)
     roots.sort()
     if any(r2 - r1 <= 4 * scan_cell for r1, r2 in zip(roots, roots[1:])):
@@ -321,8 +324,8 @@ def classification_data(m: LiftedCircleMap, tol: float = 1e-8,
     plateau_tol = 2.0 / h.grid
     plateaus = plateau_set(h, plateau_tol)
     measured = frac(h(np.array([0.5 * (a + b) for (a, b) in plateaus])))
-    thetas = measured.tolist()              # Python floats: snapping a numpy scalar is 4-5x slower
-    snaps = [snap_structured_angle(theta, m.degree, 5e-4, max_period) for theta in thetas]
+    thetas = measured.tolist()
+    snaps = snap_structured_angle(measured, m.degree, 5e-4, max_period)
     # plateau images are plateaus; a snap whose exact forward orbit misses the
     # detected plateau angles is a resolution artifact
     corroborated = _orbit_corroborated(snaps, m.degree, measured, max(2.0 * plateau_tol, 1e-3))

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import MaxIterExceeded, OutOfDomain
 
 BLOCK = 2 ** 16                       # points per block of a contract step: fits a core's L2
+POINTS = 2 ** 10                      # fn points per bisection round: 2^6, 2^12 slower, 2^8 no faster
 
 
 def frac(x):
@@ -23,24 +24,45 @@ def circle_dist(a, b):
 
 
 def bisect_brackets(fn, lo, hi, xtol=1e-13):
-    """Bisect sign-changing brackets [lo, hi] in parallel, at most 200 steps.
+    """Bisect sign-changing brackets [lo, hi] in parallel, at most 200 levels.
 
-    fn must be vectorized; each bracket must satisfy fn(lo)*fn(hi) <= 0.
-    Returns the midpoints of the final brackets.
+    Each bracket must satisfy fn(lo)*fn(hi) <= 0.  fn must be elementwise
+    and defined on the whole closed brackets: a round passes it the 2^m - 1
+    midpoints of m levels of every bracket in one call, the candidates on a
+    new leading axis and the brackets on the trailing axes (lo.shape), so
+    per-bracket arrays inside fn broadcast.  m is the most levels that keep
+    a call within POINTS points, and at least one.  Each level keeps the
+    half whose lower end has fn(lo)'s sign class (fn <= 0; NaN counts as
+    > 0).  The midpoints come from the recursion 0.5 * (lo + hi), so the
+    results equal those of one-midpoint bisection bit for bit, which stops
+    at the first level whose widest bracket is at most xtol.  Returns the
+    midpoints of the final brackets; no brackets give an empty array.
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    flo = np.asarray(fn(lo), dtype=float)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = np.asarray(fn(mid), dtype=float)
-        same = (flo <= 0) == (fm <= 0)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-        if np.max(hi - lo) <= xtol:
-            break
-    return 0.5 * (lo + hi)
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape, n = lo.shape, lo.size
+    if n == 0:
+        return 0.5 * (lo + hi)
+    neg = np.asarray(fn(lo), dtype=float).reshape(n) <= 0
+    lo, hi, left, width = lo.reshape(n), hi.reshape(n), 200, np.inf
+    while left and not width <= xtol:
+        m = min(left, max(1, (POINTS // n + 1).bit_length() - 1))
+        ends = np.stack([lo, hi])
+        for _ in range(m):                   # interleave the ends with their midpoints
+            tier = np.empty((2 * len(ends) - 1, n))
+            tier[::2] = ends
+            tier[1::2] = 0.5 * (ends[:-1] + ends[1:])
+            ends = tier
+        fm = np.asarray(fn(ends[1:-1].reshape((-1,) + shape)), dtype=float).reshape(-1, n)
+        right = ((fm <= 0) == neg).ravel()   # the midpoint replaces lo
+        flat, at, path = ends.ravel(), np.arange(n), np.empty((m, n), dtype=np.int64)
+        steps = n << np.arange(m - 1, -1, -1)     # half a bracket per level, in flat units
+        for j, step in enumerate(steps.tolist()):  # at: flat index of each lower end
+            path[j] = at = at + step * right.take(at + (step - n))
+        lower, upper = flat.take(path), flat.take(path + steps[:, None])
+        widths = np.max(upper - lower, axis=1)
+        j = next((j for j, w in enumerate(widths.tolist()) if w <= xtol), m - 1)
+        lo, hi, left, width = lower[j], upper[j], left - j - 1, widths[j]
+    return 0.5 * (lo.reshape(shape) + hi.reshape(shape))
 
 
 def max_circular_gap(values):

@@ -193,10 +193,12 @@ def verify_perturbation(spec: PerturbationSpec, grid: int = 100_000,
     xs = np.exp(np.linspace(np.log(1e-6), np.log(1.0 - 1e-9), n))
     ts = np.linspace(-np.pi, np.pi, grid // n, endpoint=False)
 
+    turn2 = np.exp(2j * ts)           # every row of the grid has the angles ts
+
     def ratio_rows(rows):             # (sup ratio, foliation kept) on the grid of these xs rows
         xg, tg = np.meshgrid(xs[rows], ts, indexing="ij")
         gx, gy = g(xg, tg / TWO_PI)
-        p2 = xg ** 2 * np.exp(2j * tg)
+        p2 = xg ** 2 * turn2
         gz = xg ** 2 * np.exp(TWO_PI * 1j * gy)
         return np.max(np.abs(gz - p2) / eps(xg)), bool(np.all(gx == gx[:, :1]))
 

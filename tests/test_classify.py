@@ -56,10 +56,12 @@ def test_classify_point_wandering_flagged():
 
 
 def test_snap_structured_angle():
-    assert snap_structured_angle(0.33339, 2, 1e-3) == Fraction(1, 3)
-    assert snap_structured_angle(0.5312501, 2, 1e-4) == Fraction(17, 32)
+    assert snap_structured_angle([0.33339], 2, 1e-3) == [Fraction(1, 3)]
+    assert snap_structured_angle([0.5312501], 2, 1e-4) == [Fraction(17, 32)]
+    # an error of exactly angle_tol does not snap: 0.05 is 0.05 from 0/1 and 0/2
+    assert snap_structured_angle([0.05, 0.0499], 2, 0.05) == [None, Fraction(0)]
     # a snap, when produced, is always within tolerance
-    got = snap_structured_angle(0.3819660112, 2, 1e-4)
+    [got] = snap_structured_angle([0.3819660112], 2, 1e-4)
     assert got is None or abs(float(got) - 0.3819660112) <= 1e-4
 
 
@@ -110,9 +112,23 @@ def test_snap_matches_per_call_ladder(d):
         # exact ties between equal values too: every ladder fraction 0 or 1/2 matches alike
         thetas = [*rng.uniform(-1.0, 2.0, 300), *tied, 0.0, 1e-6, -3e-6, 0.5, 0.5 + 1e-7, 1.0]
         for theta in thetas:
-            assert (snap_structured_angle(theta, d, angle_tol, max_period, max_depth)
-                    == _snap_reference(theta, d, angle_tol, max_period, max_depth))
+            assert (snap_structured_angle([theta], d, angle_tol, max_period, max_depth)
+                    == [_snap_reference(theta, d, angle_tol, max_period, max_depth)])
     assert ties > 0
+
+
+@pytest.mark.parametrize("d", [2, -2, 3, -3, 4])
+def test_array_snap_matches_the_per_angle_ladder(d):
+    rng = np.random.default_rng(abs(d) * 10 + (d < 0) + 1)
+    for angle_tol, max_period, max_depth in ((5e-4, 16, 24), (1e-3, 4, 3), (2e-5, 8, 6)):
+        tied = _exact_ties(d, angle_tol, max_period, max_depth)
+        thetas = np.array([*rng.uniform(-1.0, 2.0, 2000), *tied, 0.0, -3e-6, 0.5, 1.0])
+        got = snap_structured_angle(thetas, d, angle_tol, max_period, max_depth)
+        assert got == [_snap_reference(theta, d, angle_tol, max_period, max_depth)
+                       for theta in thetas.tolist()]
+    assert snap_structured_angle(np.array([]), d, 5e-4) == []
+    # no denominator at or below 0.1/angle_tol: nothing snaps
+    assert snap_structured_angle([0.3, 0.0], d, 0.5) == [None, None]
 
 
 # --- plateaus ----------------------------------------------------------------
@@ -800,7 +816,7 @@ def _scalar_classification_data(m, tol=1e-8, max_period=16):
     measured = np.array([float(frac(h(0.5 * (a + b)))) for (a, b) in plateaus])
     records = []
     for (a, b), theta in zip(plateaus, measured):
-        snapped = snap_structured_angle(theta, m.degree, 5e-4, max_period)
+        [snapped] = snap_structured_angle([theta], m.degree, 5e-4, max_period)
         if snapped is not None and not _scalar_orbit_corroborated(
                 snapped, m.degree, measured, max(2.0 * plateau_tol, 1e-3)):
             snapped = None

@@ -180,7 +180,9 @@ def test_perturb_cli(tmp_path):
 
 
 def test_perturb_cli_exits_1_when_its_certificate_fails(tmp_path):
-    # power 25: eps is positive and finite, but far below the perturbation near x = 0
+    # power 25: eps is positive and finite, but the sampled maximum of |g - p2| / eps sits
+    # at x = 1 - 1e-9, where |g - p2| reads double-precision rounding (about 1e-15)
+    # against eps about 1e-211 (ROADMAP item 1)
     out = tmp_path / "report.json"
     code = main(["perturb", "--epsilon", '{"family": "edge_poly", "value": 0.1, "power": 25}',
                  "--grid", "20000", "--out", str(out)])

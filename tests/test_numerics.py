@@ -301,3 +301,113 @@ def test_a_block_plan_error_keeps_its_type_and_message(monkeypatch):
         with pytest.raises(OutOfDomain) as err:
             semiconj2d.solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=300, ny=511)
         assert str(err.value) == "evaluation points must be finite"
+
+
+# --- bisection ----------------------------------------------------------------
+
+def _bisect_reference(fn, lo, hi, xtol=1e-13):
+    """The one-midpoint bisection loop, kept as the reference for the multi-level rounds."""
+    lo = np.asarray(lo, dtype=float).copy()
+    hi = np.asarray(hi, dtype=float).copy()
+    flo = np.asarray(fn(lo), dtype=float)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = np.asarray(fn(mid), dtype=float)
+        same = (flo <= 0) == (fm <= 0)
+        lo = np.where(same, mid, lo)
+        flo = np.where(same, fm, flo)
+        hi = np.where(same, hi, mid)
+        if np.max(hi - lo) <= xtol:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _counted(fn):
+    """fn and the list of the shapes it was called on."""
+    shapes = []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return fn(x)
+    return counted, shapes
+
+
+def _sine_brackets(count, seed):
+    """count brackets of sin(x) - c around arcsin(c), c per bracket."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-0.9, 0.9, count)
+    root = np.arcsin(c)
+    lo = root - rng.uniform(1e-3, 1.0, count) * (root + 0.5 * np.pi)
+    hi = root + rng.uniform(1e-3, 1.0, count) * (0.5 * np.pi - root)
+    return (lambda x: np.sin(x) - c), lo, hi
+
+
+def _cases():
+    one = (lambda x: x ** 3 - 0.2, np.array([0.0]), np.array([1.0]))
+    fn, lo, hi = _sine_brackets(62, 1)
+    c = np.array([[0.1], [0.3], [0.7]])
+    grid = np.linspace(0.0, 0.4, 5)
+    yield "1 bracket", one, 1e-13
+    yield "3 brackets", (lambda x: np.cos(3.0 * x), np.array([0.1, 0.2, 1.5]),
+                         np.array([0.9, 1.9, 2.5])), 1e-13
+    yield "62 brackets", (fn, lo, hi), 1e-12
+    yield "62 brackets, xtol 1e-9", (fn, lo, hi), 1e-9
+    yield "300 brackets", _sine_brackets(300, 3), 1e-12
+    yield "2000 brackets", _sine_brackets(2000, 2), 1e-12
+    yield "2-D, (3, 1) levels", (lambda x: x ** 3 - c, np.zeros((3, 5)), 1.0 + grid + c), 1e-13
+    yield "xtol 0: the 200-level cap", one, 0.0
+    # 9 levels a round: the 23rd round is cut to the 2 levels left
+    yield "xtol 0, 2 brackets", (lambda x: np.sin(x), np.array([-1.0, 3.0]),
+                                 np.array([2.0, 3.5])), 0.0
+    yield "NaN on part of a bracket", (lambda x: np.where((x > 0.3) & (x < 0.4), np.nan, x - 0.35),
+                                       np.array([0.0, 0.1]), np.array([1.0, 0.6])), 1e-13
+    yield "0 at lo and at a midpoint", (lambda x: x - 0.25, np.array([0.25, 0.0, -0.5]),
+                                        np.array([1.0, 0.5, 1.0])), 1e-13
+
+
+@pytest.mark.parametrize("case, xtol", [(c, x) for _, c, x in _cases()],
+                         ids=[name for name, _, _ in _cases()])
+def test_bisection_matches_the_one_midpoint_loop(case, xtol):
+    fn, lo, hi = case
+    fn_ref, ref_shapes = _counted(fn)
+    fn_new, new_shapes = _counted(fn)
+    want = _bisect_reference(fn_ref, lo, hi, xtol)
+    got = numerics.bisect_brackets(fn_new, lo, hi, xtol)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # one call for lo, then one per round of m levels, the last round cut to the levels left
+    levels = len(ref_shapes) - 1
+    m = max([1] + [k for k in range(1, 12) if (2 ** k - 1) * lo.size <= numerics.POINTS])
+    rounds = -(-levels // m)
+    assert new_shapes == [lo.shape] + [(2 ** min(m, 200 - m * r) - 1,) + lo.shape
+                                       for r in range(rounds)]
+    assert levels == 200 if xtol == 0.0 else levels < 200
+
+
+def test_bisection_of_periodic_levels_matches_the_loop():
+    m = from_function(lambda x: 2.0 * x + 0.05 * np.sin(2.0 * np.pi * x))
+    n, xs = 5, np.linspace(0.0, 1.0, 1001)
+    g = m.iterate(xs, n) - xs
+    i, k = map(np.array, zip(*[(j, level) for level in range(32)
+                               for j in np.flatnonzero((g[:-1] - level) * (g[1:] - level) < 0)]))
+    assert i.size == 30                                      # 2^5 - 1 roots, 0 exact
+
+    def fn(x):
+        return m.iterate(x, n) - x - k                       # k per bracket, as find_periodic_points
+    want = _bisect_reference(fn, xs[i], xs[i + 1], 1e-12)
+    assert numerics.bisect_brackets(fn, xs[i], xs[i + 1], 1e-12).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0)])
+def test_bisection_of_no_brackets_is_empty(shape):
+    def fn(x):
+        raise AssertionError("fn called with no brackets")
+    got = numerics.bisect_brackets(fn, np.zeros(shape), np.ones(shape))
+    assert got.shape == shape and got.dtype == float
+    assert numerics.bisect_brackets(fn, [], []).shape == (0,)
+
+
+def test_bisection_broadcasts_lo_against_hi():
+    def fn(x):
+        return x - np.array([0.2, 0.7])
+    want = _bisect_reference(fn, 0.0, np.ones(2))
+    assert numerics.bisect_brackets(fn, 0.0, np.ones(2)).tobytes() == want.tobytes()
