@@ -100,8 +100,8 @@ def model_lift(degree: int, n: int = 4096) -> LiftedCircleMap:
     return make_lift(degree * xs)
 
 
-def find_periodic_points(m: LiftedCircleMap, n: int, tol: float = 1e-9,
-                         scan: int | None = None) -> list[tuple[float, int]]:
+def find_periodic_points(m: LiftedCircleMap, n: int, tol: float = 1e-9
+                         ) -> list[tuple[float, int]]:
     """All angles x in [0,1) with F^n(x) - x integer, with minimal periods.
 
     Roots are bracketed by sign changes of F^n(x) - x - k on a dense scan
@@ -114,7 +114,7 @@ def find_periodic_points(m: LiftedCircleMap, n: int, tol: float = 1e-9,
         raise NotACovering("periodic point search needs a covering map")
     if n < 1:
         raise ValueError("n must be at least 1")
-    npts = scan or max(100_000, 64 * abs(m.degree) ** n)
+    npts = max(100_000, 64 * abs(m.degree) ** n)
     xs = np.linspace(0.0, 1.0, npts + 1)
     g = m.iterate(xs, n) - xs
     # candidate (interval i, level k): every integer k in [min, max] of g on [xs[i], xs[i+1]]

@@ -14,6 +14,7 @@ prescribed interval homeomorphism at the first return of a periodic orbit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +41,9 @@ INSERT_KINDS: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {
     "retreat": ((0.0, 0.5, 1.0), (0.0, 0.3, 1.0)),
 }
 
+MAX_DEPTH = 24          # the longest preperiod a snapped angle or a classified point may have
+HORIZON = 12            # forward images of a snapped angle that must match detected plateaus
+
 
 # ---------------------------------------------------------------------------
 # point classification under the model map
@@ -53,18 +57,17 @@ class PointClass:
     depth_limited: bool = False
 
 
-def classify_circle_point(z: Fraction, d: int, max_period: int = 16,
-                          max_depth: int = 24) -> PointClass:
+def classify_circle_point(z: Fraction, d: int, max_period: int = 16) -> PointClass:
     """Orbit type of the exact angle z = k/q under multiplication by d (mod 1).
 
     The orbit runs on the residues k -> d*k mod q as integers, and equal
     residues are equal angles.  Snap a measured angle with
     snap_structured_angle first.
     """
-    walk = _orbit_walk(z.numerator % z.denominator, d, z.denominator, max_depth + max_period)
+    walk = _orbit_walk(z.numerator % z.denominator, d, z.denominator, MAX_DEPTH + max_period)
     preperiod = walk.index(walk[-1])                # where the repeat first sat
     period = len(walk) - 1 - preperiod
-    if 0 < period <= max_period and preperiod <= max_depth:
+    if 0 < period <= max_period and preperiod <= MAX_DEPTH:
         if preperiod == 0:
             return PointClass("periodic", period=period)
         return PointClass("preperiodic", period=period, preperiod=preperiod)
@@ -84,15 +87,18 @@ def _orbit_walk(w: int, d: int, q: int, steps: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _denominators(d: int, max_period: int, max_depth: int, angle_tol: float) -> tuple[int, ...]:
-    """The q = |d|^m * |d^n - 1| <= 0.1/angle_tol, n <= max_period, m <= max_depth; ascending."""
+def _denominators(d: int, max_period: int, angle_tol: float) -> tuple[int, ...]:
+    """The q = |d|^m * |d^n - 1| <= 0.1/angle_tol, n <= max_period, m <= MAX_DEPTH; ascending."""
     q_max = int(0.1 / angle_tol)
-    return tuple(sorted({q for n in range(1, max_period + 1) for m in range(max_depth + 1)
-                         if (q := abs(d ** n - 1) * abs(d) ** m) <= q_max}))
+    # |d^n - 1| never decreases in n: the cycle lengths stop at the first one above q_max
+    cycles = itertools.takewhile(lambda c: c <= q_max,
+                                 (abs(d ** n - 1) for n in range(1, max_period + 1)))
+    return tuple(sorted({q for c in cycles for m in range(MAX_DEPTH + 1)
+                         if (q := c * abs(d) ** m) <= q_max}))
 
 
-def snap_structured_angle(thetas, d: int, angle_tol: float, max_period: int = 16,
-                          max_depth: int = 24) -> list[Fraction | None]:
+def snap_structured_angle(thetas, d: int, angle_tol: float,
+                          max_period: int = 16) -> list[Fraction | None]:
     """Nearest angle of the form k / (|d|^m * |d^n - 1|) within angle_tol, for each of thetas.
 
     These are exactly the angles with eventually-periodic orbits under
@@ -102,7 +108,7 @@ def snap_structured_angle(thetas, d: int, angle_tol: float, max_period: int = 16
     angles are snapped in one pass over angles x denominators; the list
     holds None where no denominator comes within angle_tol.
     """
-    qs = _denominators(d, max_period, max_depth, angle_tol)
+    qs = _denominators(d, max_period, angle_tol)
     t = np.asarray(thetas, dtype=float).reshape(-1, 1)
     if not qs:
         return [None] * len(t)
@@ -117,17 +123,15 @@ def snap_structured_angle(thetas, d: int, angle_tol: float, max_period: int = 16
 # plateau extraction
 # ---------------------------------------------------------------------------
 
-def plateau_set(h: SemiconjugacyField1D, plateau_tol: float | None = None
-                ) -> list[tuple[float, float]]:
-    """Maximal intervals of >= 2 grid cells on which H varies <= plateau_tol.
+def plateau_set(h: SemiconjugacyField1D) -> list[tuple[float, float]]:
+    """Maximal intervals of >= 2 grid cells on which H varies <= 2/N, N its grid.
 
     Requires a monotone field (covering source).  Intervals are disjoint
     and sorted; a plateau straddling the 0/1 seam is returned with its
     right endpoint > 1.
     """
     n = h.grid
-    if plateau_tol is None:
-        plateau_tol = 2.0 / n
+    plateau_tol = 2.0 / n
     s = h.orientation * h.samples
     if np.any(np.diff(s) < -1e-12):
         raise ValueError("plateau detection needs a monotone field")
@@ -314,21 +318,20 @@ def classification_data(m: LiftedCircleMap, tol: float = 1e-8,
 
     Plateaus are the runs on which H varies by at most 2/N, N its grid.
     Measured plateau images are snapped to the nearest eventually-periodic
-    angle within 5e-4, preperiod at most 24, before orbit classification
-    (direct iteration of a measured float would amplify its error by |d|
-    per step).  Non-periodic records carry the identity class.
+    angle within 5e-4, preperiod at most MAX_DEPTH, before orbit
+    classification (direct iteration of a measured float would amplify its
+    error by |d| per step).  Non-periodic records carry the identity class.
     """
     if not m.is_covering:
         raise NotACovering("classification needs a covering map")
     h = solve_semiconjugacy(m, 1, tol)
-    plateau_tol = 2.0 / h.grid
-    plateaus = plateau_set(h, plateau_tol)
+    plateaus = plateau_set(h)
     measured = frac(h(np.array([0.5 * (a + b) for (a, b) in plateaus])))
     thetas = measured.tolist()
     snaps = snap_structured_angle(measured, m.degree, 5e-4, max_period)
     # plateau images are plateaus; a snap whose exact forward orbit misses the
     # detected plateau angles is a resolution artifact
-    corroborated = _orbit_corroborated(snaps, m.degree, measured, max(2.0 * plateau_tol, 1e-3))
+    corroborated = _orbit_corroborated(snaps, m.degree, measured, max(4.0 / h.grid, 1e-3))
     records = []
     for (a, b), theta, snapped, ok in zip(plateaus, thetas, snaps, corroborated):
         if not ok:
@@ -354,11 +357,11 @@ def classification_data(m: LiftedCircleMap, tol: float = 1e-8,
 
 
 def _orbit_corroborated(thetas: list[Fraction | None], d: int, measured_angles: np.ndarray,
-                        tol: float, horizon: int = 12) -> list[bool]:
+                        tol: float) -> list[bool]:
     """Per angle: every exact forward image matches a detected plateau angle; None fails.
 
     Each orbit runs on the residues of theta's numerator mod its denominator,
-    up to horizon steps or the first repeat, and is padded with its last
+    up to HORIZON steps or the first repeat, and is padded with its last
     point.  Each image is measured against its two cyclic neighbours among
     the sorted angles: circle_dist rounds monotonically on either side of
     the image, so no other angle is nearer, even by an ulp.
@@ -370,7 +373,7 @@ def _orbit_corroborated(thetas: list[Fraction | None], d: int, measured_angles: 
     orbits = []
     for i in snapped:
         q = thetas[i].denominator
-        orbits.append([w / q for w in _orbit_walk(thetas[i].numerator % q, d, q, horizon)[1:]])
+        orbits.append([w / q for w in _orbit_walk(thetas[i].numerator % q, d, q, HORIZON)[1:]])
     width = max(map(len, orbits))
     images = np.array([orbit + orbit[-1:] * (width - len(orbit)) for orbit in orbits])
     s = np.sort(measured_angles)

@@ -124,7 +124,7 @@ def _classify(cfg: RunConfig, meta: dict):
     m = configs.circle_map_from_config(cfg.maps["map"])
     data = classify.classification_data(m, tol=p["tol"], max_period=int(p["max_period"]))
     out = {"degree": data.degree, "grid": data.grid,
-           "records": [_record_json(r) for r in data.records]}
+           "records": [{**vars(r), "signature": vars(r.signature)} for r in data.records]}
     return _json_text(out, meta), 0
 
 
@@ -197,24 +197,6 @@ def _perturb(cfg: RunConfig, meta: dict):
     verified = (report["ratio_ok"] and report["injectivity"]["injective_on_sector"]
                 and report["foliation_preserved"] and report["invariance_fraction"] == 1.0)
     return _json_text(report, meta), 0 if verified else 1
-
-
-def _record_json(r: classify.PlateauRecord) -> dict:
-    sig = r.signature
-    return {
-        "image_angle": r.image_angle,
-        "kind": r.kind,
-        "period": r.period,
-        "preperiod": r.preperiod,
-        "depth_limited": r.depth_limited,
-        "interval": [r.interval[0], r.interval[1]],
-        "signature": {
-            "orientation": sig.orientation,
-            "fixed_point_count": sig.fixed_point_count,
-            "sign_pattern": list(sig.sign_pattern) if sig.sign_pattern else None,
-            "identity_like": sig.identity_like,
-        },
-    }
 
 
 class Command(NamedTuple):

@@ -20,6 +20,8 @@ from .errors import (BranchAmbiguity, EndpointOutsideK, FiberNotMonotone, OutOfD
 from .numerics import frac
 from .semiconj2d import BandField2D
 
+MAX_STARTS_LOG2 = 18                  # star_condition_scan lifts at most 2^18 starts per (n, j)
+
 
 @dataclass
 class WindingRecord:
@@ -29,7 +31,6 @@ class WindingRecord:
     end_height: float
     winding: int
     ambiguous_endpoint: bool = False
-    path: tuple | None = None          # (ts, heights) when requested
 
     @property
     def height_gap(self) -> float:
@@ -100,8 +101,7 @@ def _lifts(forward, inverse, n: int, j: int, x: float, y0: np.ndarray) -> list[W
 
 
 def lift_loop_winding(m: AnnulusMapLift, loop_x: float, n: int, j: int,
-                      start: tuple[float, float], band: tuple[float, float],
-                      path_samples: int = 0) -> WindingRecord:
+                      start: tuple[float, float], band: tuple[float, float]) -> WindingRecord:
     """Lift the j-fold loop over loop_x through n iterates from a preimage start point.
 
     For skew products the lift is the unique monotone fiber solution
@@ -120,12 +120,7 @@ def lift_loop_winding(m: AnnulusMapLift, loop_x: float, n: int, j: int,
     if abs(base_img - loop_x) > 1e-6:
         raise BranchAmbiguity(
             f"start is not an n-preimage of the loop fiber ({base_img} vs {loop_x})")
-    y0 = np.array([float(start[1])])
-    record, = _lifts(forward, inverse, n, j, start[0], y0)
-    if path_samples:
-        ts = np.linspace(0.0, 1.0, path_samples)
-        record.path = (ts, inverse(float(forward(y0)[0]) + j * ts))
-    return record
+    return _lifts(forward, inverse, n, j, start[0], np.array([float(start[1])]))[0]
 
 
 def star_condition_scan(m: AnnulusMapLift, band: tuple[float, float], n_max: int,
@@ -136,14 +131,23 @@ def star_condition_scan(m: AnnulusMapLift, band: tuple[float, float], n_max: int
     base image of the anchor column at the band's midpoint, so every lift
     endpoint lies exactly on the anchor column inside the band.  j ranges
     over {1, ceil(d^(n-1)/2), d^(n-1)}, and all d^n starts of one (n, j)
-    are lifted in one pass.  When a semiconjugacy field is supplied, its
-    deviation bound M on the band is recorded together with the implied
-    winding bound 2M+1.
+    are lifted in one pass; |d|^n_max above 2^MAX_STARTS_LOG2 is refused.
+    When a semiconjugacy field is supplied, its deviation bound M on the
+    band is recorded together with the implied winding bound 2M+1.
+
+    On a skew product with a monotone fiber, G_n is a monotone lift of
+    degree d^n, so G_n^-1(G_n(y0) + j) lies within one unit of y0 for
+    j <= |d|^n and every winding is 0 or 1: on such maps, which are all
+    the maps semicov builds, the scan is a consistency check.
     """
     base_angle, x_anchor = 0.25, 0.5 * (band[0] + band[1])
     if m.fiber.slope_range(np.array([x_anchor]))[0] <= 0:
         raise FiberNotMonotone("loop lifting needs a monotone fiber")
     d = abs(m.degree)
+    # |d| >= 2, so n_max > MAX_STARTS_LOG2 alone is over the limit: no huge power
+    if n_max > MAX_STARTS_LOG2 or d ** n_max > 2 ** MAX_STARTS_LOG2:
+        raise ValidationError(f"nmax {n_max} needs {d}^{n_max} starts per loop, "
+                              f"more than 2^{MAX_STARTS_LOG2}")
     records: list[WindingRecord] = []
     for n in range(1, n_max + 1):
         _, forward, inverse = _composite_fiber(m, x_anchor, n)

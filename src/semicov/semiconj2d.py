@@ -103,18 +103,7 @@ def check_fiber_surjectivity(h: BandField2D, x_level: float, max_gap: float = 0.
     return max_circular_gap(vals) <= max_gap
 
 
-def check_fiber_connector(h: BandField2D, z: float, tol: float = 0.01,
-                          x_levels=None) -> bool:
-    """True iff the h-fiber over angle z meets every x-level of the band.
-
-    Levels outside the field's band count as domain gaps and fail the check.
-    """
-    a, b = h.band
-    if x_levels is None:
-        x_levels = h.x_samples
-    x_levels = np.asarray(x_levels, dtype=float)
-    if np.any(x_levels < a - 1e-12) or np.any(x_levels > b + 1e-12):
-        return False
-    xg, yg = np.meshgrid(np.clip(x_levels, a, b), np.linspace(0.0, 1.0, h.ny, endpoint=False),
-                         indexing="ij")
+def check_fiber_connector(h: BandField2D, z: float, tol: float = 0.01) -> bool:
+    """True iff the h-fiber over angle z meets every x-level of the band."""
+    xg, yg = np.meshgrid(h.x_samples, np.linspace(0.0, 1.0, h.ny, endpoint=False), indexing="ij")
     return not np.any(np.min(circle_dist(h(xg, yg), z), axis=1) > tol)

@@ -50,8 +50,7 @@ def test_classify_point_reduces_the_angle_mod_1():
 
 
 def test_classify_point_wandering_flagged():
-    c = classify_circle_point(Fraction(math_num := 7853981633974483, 10 ** 16), 2,
-                              max_period=8, max_depth=10)
+    c = classify_circle_point(Fraction(7853981633974483, 10 ** 16), 2, max_period=8)
     assert c.kind == "wandering" and c.depth_limited
 
 
@@ -86,7 +85,7 @@ def _snap_reference(theta, d, angle_tol, max_period=16, max_depth=24):
     return best
 
 
-def _exact_ties(d, angle_tol, max_period, max_depth):
+def _exact_ties(d, angle_tol, max_period, max_depth=24):
     """Angles at the same float distance from two ladder fractions of different value."""
     q_max = int(0.1 / angle_tol)
     qs = sorted({abs(d ** n - 1) * abs(d) ** m for n in range(1, max_period + 1)
@@ -105,30 +104,46 @@ def _exact_ties(d, angle_tol, max_period, max_depth):
 def test_snap_matches_per_call_ladder(d):
     rng = np.random.default_rng(abs(d) * 10 + (d < 0))
     ties = 0
-    for angle_tol, max_period, max_depth in ((5e-4, 16, 24), (1e-3, 4, 3), (1e-2, 16, 24),
-                                             (2e-5, 8, 6)):
-        tied = _exact_ties(d, angle_tol, max_period, max_depth)
+    for angle_tol, max_period in ((5e-4, 16), (1e-3, 4), (1e-2, 16), (2e-5, 8)):
+        tied = _exact_ties(d, angle_tol, max_period)
         ties += len(tied)
         # exact ties between equal values too: every ladder fraction 0 or 1/2 matches alike
         thetas = [*rng.uniform(-1.0, 2.0, 300), *tied, 0.0, 1e-6, -3e-6, 0.5, 0.5 + 1e-7, 1.0]
         for theta in thetas:
-            assert (snap_structured_angle([theta], d, angle_tol, max_period, max_depth)
-                    == [_snap_reference(theta, d, angle_tol, max_period, max_depth)])
+            assert (snap_structured_angle([theta], d, angle_tol, max_period)
+                    == [_snap_reference(theta, d, angle_tol, max_period)])
     assert ties > 0
 
 
 @pytest.mark.parametrize("d", [2, -2, 3, -3, 4])
 def test_array_snap_matches_the_per_angle_ladder(d):
     rng = np.random.default_rng(abs(d) * 10 + (d < 0) + 1)
-    for angle_tol, max_period, max_depth in ((5e-4, 16, 24), (1e-3, 4, 3), (2e-5, 8, 6)):
-        tied = _exact_ties(d, angle_tol, max_period, max_depth)
+    for angle_tol, max_period in ((5e-4, 16), (1e-3, 4), (2e-5, 8)):
+        tied = _exact_ties(d, angle_tol, max_period)
         thetas = np.array([*rng.uniform(-1.0, 2.0, 2000), *tied, 0.0, -3e-6, 0.5, 1.0])
-        got = snap_structured_angle(thetas, d, angle_tol, max_period, max_depth)
-        assert got == [_snap_reference(theta, d, angle_tol, max_period, max_depth)
+        got = snap_structured_angle(thetas, d, angle_tol, max_period)
+        assert got == [_snap_reference(theta, d, angle_tol, max_period)
                        for theta in thetas.tolist()]
     assert snap_structured_angle(np.array([]), d, 5e-4) == []
     # no denominator at or below 0.1/angle_tol: nothing snaps
     assert snap_structured_angle([0.3, 0.0], d, 0.5) == [None, None]
+
+
+def _denominators_reference(d, max_period, angle_tol, max_depth=24):
+    """_denominators as one comprehension over every n <= max_period, kept as the reference."""
+    q_max = int(0.1 / angle_tol)
+    return tuple(sorted({q for n in range(1, max_period + 1) for m in range(max_depth + 1)
+                         if (q := abs(d ** n - 1) * abs(d) ** m) <= q_max}))
+
+
+@pytest.mark.parametrize("d", [2, -2, 3, -3, 4, -5, 7])
+def test_denominators_stop_at_the_first_power_above_the_bound(d):
+    for max_period in (1, 2, 3, 8, 16, 64):
+        for angle_tol in (0.5, 0.05, 1e-2, 1e-3, 5e-4, 2e-5, 1e-7):
+            assert (classify._denominators(d, max_period, angle_tol)
+                    == _denominators_reference(d, max_period, angle_tol))
+    # the largest max_period the schema allows costs no more than 16
+    assert classify._denominators(d, schema.MAX_SIZE, 5e-4) == _denominators_reference(d, 16, 5e-4)
 
 
 # --- plateaus ----------------------------------------------------------------
@@ -646,8 +661,7 @@ def test_dip_roots_match_scalar_reference_on_random_runs(seed):
 def test_plateaus_and_dip_roots_match_scalar_references(d, insertions, grid, monkeypatch):
     m = blow_up(d, insertions, grid=grid)
     h = solve_semiconjugacy(m, 1, 1e-8)
-    for tol in (0.5 / grid, 2.0 / grid, 8.0 / grid):
-        assert plateau_set(h, tol) == _scalar_plateau_set(h, tol)
+    assert plateau_set(h) == _scalar_plateau_set(h, 2.0 / h.grid)
     checked = []
 
     def compare(roots, xs, vals, tang_tol, sep):
@@ -663,7 +677,7 @@ def test_plateaus_and_dip_roots_match_scalar_references(d, insertions, grid, mon
         assert checked
 
 
-def _fraction_classify_point(z, d, max_period, max_depth):
+def _fraction_classify_point(z, d, max_period, max_depth=24):
     """classify_circle_point stepping the Fraction itself: (d * a) % 1."""
     def is_per(a):
         w = a
@@ -704,15 +718,15 @@ def test_integer_orbits_match_fraction_reference(d):
     angles = {Fraction(int(k), q) for q in _structured_denominators(d)
               for k in (range(q) if q <= 256 else rng.choice(q, 8, replace=False))}
     kinds = set()
-    for max_period, max_depth in ((6, 4), (16, 24)):
+    for max_period in (6, 16):
         for z in sorted(angles):
-            got = classify_circle_point(z, d, max_period, max_depth)
-            assert got == _fraction_classify_point(z, d, max_period, max_depth), z
+            got = classify_circle_point(z, d, max_period)
+            assert got == _fraction_classify_point(z, d, max_period), z
             kinds.add(got.kind)
     assert kinds == {"periodic", "preperiodic", "wandering"}
 
 
-def _nested_classify_point(z, d, max_period, max_depth):
+def _nested_classify_point(z, d, max_period, max_depth=24):
     """classify_circle_point as nested loops: a period search at every preperiod."""
     q = z.denominator
 
@@ -746,10 +760,10 @@ def test_orbit_walk_matches_nested_loops(d):
     angles = {Fraction(int(k), q) for q in qs
               for k in (range(q) if q <= 64 else rng.integers(0, q, 6))}
     kinds = set()
-    for max_period, max_depth in ((16, 24), (3, 2), (1, 0), (5, 30)):
+    for max_period in (16, 3, 1, 5):
         for z in sorted(angles):
-            got = classify_circle_point(z, d, max_period, max_depth)
-            assert got == _nested_classify_point(z, d, max_period, max_depth), z
+            got = classify_circle_point(z, d, max_period)
+            assert got == _nested_classify_point(z, d, max_period), z
             kinds.add(got.kind)
     assert kinds == {"periodic", "preperiodic", "wandering"}
 
@@ -789,10 +803,9 @@ def test_orbit_corroboration_matches_scalar_reference(d):
         measured = np.concatenate((frac(np.array(orbit) + shift)[keep], rng.random(3)))
         thetas.append(theta)
         seen.append(measured)
-        for horizon in (0, 3, 12):
-            [got] = classify._orbit_corroborated([theta], d, measured, tol, horizon)
-            assert got == _scalar_orbit_corroborated(theta, d, measured, tol, horizon), theta
-            verdicts.append(got)
+        [got] = classify._orbit_corroborated([theta], d, measured, tol)
+        assert got == _scalar_orbit_corroborated(theta, d, measured, tol), theta
+        verdicts.append(got)
     # one call for orbits of every length against the first half's angles; None fails
     shared = np.concatenate(seen[:100])
     batch = classify._orbit_corroborated([None] + thetas, d, shared, 1e-3)
@@ -812,7 +825,7 @@ def _scalar_classification_data(m, tol=1e-8, max_period=16):
     """classification_data's records from one h() call, snap and corroboration per plateau."""
     h = solve_semiconjugacy(m, 1, tol)
     plateau_tol = 2.0 / h.grid
-    plateaus = plateau_set(h, plateau_tol)
+    plateaus = plateau_set(h)
     measured = np.array([float(frac(h(0.5 * (a + b)))) for (a, b) in plateaus])
     records = []
     for (a, b), theta in zip(plateaus, measured):
@@ -983,7 +996,7 @@ def test_periodic_density_harness():
     plats = [(a % 1.0, b % 1.0 if b <= 1 else b - 1.0) for a, b in plateau_set(h)]
     periodic = set()
     for n in range(1, 9):
-        periodic.update(a for a, _ in find_periodic_points(m, n, scan=120_000))
+        periodic.update(a for a, _ in find_periodic_points(m, n))
     periodic = np.array(sorted(periodic))
     cuts = sorted(x for p in plats for x in p)
     arcs = list(zip(cuts[1::2], cuts[2::2] + cuts[:1]))

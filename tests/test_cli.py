@@ -74,6 +74,18 @@ def test_classify_artifact(tmp_path):
     assert periodic and periodic[0]["image_angle"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_classify_at_the_largest_max_period_matches_16(tmp_path):
+    # the snap denominators stop at the first |d^n - 1| above their bound, so the
+    # schema's largest max_period runs as fast as 16 and finds the same records
+    records = []
+    for max_period in ("16", str(schema.MAX_SIZE)):
+        out = tmp_path / f"{max_period}.json"
+        assert main(["classify", "--map", json.dumps(BLOWUP_NS), "--max-period", max_period,
+                     "--out", str(out)]) == 0
+        records.append(json.loads(out.read_text())["records"])
+    assert records[0] and records[0] == records[1]
+
+
 def test_compare_exit_codes(tmp_path):
     same = main(["compare", "--a", json.dumps(BLOWUP_NS), "--b", json.dumps(BLOWUP_NS),
                  "--out", str(tmp_path / "v0.json")])
@@ -305,6 +317,8 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
     # table lengths within the size limit whose last model no longer verifies (n + 2^-n == n)
     ["counterexample-table", "--nmax", "48"],
     ["counterexample-table", "--nmax", "16777216"],
+    # 2^40 starts per loop, which used to exit 1 with a MemoryError traceback
+    ["star-scan", "--map", BAND_MAP, "--nmax", "40"],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     argv, error = argv if isinstance(argv, tuple) else (argv, "ValidationError")

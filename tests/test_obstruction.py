@@ -5,7 +5,7 @@ from semicov.annulus import AnnulusMapLift, BaseMap, FiberMap, TauSpec, make_ske
 from semicov.circle import from_function, make_lift
 from semicov.connectors import invariant_connector_from_arc, semiconjugacy_from_connectors
 from semicov.errors import BranchAmbiguity, EndpointOutsideK, FiberNotMonotone, ValidationError
-from semicov.obstruction import (_composite_fiber, counterexample_growth_table,
+from semicov.obstruction import (_composite_fiber, _lifts, counterexample_growth_table,
                                  lift_loop_winding, measure_deviation_bound, star_condition_scan)
 
 
@@ -23,9 +23,12 @@ def test_double_turn_lifts_to_full_turn(product_z2):
 
 
 def test_lift_pushforward_reproduces_loop(product_z2):
-    rec = lift_loop_winding(product_z2, 0.5, 2, 3,
-                            (0.5, 0.125), (0.1, 0.9), path_samples=129)
-    ts, path = rec.path
+    # the lifted path G_2^-1(G_2(y0) + 3t), t in [0, 1], ends at the record's end height
+    rec = lift_loop_winding(product_z2, 0.5, 2, 3, (0.5, 0.125), (0.1, 0.9))
+    _, forward, inverse = _composite_fiber(product_z2, 0.5, 2)
+    ts = np.linspace(0.0, 1.0, 129)
+    path = inverse(float(forward(np.array([0.125]))[0]) + 3 * ts)
+    assert path[-1] == rec.end_height
     fwd = path.copy()
     for _ in range(2):
         fwd = np.asarray(product_z2.fiber(np.full_like(fwd, 0.5), fwd))
@@ -89,9 +92,9 @@ def per_record_scan(m, band, n_max):
     return records
 
 
-def _sine_fiber(d, amplitude):
+def _sine_fiber(d, amplitude, tau=TauSpec("linear", 0.05)):
     circle = from_function(lambda x: d * x + amplitude * np.sin(2 * np.pi * x))
-    return FiberMap(d, circle=circle, tau=TauSpec("linear", 0.05))
+    return FiberMap(d, circle=circle, tau=tau)
 
 
 SCAN_MAPS = {
@@ -111,9 +114,9 @@ def test_star_scan_matches_per_record_reference(name):
     want = per_record_scan(m, (0.1, 0.9), n_max)
     assert got == want
     types = lambda r: [type(v) for v in (r.n, r.j, *r.start, r.end_height, r.winding,
-                                         r.ambiguous_endpoint, r.path)]
+                                         r.ambiguous_endpoint)]
     assert [types(r) for r in got] == [types(r) for r in want]
-    assert types(got[0]) == [int, int, float, float, float, int, bool, type(None)]
+    assert types(got[0]) == [int, int, float, float, float, int, bool]
 
 
 def test_non_monotone_fiber_is_rejected():
@@ -149,6 +152,41 @@ def test_star_scan_example_within_bound(example_map):
     assert report.satisfied
     # every record's endpoints sit on the anchor column inside the band
     assert all(0.1 <= r.start[0] <= 0.9 for r in report.records)
+
+
+def _seeded_skew_product(d, fiber, seed):
+    """A contraction base and a linear or sine fiber of degree d, tau linear, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    base = BaseMap("contraction", (rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.95)))
+    tau = TauSpec("linear", rng.uniform(-0.5, 0.5))
+    amplitude = rng.uniform(0.0, 0.15)          # slope d + 2 pi a cos stays away from 0
+    fiber = FiberMap(d, tau=tau) if fiber == "linear" else _sine_fiber(d, amplitude, tau)
+    return make_skew_product(base, fiber)
+
+
+@pytest.mark.parametrize("seed", range(40, 45))
+@pytest.mark.parametrize("fiber", ["linear", "sine"])
+@pytest.mark.parametrize("d", [2, 3, -2, -3])
+def test_skew_product_windings_are_at_most_one(d, fiber, seed):
+    # a monotone composed fiber of degree d^n moves a lift at most one unit for
+    # j <= |d|^n; lifting j = 2|d|^n instead shows that the check can fail
+    m = _seeded_skew_product(d, fiber, seed)
+    n_max = 6 if abs(d) == 2 else 4
+    report = star_condition_scan(m, (0.1, 0.9), n_max)
+    assert report.max_winding <= 1
+    assert set(report.max_per_n()) == set(range(1, n_max + 1))
+    for n in range(1, n_max + 1):
+        _, forward, inverse = _composite_fiber(m, 0.5, n)
+        starts = np.array([r.start[1] for r in report.records if r.n == n and r.j == 1])
+        doubled = _lifts(forward, inverse, n, 2 * abs(d) ** n, 0.5, starts)
+        assert {r.winding for r in doubled} == {2}
+
+
+def test_star_scan_refuses_more_starts_than_its_limit(product_z2, contracting_z3):
+    # |d|^nmax starts per loop above 2^18 are refused before any lift is built
+    for m, n_max in ((product_z2, 19), (contracting_z3, 12), (product_z2, 2 ** 24)):
+        with pytest.raises(ValidationError, match=r"more than 2\^18"):
+            star_condition_scan(m, (0.1, 0.9), n_max)
 
 
 def test_star_scan_covers_all_branches(product_z2):
