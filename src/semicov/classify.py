@@ -195,13 +195,6 @@ class IntervalSignature:
         return cls(orientation, None, None, identity_like=True)
 
     @property
-    def endpoint_behavior(self) -> tuple[str, str] | None:
-        """(low, high) endpoint kinds, read from the (outside, inside) flank signs."""
-        p, flag = self.sign_pattern, {(1, -1): "attracting", (-1, 1): "repelling"}
-        return None if p is None else (flag.get((p[0], p[1]), "mixed"),
-                                       flag.get((-p[-1], -p[-2]), "mixed"))
-
-    @property
     def resolved(self) -> bool:
         return self.identity_like or self.fixed_point_count is not None
 

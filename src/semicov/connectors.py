@@ -24,6 +24,8 @@ from .errors import (BranchCollision, ImageNotGraph, NoExpansion, NotFree,
 from .numerics import circle_dist, frac
 from .semiconj2d import BandField2D
 
+MAX_LEVEL_LOG2 = 26                   # a coding level holds at most 2^26 preimage heights
+
 
 @dataclass(eq=False)
 class ConnectorCurve:
@@ -80,12 +82,14 @@ def _interp_rows(x, xp, fp):
 
     xp must be strictly increasing; points outside it take the end values.
     """
-    j = np.searchsorted(xp, x, side="right") - 1
-    jc = np.clip(j, 0, len(xp) - 2)
-    lo = fp.take(jc, axis=-1)
-    v = (fp.take(jc + 1, axis=-1) - lo) / (xp[jc + 1] - xp[jc]) * (x - xp[jc]) + lo
-    node = (j < 0) | (j == len(xp) - 1) | (xp[jc] == x)
-    return np.where(node, fp.take(np.clip(j, 0, len(xp) - 1), axis=-1), v)
+    j = np.searchsorted(xp[1:-1], x, side="right")      # segment [xp[j], xp[j+1]] of x
+    lo, hi = fp.take(j, axis=-1), fp.take(j + 1, axis=-1)
+    x0 = xp[j]
+    v = (hi - lo) / (xp[j + 1] - x0) * (x - x0) + lo
+    node, top = x <= x0, x >= xp[-1]                    # np.interp returns a sample there
+    v[..., node] = lo[..., node]
+    v[..., top] = hi[..., top]
+    return v
 
 
 def _preimage_block(m: AnnulusMapLift, xs: np.ndarray, heights: np.ndarray,
@@ -133,27 +137,22 @@ def preimage_connectors(m: AnnulusMapLift, c: ConnectorCurve) -> list[ConnectorC
             for h, k in zip(hs, offsets)]
 
 
-def connector_image(m: AnnulusMapLift, c: ConnectorCurve) -> ConnectorCurve:
-    """Image curve of a graph connector; requires a monotone base on its range."""
-    bx = np.asarray(m.base(c.xs))
-    if np.any(np.diff(bx) <= 0):
-        raise ImageNotGraph("base not strictly increasing on the curve range")
-    return ConnectorCurve(bx, np.asarray(m.fiber(c.xs, c.heights)), c.margin)
-
-
 def is_free(m: AnnulusMapLift, c: ConnectorCurve) -> bool:
     """True iff the image stays more than 1e-6 off the curve over the overlapping range.
 
-    Distances are measured on the circle fiber (mod 1) at equal base
-    positions; an empty overlap counts as free.
+    The image is a graph only for a base strictly increasing on the curve
+    range (else ImageNotGraph).  Distances are measured on the circle fiber
+    (mod 1) at equal base positions; an empty overlap counts as free.
     """
-    img = connector_image(m, c)
-    lo = max(c.x_range[0], img.x_range[0])
-    hi = min(c.x_range[1], img.x_range[1])
+    bx = np.asarray(m.base(c.xs))
+    if np.any(np.diff(bx) <= 0):
+        raise ImageNotGraph("base not strictly increasing on the curve range")
+    lo = max(c.xs[0], bx[0])
+    hi = min(c.xs[-1], bx[-1])
     if hi <= lo:
         return True
     xs = np.linspace(lo, hi, max(len(c.xs), 256))
-    gap = circle_dist(img.height_at(xs), c.height_at(xs))
+    gap = circle_dist(np.interp(xs, bx, m.fiber(c.xs, c.heights)), c.height_at(xs))
     return float(np.min(gap)) > 1e-6
 
 
@@ -264,7 +263,7 @@ def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve, depth: int = 10,
     lam = _check_expansion(m, margin)
     if not is_free(m, c):
         raise NotFree("connector meets its image")
-    reps = _nest(m, c, depth, n_samples, first_only=m.degree < 0)
+    reps = _nest(m, c, depth, n_samples)
     if m.degree < 0:
         reps += _nest(m, reps[0], depth, n_samples, invariant=True)
     for r in reps:
@@ -273,7 +272,7 @@ def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve, depth: int = 10,
 
 
 def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
-          invariant: bool = False, first_only: bool = False) -> list[ConnectorCurve]:
+          invariant: bool = False) -> list[ConnectorCurve]:
     """Nest the gaps between consecutive preimage curves of c, all gaps at once.
 
     Gap k lies between the preimage curves lower[k] and upper[k] = lower[k+1]
@@ -283,8 +282,8 @@ def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
     since consecutive preimage curves differ by one period in the fiber
     image.  A free c's gap is dropped; for an invariant c, which bounds the
     two gaps adjacent to it, those gaps start from the midline of the strip
-    between the preimages of their boundaries and no gap is dropped.
-    first_only nests only the first gap kept.
+    between the preimages of their boundaries and no gap is dropped.  For
+    d < 0 a free c nests only the first gap kept.
     """
     margin = c.margin
     px, ph, _ = _preimage_block(m, c.xs, c.heights[None, :], margin, n_samples)
@@ -294,7 +293,7 @@ def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
     bx = np.asarray(m.base(xs))
 
     def pull(h, side):                  # each row's preimage inside its gap
-        t = np.array([np.interp(bx, xs, row) for row in h])
+        t = _interp_rows(bx, xs, h)
         return m.fiber.inverse(xs, t + np.ceil(side - t))
 
     cc = c.height_at(xs)
@@ -311,7 +310,7 @@ def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
         cur[r] = 0.5 * (np.maximum(lower[r], np.minimum(l_star, u_star))
                         + np.minimum(upper[r], np.maximum(l_star, u_star)))
     keep = np.arange(len(lower)) != k0
-    if first_only:
+    if m.degree < 0 and not invariant:
         keep &= np.cumsum(keep) == 1
     cur, side, gaps = cur[keep], side[keep], []
     for _ in range(depth):
@@ -395,7 +394,8 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
     over the nodes p whose image stays in the band, H(p) read from the stored values.
 
     Raises ValidationError for nx < 2, ny < 1, depth < 0, a band outside
-    0 < a < b < 1 or no seeds.
+    0 < a < b < 1 or no seeds, and before building a level of more than
+    2^MAX_LEVEL_LOG2 heights: |d| times the frontier's curves x nodes.
     """
     if nx < 2 or ny < 1:
         raise ValidationError(f"the coding grid needs nx >= 2 and ny >= 1, got {nx} x {ny}")
@@ -421,7 +421,11 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
     frontier = [code((g[0].xs, np.array([s.heights for s in g]),
                       np.array([s.value for s in g], dtype=float), g[0].margin)) for g in groups]
     level_curves, dropped = [len(seeds)], 0
-    for _ in range(depth):
+    for level in range(1, depth + 1):
+        size = abs(d) * sum(b[1].size for b in frontier)
+        if size > 2 ** MAX_LEVEL_LOG2:
+            raise ValidationError(f"coding level {level} needs {size} heights, more than "
+                                  f"2^{MAX_LEVEL_LOG2}; lower the depth")
         new = []
         for bx, hs, vs, mg in frontier:
             try:

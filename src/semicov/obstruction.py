@@ -32,13 +32,15 @@ class WindingRecord:
     winding: int
     ambiguous_endpoint: bool = False
 
-    @property
-    def height_gap(self) -> float:
-        return abs(self.end_height - self.start[1])
-
 
 @dataclass(eq=False)
 class WindingReport:
+    """Scan records on a band, with the deviation bound M of the supplied field.
+
+    M is the field's deviation_bound, the node maximum of |H - orientation*y|,
+    exact for the bilinear field; implied_bound is 2M+1.
+    """
+
     band: tuple[float, float]
     records: list[WindingRecord]
     deviation_bound: float | None = None
@@ -132,8 +134,10 @@ def star_condition_scan(m: AnnulusMapLift, band: tuple[float, float], n_max: int
     endpoint lies exactly on the anchor column inside the band.  j ranges
     over {1, ceil(d^(n-1)/2), d^(n-1)}, and all d^n starts of one (n, j)
     are lifted in one pass; |d|^n_max above 2^MAX_STARTS_LOG2 is refused.
-    When a semiconjugacy field is supplied, its deviation bound M on the
-    band is recorded together with the implied winding bound 2M+1.
+    When a semiconjugacy field is supplied, its band must contain the scan
+    band (else OutOfDomain), and the report records as M the field's
+    deviation_bound, the node maximum of |H - orientation*y|, exact for the
+    bilinear field, with the implied winding bound 2M+1.
 
     On a skew product with a monotone fiber, G_n is a monotone lift of
     degree d^n, so G_n^-1(G_n(y0) + j) lies within one unit of y0 for
@@ -143,6 +147,8 @@ def star_condition_scan(m: AnnulusMapLift, band: tuple[float, float], n_max: int
     base_angle, x_anchor = 0.25, 0.5 * (band[0] + band[1])
     if m.fiber.slope_range(np.array([x_anchor]))[0] <= 0:
         raise FiberNotMonotone("loop lifting needs a monotone fiber")
+    if h_field is not None and not h_field.band[0] <= band[0] <= band[1] <= h_field.band[1]:
+        raise OutOfDomain(f"scan band {band} is not inside the field band {h_field.band}")
     d = abs(m.degree)
     # |d| >= 2, so n_max > MAX_STARTS_LOG2 alone is over the limit: no huge power
     if n_max > MAX_STARTS_LOG2 or d ** n_max > 2 ** MAX_STARTS_LOG2:
@@ -158,19 +164,7 @@ def star_condition_scan(m: AnnulusMapLift, band: tuple[float, float], n_max: int
         starts = np.sort(frac(inverse(base_angle + first)))
         for j in sorted({1, max(1, int(np.ceil(d ** (n - 1) / 2))), max(1, d ** (n - 1))}):
             records += _lifts(forward, inverse, n, j, x_anchor, starts)
-    bound = None if h_field is None else measure_deviation_bound(h_field, band)
-    return WindingReport(band, records, bound)
-
-
-def measure_deviation_bound(h: BandField2D, band: tuple[float, float]) -> float:
-    """Sup |H(x,y) - y| over the band, sampled on a 64 x 128 grid."""
-    a = max(band[0], h.band[0])
-    b = min(band[1], h.band[1])
-    if b <= a:
-        raise OutOfDomain(f"band {band} does not meet field band {h.band}")
-    xg, yg = np.meshgrid(np.linspace(a, b, 64), np.linspace(0.0, 1.0, 128),
-                         indexing="ij")
-    return float(np.max(np.abs(h(xg, yg) - h.orientation * yg)))
+    return WindingReport(band, records, None if h_field is None else h_field.deviation_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,8 @@ def test_interval_signature_endpoint_behavior():
     h = solve_semiconjugacy(m, 1, 1e-8)
     base = [p for p in plateau_set(h) if p[0] < 0.5 < p[1]][0]
     sig = interval_signature(m, base, 1)
-    assert sig.endpoint_behavior == ("repelling", "repelling")
+    # both endpoints repel: F^n - id runs (-, +) across the low end, (-, +) across the high end
+    assert sig.sign_pattern[:2] == (-1, 1) and sig.sign_pattern[-2:] == (-1, 1)
 
 
 def test_interval_signature_not_invariant():

@@ -175,6 +175,18 @@ def test_star_scan_artifact(tmp_path):
     assert rep["max_winding"] <= rep["implied_bound"]
 
 
+def test_star_scan_codes_to_depth_40_when_blocks_leave_the_margins(tmp_path):
+    # affine_to_one pushes every block out of the margins by level 17, so no
+    # level nears the coding's size limit
+    out = tmp_path / "scan.json"
+    code = main(["star-scan", "--map", json.dumps(STAR_MAP),
+                 "--connector", '{"kind": "invariant_arc", "p": [0.5, 0.0], '
+                 '"n_back": 9, "n_fwd": 16, "margin": 1e-5, "value": 0.0}',
+                 "--band", "0.1,0.9", "--nmax", "3", "--depth", "40", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["satisfied"] is True
+
+
 def test_counterexample_table_cli(tmp_path):
     out = tmp_path / "table.json"
     assert main(["counterexample-table", "--nmax", "6", "--out", str(out)]) == 0
@@ -319,6 +331,11 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
     ["counterexample-table", "--nmax", "16777216"],
     # 2^40 starts per loop, which used to exit 1 with a MemoryError traceback
     ["star-scan", "--map", BAND_MAP, "--nmax", "40"],
+    # a coding level of 2^18 curves x 2 branches x 154 nodes, which used to exit 1
+    # with a MemoryError traceback
+    ["star-scan", "--map", '{"base": {"family": "contraction"}, '
+     '"fiber": {"family": "linear", "degree": 2}}',
+     "--connector", '{"kind": "const", "height": 0.25}', "--nmax", "2", "--depth", "40"],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     argv, error = argv if isinstance(argv, tuple) else (argv, "ValidationError")

@@ -3,6 +3,8 @@
 Each case regenerates an artifact through the command line and compares
 its SHA-256 and the exit code with the values recorded before the solver
 kernels were shared.  A refactor that changes any output byte fails here.
+A deliberate output change pins the new digest and records the digest it
+replaces in ``SUPERSEDED``, with the reason.
 """
 import hashlib
 import json
@@ -48,13 +50,21 @@ CASES = {
     "star-scan": (["star-scan", "--map", json.dumps(STAR_MAP), "--connector",
                    json.dumps(STAR_ARC), "--band", "0.1,0.9", "--nmax", "3",
                    "--depth", "6"], 0,
-                  "33b210f2618644fdea011e3ec101e39055dc68ead3201a674abceb2ce4fe8607"),
+                  "763bfb6213021644a0e32cc2bda4f252a6d3c678ea25bcb81137f10e41e6fe2c"),
     "counterexample-table": (
         ["counterexample-table", "--nmax", "6"], 0,
         "8e6a67b64b20e7e472ee79d27a40c02335bd8bd485cf06015e04a98f5c2a8f07"),
     "perturb": (["perturb", "--epsilon", '{"family": "edge_poly", "value": 0.1}',
                  "--grid", "20000"], 0,
                 "5b6cef2a6cde6dfc7028093bb9730d64a744bf6efb67779f3139b641db15b828"),
+}
+
+# name -> (replaced digest, why the artifact changed)
+SUPERSEDED = {
+    "star-scan": ("33b210f2618644fdea011e3ec101e39055dc68ead3201a674abceb2ce4fe8607",
+                  "deviation_bound is the coded field's node maximum 13.203125, exact for the "
+                  "bilinear field, in place of a 64 x 128 sample that read 13.203063484251969; "
+                  "implied_bound follows, 27.406126968503937 -> 27.40625"),
 }
 
 

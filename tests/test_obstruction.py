@@ -4,22 +4,24 @@ import pytest
 from semicov.annulus import AnnulusMapLift, BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.circle import from_function, make_lift
 from semicov.connectors import invariant_connector_from_arc, semiconjugacy_from_connectors
-from semicov.errors import BranchAmbiguity, EndpointOutsideK, FiberNotMonotone, ValidationError
+from semicov.errors import (BranchAmbiguity, EndpointOutsideK, FiberNotMonotone, OutOfDomain,
+                            ValidationError)
 from semicov.obstruction import (_composite_fiber, _lifts, counterexample_growth_table,
-                                 lift_loop_winding, measure_deviation_bound, star_condition_scan)
+                                 lift_loop_winding, star_condition_scan)
+from semicov.semiconj2d import BandField2D
 
 
 def test_single_turn_lifts_to_half_turn(product_z2):
     # one turn lifts under z^2 to half a turn: no connector crossing
     rec = lift_loop_winding(product_z2, 0.5, 1, 1, (0.5, 0.25), (0.1, 0.9))
     assert rec.winding == 0
-    assert rec.height_gap == pytest.approx(0.5, abs=1e-12)
+    assert abs(rec.end_height - rec.start[1]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_double_turn_lifts_to_full_turn(product_z2):
     rec = lift_loop_winding(product_z2, 0.5, 1, 2, (0.5, 0.25), (0.1, 0.9))
     assert rec.winding == 1
-    assert rec.height_gap == pytest.approx(1.0, abs=1e-12)
+    assert abs(rec.end_height - rec.start[1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lift_pushforward_reproduces_loop(product_z2):
@@ -147,11 +149,31 @@ def test_star_scan_example_within_bound(example_map):
     field = semiconjugacy_from_connectors(example_map, [c], depth=8,
                                           band=(0.1, 0.9), nx=65, ny=128)
     report = star_condition_scan(example_map, (0.1, 0.9), 6, h_field=field)
-    assert report.deviation_bound == measure_deviation_bound(field, (0.1, 0.9))
+    assert report.deviation_bound == field.deviation_bound
     assert report.implied_bound == 2 * report.deviation_bound + 1
     assert report.satisfied
     # every record's endpoints sit on the anchor column inside the band
     assert all(0.1 <= r.start[0] <= 0.9 for r in report.records)
+
+
+def test_star_scan_bound_covers_every_node(example_map):
+    # the star-scan golden's field: a sample of it can miss the node maximum
+    # 13.203125, which the bilinear field attains
+    c = invariant_connector_from_arc(example_map, (0.5, 0.0),
+                                     n_back=9, n_fwd=16, margin=1e-5)
+    c.value = 0.0
+    field = semiconjugacy_from_connectors(example_map, [c], depth=6, band=(0.1, 0.9))
+    report = star_condition_scan(example_map, (0.1, 0.9), 3, h_field=field)
+    ys = np.linspace(0.0, 1.0, field.ny + 1)
+    assert report.deviation_bound >= np.max(np.abs(field.values - ys))
+
+
+@pytest.mark.parametrize("field_band", [(0.2, 0.9), (0.1, 0.8), (0.3, 0.6), (0.92, 0.95)])
+def test_star_scan_refuses_a_field_short_of_the_band(product_z2, field_band):
+    # a field on part of the scan band bounds nothing on the rest of it
+    field = BandField2D(field_band, np.tile(np.linspace(0.0, 1.0, 9), (5, 1)))
+    with pytest.raises(OutOfDomain):
+        star_condition_scan(product_z2, (0.1, 0.9), 2, h_field=field)
 
 
 def _seeded_skew_product(d, fiber, seed):

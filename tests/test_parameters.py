@@ -33,14 +33,15 @@ EXEMPT = {
     "semiconj2d.py: solve_band_semiconjugacy(orientation)":
         "it mirrors the 1D --orientation that the CLI sets and selects no code path of its own",
 }
-# parameters that only unit tests set, since made constants of their modules
+# parameters that only unit tests set, or that the function's inputs determine, since gone
 REMOVED = [("classify.py", "plateau_set", "plateau_tol"),
            ("classify.py", "classify_circle_point", "max_depth"),
            ("classify.py", "snap_structured_angle", "max_depth"),
            ("classify.py", "_orbit_corroborated", "horizon"),
            ("circle.py", "find_periodic_points", "scan"),
            ("obstruction.py", "lift_loop_winding", "path_samples"),
-           ("semiconj2d.py", "check_fiber_connector", "x_levels")]
+           ("semiconj2d.py", "check_fiber_connector", "x_levels"),
+           ("connectors.py", "_nest", "first_only")]
 
 
 def defaulted_parameters(tree: ast.Module) -> list[tuple[str, int, list[tuple[int, str]]]]:
