@@ -58,7 +58,7 @@ class BaseMap:
         """Inverse where defined; raises BaseNotInvertible outside the image."""
         y = np.asarray(y, dtype=float)
         out = BASES[self.kind].inverse(y, *self.params)
-        if np.any(out <= 0.0) or np.any(out >= 1.0):
+        if not np.all((out > 0.0) & (out < 1.0)):
             raise BaseNotInvertible(f"preimage leaves (0,1) for targets in "
                                     f"[{np.min(y)}, {np.max(y)}]")
         return out if out.ndim else float(out)

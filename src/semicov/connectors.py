@@ -64,7 +64,7 @@ class ConnectorCurve:
 
     def height_at(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.xs[0] - 1e-12) or np.any(x > self.xs[-1] + 1e-12):
+        if not np.all((x >= self.xs[0] - 1e-12) & (x <= self.xs[-1] + 1e-12)):
             raise OutOfDomain(f"x outside curve range {self.x_range}")
         v = np.interp(x, self.xs, self.heights)
         return v if v.ndim else float(v)

@@ -21,24 +21,18 @@ from .numerics import blocked
 from .schema import Family, number, positive
 
 TWO_PI = 2.0 * np.pi
-
-
-def bump_phi(rho: float, rho_p: float, t):
-    """Increasing odd piecewise-linear bump: +-rho -> +-rho', 2t outside.
-
-    Knots at |t| = rho (value rho') and |t| = 2*rho (value 4*rho); beyond
-    that phi(t) = 2t exactly.  The deviation |phi(t) - 2t| is maximized at
-    the first knot with value exactly 2*rho - rho'.  Continuous in
-    (t, rho, rho').
-    """
-    if not 0.0 < rho_p <= rho:
-        raise BadParams(f"need 0 < rho' <= rho, got rho={rho}, rho'={rho_p}")
-    out = _bump(rho, rho_p, np.asarray(t, dtype=float))
-    return out if out.ndim else float(out)
+R_SAMPLES = 10_000      # sampled sector points of the invariance check
+DISC_WIDTH = 0.01       # angular width of the discs the squaring map stops being injective on
 
 
 def _bump(rho, rho_p, t):
-    """bump_phi's arithmetic, elementwise over arrays of rho, rho' and t."""
+    """Increasing odd piecewise-linear bump, elementwise: +-rho -> +-rho', 2t outside.
+
+    Knots at |t| = rho (value rho') and |t| = 2*rho (value 4*rho); beyond
+    that phi(t) = 2t exactly.  For 0 < rho' <= rho the deviation
+    |phi(t) - 2t| is maximized at the first knot with value exactly
+    2*rho - rho'.  Continuous in (t, rho, rho').
+    """
     a = np.abs(t)
     inner = a * (rho_p / rho)
     mid = rho_p + (a - rho) * (4.0 * rho - rho_p) / rho
@@ -81,7 +75,7 @@ class RadialProfile:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.x_min * (1 - 1e-12)) or np.any(x >= 1.0):
+        if not np.all((x >= self.x_min * (1 - 1e-12)) & (x < 1.0)):
             raise OutOfDomain(f"radial profile defined on [{self.x_min}, 1)")
         v = np.interp(np.log(x), self._logx, self.values)
         return v if v.ndim else float(v)
@@ -173,18 +167,16 @@ def perturb_p2(eps: EpsilonSpec) -> PerturbationSpec:
     return PerturbationSpec(eps, delta, rho, g)
 
 
-def verify_perturbation(spec: PerturbationSpec, grid: int = 100_000,
-                        r_samples: int = 10_000, disc_width: float = 0.01,
-                        seed: int = 0) -> dict:
+def verify_perturbation(spec: PerturbationSpec, grid: int = 100_000, seed: int = 0) -> dict:
     """Check every inequality the non-conjugacy argument uses.
 
     (i) sup |g - p2| / eps over a grid (expect < 1); (ii) forward
-    invariance of the sector R on sampled points; (iii) an injectivity
-    certificate for g on R (strict fiber monotonicity plus a base that
-    strictly increases on the sampled radii); (iv) the iterate count after
-    which the squaring map loses injectivity on any disc of the given
-    angular width; (v) that the radius of g(x, t) does not vary with t on
-    the grid, so g preserves the circle foliation.
+    invariance of the sector R on R_SAMPLES sampled points; (iii) an
+    injectivity certificate for g on R (strict fiber monotonicity plus a
+    base that strictly increases on the sampled radii); (iv) the iterate
+    count after which the squaring map loses injectivity on any disc of
+    angular width DISC_WIDTH; (v) that the radius of g(x, t) does not vary
+    with t on the grid, so g preserves the circle foliation.
     """
     rng = np.random.default_rng(seed)
     eps, rho, g = spec.epsilon, spec.rho, spec.g
@@ -206,10 +198,10 @@ def verify_perturbation(spec: PerturbationSpec, grid: int = 100_000,
         ratios, foliated = zip(*sweep(ratio_rows))
     sup_ratio = float(np.max(ratios))
 
-    x_r = np.exp(rng.uniform(np.log(1e-6), np.log(0.5 - 1e-12), r_samples))
+    x_r = np.exp(rng.uniform(np.log(1e-6), np.log(0.5 - 1e-12), R_SAMPLES))
     np.clip(x_r, 1e-6, 0.5 * (1 - 1e-12), out=x_r)
     rho_x = np.asarray(rho(x_r))
-    t_r = rng.uniform(-1.0, 1.0, r_samples) * rho_x * (1 - 1e-12)
+    t_r = rng.uniform(-1.0, 1.0, R_SAMPLES) * rho_x * (1 - 1e-12)
     _, y_img = g(x_r, t_r / TWO_PI)
     t_img = TWO_PI * (y_img - np.round(y_img))
     inside = (x_r ** 2 < 0.5) & (np.abs(t_img) < np.asarray(rho(x_r ** 2)))
@@ -227,7 +219,7 @@ def verify_perturbation(spec: PerturbationSpec, grid: int = 100_000,
         "injective_on_sector": slopes_ok and base_ok,
     }
 
-    noninj_iterates = int(np.ceil(np.log2(TWO_PI / disc_width)))
+    noninj_iterates = int(np.ceil(np.log2(TWO_PI / DISC_WIDTH)))
 
     return {
         "sup_ratio": sup_ratio,
@@ -235,9 +227,9 @@ def verify_perturbation(spec: PerturbationSpec, grid: int = 100_000,
         "invariance_fraction": invariance_fraction,
         "injectivity": certificate,
         "squaring_noninjective_after": noninj_iterates,
-        "disc_width": disc_width,
+        "disc_width": DISC_WIDTH,
         "foliation_preserved": all(foliated),
         "grid": grid,
-        "r_samples": r_samples,
+        "r_samples": R_SAMPLES,
         "delta": spec.delta,
     }

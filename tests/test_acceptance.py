@@ -18,9 +18,10 @@ from semicov.numerics import circle_dist
 from semicov.obstruction import counterexample_growth_table, star_condition_scan
 from semicov.semiconj1d import (SemiconjugacyField1D, contraction_step,
                                 self_conjugacies, solve_semiconjugacy)
-from semicov.semiconj2d import (check_fiber_connector, check_fiber_surjectivity,
+from semicov.semiconj2d import (FIBER_TOL, check_fiber_connector, check_fiber_surjectivity,
                                 solve_band_semiconjugacy)
-from semicov.stability import EpsilonSpec, perturb_p2, verify_perturbation
+from semicov.stability import (DISC_WIDTH, R_SAMPLES, EpsilonSpec, perturb_p2,
+                               verify_perturbation)
 
 EXPECTED_SIGNATURES = {
     "north_south": (3, (-1, 1, -1, 1)),
@@ -174,9 +175,10 @@ def test_c08_band_semiconjugacy():
     h = solve_band_semiconjugacy(m, (0.2, 0.8), 1e-8)
     xg, yg = np.meshgrid(np.linspace(0.2, 0.8, 65), np.linspace(0, 1, 65), indexing="ij")
     ok = np.max(np.abs(h(xg, yg) - (yg + 0.1 * xg))) <= 1e-6
-    ok &= check_fiber_surjectivity(h, 0.5, 0.01)
+    ok &= FIBER_TOL == 0.01
+    ok &= check_fiber_surjectivity(h, 0.5)
     for z in np.linspace(0, 1, 16, endpoint=False):
-        ok &= check_fiber_connector(h, float(z), 0.01)
+        ok &= check_fiber_connector(h, float(z))
     _verdict(8, "band field matches the ansatz y + 0.1x and is fiberwise onto", ok)
 
 
@@ -253,8 +255,9 @@ def test_c12_counterexample_growth():
 def test_c13_stability_construction():
     start = time.perf_counter()
     spec = perturb_p2(EpsilonSpec("const", 0.1))
-    rep = verify_perturbation(spec, grid=100_000, r_samples=10_000, disc_width=0.01)
-    ok = rep["sup_ratio"] < 1.0
+    rep = verify_perturbation(spec, grid=100_000)
+    ok = R_SAMPLES == 10_000 and DISC_WIDTH == 0.01
+    ok &= rep["sup_ratio"] < 1.0
     ok &= rep["invariance_fraction"] == 1.0
     ok &= rep["injectivity"]["injective_on_sector"]
     ok &= rep["squaring_noninjective_after"] == 10

@@ -108,6 +108,16 @@ def test_base_inverse_error_is_one_line():
     assert "\n" not in str(err.value) and "[0.2, 0.8]" in str(err.value)
 
 
+@pytest.mark.parametrize("base", [BaseMap("contraction", (0.5, 0.9)), BaseMap("power", (2.0,)),
+                                  BaseMap("samples", (np.linspace(0.1, 0.9, 5),))],
+                         ids=["contraction", "power", "samples"])
+@pytest.mark.parametrize("y", [np.nan, [np.nan, 0.5], [0.25, np.nan, 0.5]],
+                         ids=["only", "first", "inner"])
+def test_base_inverse_rejects_nan(base, y):
+    with pytest.raises(BaseNotInvertible):
+        base.inverse(y)
+
+
 def test_samples_base_inverse_round_trip():
     base = BaseMap("samples", (0.05 + 0.9 * np.linspace(0.0, 1.0, 33) ** 1.5,))
     xs = np.linspace(0.01, 0.99, 257)

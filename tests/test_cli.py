@@ -57,6 +57,14 @@ def test_semiconj1d_artifact(tmp_path):
     assert float(first[0]) == 0.0 and float(first[1]) == 0.0
 
 
+def test_map_config_from_a_file_matches_inline(tmp_path):
+    path, a, b = tmp_path / "map.json", tmp_path / "a.csv", tmp_path / "b.csv"
+    path.write_text(json.dumps(LINEAR2))
+    assert main(["semiconj1d", "--map", str(path), "--out", str(a)]) == 0
+    assert main(["semiconj1d", "--map", json.dumps(LINEAR2), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_semiconj1d_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["semiconj1d", "--map", json.dumps(LINEAR2), "--out", str(a)])
@@ -175,6 +183,15 @@ def test_star_scan_artifact(tmp_path):
     assert rep["max_winding"] <= rep["implied_bound"]
 
 
+def test_star_scan_without_a_connector_reports_no_bound(tmp_path):
+    out = tmp_path / "scan.json"
+    assert main(["star-scan", "--map", BAND_MAP, "--nmax", "3", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["max_winding"] >= 1
+    assert rep["satisfied"] is None
+    assert rep["deviation_bound"] is None and rep["implied_bound"] is None
+
+
 def test_star_scan_codes_to_depth_40_when_blocks_leave_the_margins(tmp_path):
     # affine_to_one pushes every block out of the margins by level 17, so no
     # level nears the coding's size limit
@@ -238,6 +255,7 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
 @pytest.mark.parametrize("argv", [
     ["semiconj1d", "--map", '{"family": "samples", "values": [0, 1, 2]}'],
     ["semiconj1d", "--map", '{"family": "sine", "degree": 2, "grid": 8}'],
+    ["semiconj1d", "--map", '{"family": "samples", "values": [0, [1, 2]]}'],
     ["semiconj1d", "--map", '{"family": "sine", "degree": 2, "amplitude": NaN}'],
     ["semiconj2d", "--map", BAND_MAP, "--band", "0.2,0.5,0.8"],
     ["semiconj2d", "--map", BAND_MAP, "--band", "0.2"],
@@ -319,6 +337,9 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
          "fiber": {"family": "circle_map", "map": {"family": "samples", "values": [
              2 * (i - 2 * (i == 42)) / 128 for i in range(129)]}}}), "--band", "0.2,0.8"],
      "FiberNotMonotone"),
+    # the same samples as a circle map: classify needs a covering
+    (["classify", "--map", json.dumps({"family": "samples", "values": [
+        2 * (i - 2 * (i == 42)) / 128 for i in range(129)]})], "NotACovering"),
     # each size within the limit, the band grid's nx * (ny + 1) nodes far beyond it
     ["semiconj2d", "--map", BAND_MAP, "--band", "0.2,0.8", "--nx", "16777216", "--ny", "16777216"],
     # an artifact path that cannot be opened

@@ -14,8 +14,8 @@ from semicov.connectors import (ConnectorCurve, _check_expansion, _code_column, 
                                 preimage_connectors, repelling_connectors,
                                 semiconjugacy_from_connectors,
                                 semiconjugacy_from_repellers)
-from semicov.errors import (BranchCollision, NoExpansion, NotFree, NotMonotoneBase,
-                            OutOfDomain, ValidationError)
+from semicov.errors import (BranchCollision, ImageNotGraph, NoExpansion, NotFree,
+                            NotMonotoneBase, OutOfDomain, ValidationError)
 from semicov.numerics import circle_dist, frac
 from semicov.semiconj1d import self_conjugacies
 from semicov.semiconj2d import solve_band_semiconjugacy
@@ -129,9 +129,29 @@ def test_branch_rows_out_of_order_fail_the_gap_check(contracting_z2, monkeypatch
 
 # --- freeness -----------------------------------------------------------------
 
+@pytest.mark.parametrize("x", [np.nan, [np.nan, 0.5], [0.25, np.nan, 0.5]],
+                         ids=["only", "first", "inner"])
+def test_height_at_rejects_nan(x):
+    with pytest.raises(OutOfDomain):
+        constant_connector(0.25).height_at(x)
+
+
 def test_is_free_examples(product_z2):
     assert is_free(product_z2, constant_connector(0.25))      # image at 1/2
     assert not is_free(product_z2, constant_connector(0.0))   # invariant
+
+
+def test_is_free_needs_a_graph_image(product_z2):
+    stepped = make_skew_product(BaseMap("samples", (np.array([0.1, 0.3, 0.3, 0.6, 0.9]),)),
+                                product_z2.fiber)
+    with pytest.raises(ImageNotGraph):
+        is_free(stepped, constant_connector(0.25))
+
+
+def test_is_free_on_an_empty_overlap(example_map):
+    # affine_to_one sends [0.1, 0.2] to [0.55, 0.6], which the curve does not reach
+    c = ConnectorCurve(np.linspace(0.1, 0.2, 16), np.zeros(16))
+    assert is_free(example_map, c)
 
 
 def test_invariant_curve_not_free(example_map):
@@ -150,6 +170,21 @@ def test_invariant_connector_residual(example_map):
     xs = c.xs[(c.xs > 0.01) & (c.xs < 0.9)]
     ix, iy = example_map(xs, c.height_at(xs))
     assert np.max(np.abs(iy - c.height_at(ix))) <= 1e-6
+
+
+def test_invariant_connector_chains_backward_pieces(example_map):
+    # from x = 0.9 the backward pieces reach down to 0.8, 0.6 and 0.2 before the
+    # fourth is clipped at the margin, so the second and third are each anchored
+    # on the backward piece before them
+    lows = [invariant_connector_from_arc(example_map, (0.9, 0.0), n_back=k).xs[0]
+            for k in range(6)]
+    assert lows == pytest.approx([0.9, 0.8, 0.6, 0.2, 1e-3, 1e-3])
+    c = invariant_connector_from_arc(example_map, (0.9, 0.0), n_back=3)
+    assert c.metadata["pieces"] == invariant_connector_from_arc(
+        example_map, (0.9, 0.0), n_back=0).metadata["pieces"] + 3
+    xs = c.xs[c.xs < 0.9]
+    ix, iy = example_map(xs, c.height_at(xs))
+    assert np.max(np.abs(iy - c.height_at(ix))) <= 1e-12
 
 
 def test_invariant_connector_rejects_identity_base(product_z2):

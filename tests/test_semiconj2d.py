@@ -54,9 +54,15 @@ def test_deviation_bound_uniform_over_shifts():
 
 def test_fiber_surjectivity(product_z2):
     h = solve_band_semiconjugacy(product_z2, (0.2, 0.8), 1e-10)
-    assert check_fiber_surjectivity(h, 0.5, 0.01)
-    with pytest.raises(OutOfDomain):
-        check_fiber_surjectivity(h, 0.95, 0.01)
+    assert check_fiber_surjectivity(h, 0.5)
+    for level in (0.95, 0.8 + 1e-11, np.nan):
+        with pytest.raises(OutOfDomain):
+            check_fiber_surjectivity(h, level)
+    # within the band's 1e-12 slack a level reads the edge fiber's values
+    ys = np.linspace(0.0, 1.0, 2048, endpoint=False)
+    for edge, level in ((0.2, 0.2 - 5e-13), (0.8, 0.8 + 5e-13)):
+        assert np.array_equal(h(np.full_like(ys, level), ys), h(np.full_like(ys, edge), ys))
+        assert check_fiber_surjectivity(h, level)
 
 
 def test_fiber_surjectivity_fails_on_corrupted_field():
@@ -64,22 +70,22 @@ def test_fiber_surjectivity_fails_on_corrupted_field():
     values[:, -1] = values[:, 0] + 1.0
     values[4, :] = 0.25          # one fiber collapsed to a constant
     bad = BandField2D((0.2, 0.8), values)
-    assert not check_fiber_surjectivity(bad, 0.5, 0.01)
+    assert not check_fiber_surjectivity(bad, 0.5)
 
 
 def test_fiber_connector_levels():
     m = make_skew_product(BaseMap("identity"), FiberMap(2, tau=TauSpec("linear", 0.1)))
     h = solve_band_semiconjugacy(m, (0.2, 0.8), 1e-8)
     for z in np.linspace(0, 1, 16, endpoint=False):
-        assert check_fiber_connector(h, float(z), 0.01)
+        assert check_fiber_connector(h, float(z))
 
 
 def test_fiber_connector_fails_on_one_collapsed_level():
     values = np.tile(np.linspace(0, 1, 17), (9, 1))
     values[4, :] = 0.25          # the level x = 0.5 takes no other angle
     bad = BandField2D((0.2, 0.8), values)
-    assert check_fiber_connector(bad, 0.25, 0.01)
-    assert not check_fiber_connector(bad, 0.75, 0.01)
+    assert check_fiber_connector(bad, 0.25)
+    assert not check_fiber_connector(bad, 0.75)
 
 
 def test_agreement_with_1d_field_on_products(sine2):

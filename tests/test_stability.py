@@ -7,32 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicov.annulus import BaseMap, make_skew_product
-from semicov.errors import BadParams
-from semicov.stability import (EpsilonSpec, bump_phi, perturb_p2, radial_rho,
-                               verify_perturbation)
+from semicov.errors import OutOfDomain
+from semicov.stability import EpsilonSpec, _bump, perturb_p2, radial_rho, verify_perturbation
 
 TWO_PI = 2 * np.pi
 
 
 def test_bump_knot_values():
-    assert bump_phi(0.1, 0.05, 0.1) == pytest.approx(0.05)     # t = rho -> rho'
-    assert bump_phi(0.1, 0.05, 0.3) == pytest.approx(0.6)      # |t| > 2 rho -> 2t
-    assert bump_phi(0.1, 0.05, 0.2) == pytest.approx(0.4)      # t = 2 rho -> 4 rho
-    assert bump_phi(0.1, 0.05, 0.0) == 0.0
+    assert _bump(0.1, 0.05, 0.1) == pytest.approx(0.05)     # t = rho -> rho'
+    assert _bump(0.1, 0.05, 0.3) == pytest.approx(0.6)      # |t| > 2 rho -> 2t
+    assert _bump(0.1, 0.05, 0.2) == pytest.approx(0.4)      # t = 2 rho -> 4 rho
+    assert _bump(0.1, 0.05, 0.0) == 0.0
 
 
 def test_bump_max_deviation_at_first_knot():
     ts = np.linspace(-1, 1, 200_001)
-    dev = np.abs(bump_phi(0.1, 0.05, ts) - 2 * ts)
+    dev = np.abs(_bump(0.1, 0.05, ts) - 2 * ts)
     assert dev.max() == pytest.approx(2 * 0.1 - 0.05, abs=1e-12)
     assert abs(abs(ts[np.argmax(dev)]) - 0.1) < 1e-5
-
-
-def test_bump_bad_params():
-    with pytest.raises(BadParams):
-        bump_phi(0.1, 0.2, 0.0)
-    with pytest.raises(BadParams):
-        bump_phi(0.1, 0.0, 0.0)
 
 
 @given(st.floats(1e-4, 0.5), st.floats(0.01, 1.0), st.floats(-2.0, 2.0))
@@ -40,9 +32,9 @@ def test_bump_bad_params():
 def test_bump_is_increasing_and_odd(rho, frac, t):
     rho_p = rho * frac
     eps = 1e-6 * rho
-    assert bump_phi(rho, rho_p, t + eps) > bump_phi(rho, rho_p, t)
-    assert bump_phi(rho, rho_p, -t) == pytest.approx(-bump_phi(rho, rho_p, t), rel=1e-12)
-    assert abs(bump_phi(rho, rho_p, t) - 2 * t) <= 2 * rho - rho_p + 1e-12
+    assert _bump(rho, rho_p, t + eps) > _bump(rho, rho_p, t)
+    assert _bump(rho, rho_p, -t) == pytest.approx(-_bump(rho, rho_p, t), rel=1e-12)
+    assert abs(_bump(rho, rho_p, t) - 2 * t) <= 2 * rho - rho_p + 1e-12
 
 
 def test_radial_profile_constraints():
@@ -52,6 +44,13 @@ def test_radial_profile_constraints():
     assert float(rho(0.25)) < float(rho(0.5))
     xs_nest = np.exp(np.linspace(np.log(1e-6), np.log(0.5), 1000))
     assert np.all(np.asarray(rho(xs_nest ** 2)) < np.asarray(rho(xs_nest)))
+
+
+@pytest.mark.parametrize("x", [np.nan, [np.nan, 0.5], [0.25, np.nan, 0.5]],
+                         ids=["only", "first", "inner"])
+def test_radial_profile_rejects_nan(x):
+    with pytest.raises(OutOfDomain):
+        radial_rho(EpsilonSpec())(x)
 
 
 def test_radial_profile_shrinking_epsilon():
@@ -87,17 +86,18 @@ def test_perturbation_structure():
 
 def test_verify_perturbation_report():
     spec = perturb_p2(EpsilonSpec("const", 0.1))
-    rep = verify_perturbation(spec, grid=100_000, r_samples=10_000)
+    rep = verify_perturbation(spec, grid=100_000)
     assert rep["ratio_ok"] and rep["sup_ratio"] < 1.0
     assert rep["invariance_fraction"] == 1.0
     assert rep["injectivity"]["injective_on_sector"]
     assert rep["squaring_noninjective_after"] == 10      # ceil(log2(2 pi / 0.01))
     assert rep["foliation_preserved"]
+    assert rep["r_samples"] == 10_000 and rep["disc_width"] == 0.01
 
 
 def test_verify_perturbation_shrinking_profile():
     spec = perturb_p2(EpsilonSpec("edge_poly", 0.2, 1.0))
-    rep = verify_perturbation(spec, grid=40_000, r_samples=4_000)
+    rep = verify_perturbation(spec, grid=40_000)
     assert rep["ratio_ok"]
     assert rep["invariance_fraction"] == 1.0
 
@@ -106,7 +106,7 @@ def test_non_monotone_base_breaks_injectivity_certificate():
     spec = perturb_p2(EpsilonSpec("const", 0.1))
     folded = BaseMap("samples", (np.array([0.01, 0.3, 0.2, 0.4, 0.6]),))
     spec = replace(spec, g=make_skew_product(folded, spec.g.fiber))
-    rep = verify_perturbation(spec, grid=10_000, r_samples=1_000)
+    rep = verify_perturbation(spec, grid=10_000)
     cert = rep["injectivity"]
     assert cert["fiber_slopes_positive"]
     assert not cert["base_injective_on_sector"] and not cert["injective_on_sector"]
@@ -124,7 +124,7 @@ def test_angle_dependent_radius_breaks_foliation():
             gx, gy = g(x, y)
             return gx * (1.0 + 1e-3 * np.sin(TWO_PI * np.asarray(y))), gy
 
-    rep = verify_perturbation(replace(spec, g=Twisted()), grid=10_000, r_samples=1_000)
+    rep = verify_perturbation(replace(spec, g=Twisted()), grid=10_000)
     assert not rep["foliation_preserved"]
     assert rep["injectivity"]["injective_on_sector"]
 
@@ -151,9 +151,9 @@ def _ratio_grid_whole(spec, grid):
 def test_blocked_ratio_grid_matches_whole_grid(monkeypatch, eps, grid):
     spec = perturb_p2(eps)
     sup_ratio, foliated = _ratio_grid_whole(spec, grid)
-    reports = [verify_perturbation(spec, grid=grid, r_samples=1_000)]
+    reports = [verify_perturbation(spec, grid=grid)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    reports.append(verify_perturbation(spec, grid=grid, r_samples=1_000))
+    reports.append(verify_perturbation(spec, grid=grid))
     for rep in reports:
         assert rep == reports[0]
         assert rep["sup_ratio"] == sup_ratio and rep["foliation_preserved"] is foliated
