@@ -129,10 +129,12 @@ class FiberMap:
         return start[..., None] + np.arange(ad)
 
     def inverse(self, x, targets):
-        """Solve g_x(w) = target per component: w = G^-1(target - tau(x))."""
+        """Solve g_x(w) = target per component: w = G^-1(target - tau(x)), with tau
+        subtracted in place: a float array of targets (of the broadcast shape) is overwritten."""
         if self.fn is not None:
             raise NotImplementedError("raw-callable fibers have no inverse")
-        t = np.asarray(targets, dtype=float) - self.tau(x)      # a fresh array
+        t = np.asarray(targets, dtype=float)
+        t -= self.tau(x)
         if self.circle is not None:
             return self.circle.inverse(t)
         t /= self.degree
@@ -185,14 +187,14 @@ def make_skew_product(base: BaseMap, fiber: FiberMap) -> AnnulusMapLift:
     """Validate a skew product on a 64 x 64 grid and read its degree from fiber equivariance."""
     xs = np.linspace(0.01, 0.99, 64)
     bx = np.asarray(base(xs))
-    if np.any(bx <= 0.0) or np.any(bx >= 1.0):
+    if not np.all((bx > 0.0) & (bx < 1.0)):        # NaN fails this and the checks below
         raise BaseEscapes("base map must send (0,1) into (0,1)")
     ys = np.linspace(0.0, 1.0, 64, endpoint=False)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     jump = np.asarray(fiber(xg, yg + 1.0)) - np.asarray(fiber(xg, yg))
-    d = round(float(jump.flat[0]))
-    if np.max(np.abs(jump - d)) > DEGREE_TOL:
-        raise NonIntegerDegree(f"fiber equivariance jump {jump.flat[0]!r} is not an integer")
+    d = round(float(jump.flat[0])) if np.isfinite(jump.flat[0]) else 0
+    if not np.max(np.abs(jump - d)) <= DEGREE_TOL:
+        raise NonIntegerDegree(f"fiber jumps {np.min(jump)}..{np.max(jump)} are not one integer")
     if abs(d) <= 1:
         raise DegreeTooSmall(f"|degree| must exceed 1, got {d}")
     if d != fiber.degree:
@@ -200,6 +202,6 @@ def make_skew_product(base: BaseMap, fiber: FiberMap) -> AnnulusMapLift:
     if fiber.circle is not None and not fiber.circle.is_covering:
         raise FiberNotMonotone("circle-map fiber samples are not strictly monotone")
     lo, _ = fiber.slope_range(xs)
-    if lo <= 0.0:
+    if not lo > 0.0:
         raise FiberNotMonotone(f"fiber slope reaches {lo} <= 0")
     return AnnulusMapLift(base, fiber)

@@ -156,8 +156,8 @@ def _repellers(cfg: RunConfig, meta: dict):
     m = configs.annulus_map_from_config(cfg.maps["map"])
     c = configs.connector_from_config(cfg.maps["connector"], m)
     reps = connectors.repelling_connectors(m, c, depth=int(cfg.params["depth"]))
-    rows = [(k, float(x), float(y))
-            for k, r in enumerate(reps) for x, y in zip(r.xs, r.heights)]
+    rows = [(k, x, y) for k, r in enumerate(reps)
+            for x, y in zip(r.xs.tolist(), r.heights.tolist())]
     meta["count"] = len(reps)
     return _csv(["curve_id", "x", "y"], rows, meta), 0
 

@@ -77,16 +77,20 @@ def constant_connector(height: float, margin: float = 1e-3,
     return ConnectorCurve(xs, np.full(n, float(height)), margin)
 
 
-def _interp_rows(x, xp, fp):
-    """np.interp(x, xp, row) for every row of fp, with np.interp's arithmetic.
-
-    xp must be strictly increasing; points outside it take the end values.
-    """
-    j = np.searchsorted(xp[1:-1], x, side="right")      # segment [xp[j], xp[j+1]] of x
-    lo, hi = fp.take(j, axis=-1), fp.take(j + 1, axis=-1)
+def _segments(x, xp):
+    """np.interp's segment [xp[j], xp[j+1]] of each x for _interp: j, its width, x - xp[j]
+    and where np.interp returns a sample instead.  xp must be strictly increasing."""
+    j = np.searchsorted(xp[1:-1], x, side="right")
     x0 = xp[j]
-    v = (hi - lo) / (xp[j + 1] - x0) * (x - x0) + lo
-    node, top = x <= x0, x >= xp[-1]                    # np.interp returns a sample there
+    return j, xp[j + 1] - x0, x - x0, x <= x0, x >= xp[-1]
+
+
+def _interp(seg, fp):
+    """np.interp(x, xp, row), bit for bit, for every row of fp (only read, so a view
+    will do) with seg = _segments(x, xp)."""
+    j, dx, t, node, top = seg
+    lo, hi = fp.take(j, axis=-1), fp.take(j + 1, axis=-1)
+    v = (hi - lo) / dx * t + lo
     v[..., node] = lo[..., node]
     v[..., top] = hi[..., top]
     return v
@@ -104,22 +108,25 @@ def _preimage_block(m: AnnulusMapLift, xs: np.ndarray, heights: np.ndarray,
     recursion never interpolates the parent (steepening curves keep their
     node refinement) and a block's children share nodes.  Returns those
     nodes, the children's heights (|d| rows per parent, in ascending height)
-    and branch offsets; a row out of order fails the gap check.
+    and branch offsets; a row out of order fails the gap check.  xs and every
+    base map increase, so the nodes kept in the margins are one contiguous
+    run before and after the base inverse: heights is sliced, never copied
+    or written, and the fiber inverse overwrites the targets + offsets sum.
     """
     lo_img = float(np.asarray(m.base(margin)))
     hi_img = float(np.asarray(m.base(1.0 - margin)))
-    idx = np.flatnonzero((xs >= lo_img - 1e-15) & (xs <= hi_img + 1e-15))
-    if len(idx) < 2:
+    on = np.flatnonzero((xs >= lo_img - 1e-15) & (xs <= hi_img + 1e-15))
+    if len(on) < 2:
         raise OutOfDomain("preimage range is empty inside the margins")
-    base_pts, targets = xs[idx], heights
-    if n_samples is not None and len(idx) < n_samples:
-        base_pts = np.linspace(base_pts[0], base_pts[-1], n_samples)
-        targets, idx = _interp_rows(base_pts, xs[idx], heights[:, idx]), np.arange(n_samples)
+    base_pts, targets = xs[on[0]:on[-1] + 1], heights[:, on[0]:on[-1] + 1]
+    if n_samples is not None and len(on) < n_samples:
+        fine = np.linspace(base_pts[0], base_pts[-1], n_samples)
+        base_pts, targets = fine, _interp(_segments(fine, base_pts), targets)
     cx = np.asarray(m.base.inverse(base_pts))
-    keep = (cx >= margin - 1e-15) & (cx <= 1.0 - margin + 1e-15)
-    if keep.sum() < 2:
+    on = np.flatnonzero((cx >= margin - 1e-15) & (cx <= 1.0 - margin + 1e-15))
+    if len(on) < 2:
         raise OutOfDomain("preimage range is empty inside the margins")
-    cx, targets = cx[keep], targets[:, idx[keep]]        # one copy of the parent's nodes
+    cx, targets = cx[on[0]:on[-1] + 1], targets[:, on[0]:on[-1] + 1]
     offsets = m.fiber.branches(cx[0], targets[:, 0])
     if m.degree < 0:
         offsets = offsets[:, ::-1]
@@ -288,12 +295,12 @@ def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
     margin = c.margin
     px, ph, _ = _preimage_block(m, c.xs, c.heights[None, :], margin, n_samples)
     xs = np.linspace(max(margin, c.xs[0], px[0]), min(1.0 - margin, c.xs[-1], px[-1]), n_samples)
-    lower = _interp_rows(xs, px, ph)
+    lower = _interp(_segments(xs, px), ph)
     upper = np.concatenate([lower[1:], lower[:1] + 1.0])
-    bx = np.asarray(m.base(xs))
+    seg = _segments(np.asarray(m.base(xs)), xs)        # every level pulls through base(xs)
 
     def pull(h, side):                  # each row's preimage inside its gap
-        t = _interp_rows(bx, xs, h)
+        t = _interp(seg, h)
         return m.fiber.inverse(xs, t + np.ceil(side - t))
 
     cc = c.height_at(xs)
@@ -414,7 +421,7 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
     def code(block):
         bx, hs, vs, _ = block
         inside = (xs >= bx[0] - 1e-12) & (xs <= bx[-1] + 1e-12)
-        coded.append((_interp_rows(xs, bx, hs), vs, inside))
+        coded.append((_interp(_segments(xs, bx), hs), vs, inside))
         return block
 
     groups = [list(g) for _, g in groupby(seeds, lambda s: (s.margin, s.xs.tobytes()))]

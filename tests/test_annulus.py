@@ -41,6 +41,34 @@ def test_base_escape_rejected():
                           FiberMap(2))
 
 
+def test_nan_base_sample_rejected():
+    # a NaN compares false both ways, so it used to pass the range check and reach F
+    values = np.linspace(0.1, 0.9, 33)
+    values[9] = np.nan
+    with pytest.raises(BaseEscapes):
+        make_skew_product(BaseMap("samples", (values,)), FiberMap(2))
+
+
+def test_nan_fiber_jump_rejected():
+    nan_strip = lambda x, y: np.where((x > 0.5) & (x < 0.52), np.nan, 2.0 * y)
+    with pytest.raises(NonIntegerDegree, match="nan"):
+        make_skew_product(BaseMap("identity"), FiberMap(2, fn=nan_strip))
+
+
+def test_nan_fiber_slope_rejected():
+    # NaN only off the 64 sample angles: the jumps there are exact, the slope steps are not
+    off_grid = lambda x, y: np.where(np.mod(64.0 * y, 1.0) > 0.0, np.nan, 2.0 * y)
+    with pytest.raises(FiberNotMonotone, match="nan"):
+        make_skew_product(BaseMap("identity"), FiberMap(2, fn=off_grid))
+
+
+def test_inverse_subtracts_tau_in_place():
+    fiber = FiberMap(2, tau=TauSpec("linear", 0.5))
+    targets = np.array([1.0, 2.0])
+    w = fiber.inverse(np.array([0.2, 0.4]), targets)
+    assert w is targets and np.array_equal(w, [0.45, 0.9])
+
+
 def test_evaluate_out_of_domain(product_z2):
     with pytest.raises(OutOfDomain):
         product_z2(1.2, 0.0)
@@ -81,7 +109,7 @@ def test_circle_fiber_inverse_matches_bisection(d):
     rng = np.random.default_rng(5)
     x = rng.uniform(0.05, 0.95, (3, 1))
     targets = rng.uniform(-5.0, 5.0, (3, 200))
-    w = fiber.inverse(x, targets)
+    w = fiber.inverse(x, targets.copy())                # the inverse overwrites its targets
     np.testing.assert_allclose(w, _bisection_inverse(fiber, x, targets), rtol=0, atol=1e-13)
     np.testing.assert_allclose(fiber(x, w), targets, rtol=0, atol=1e-13)
 

@@ -8,8 +8,8 @@ import pytest
 from semicov import connectors
 from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.circle import from_function
-from semicov.connectors import (ConnectorCurve, _check_expansion, _code_column, _interp_rows,
-                                _preimage_block, constant_connector,
+from semicov.connectors import (ConnectorCurve, _check_expansion, _code_column, _interp,
+                                _preimage_block, _segments, constant_connector,
                                 invariant_connector_from_arc, is_free,
                                 preimage_connectors, repelling_connectors,
                                 semiconjugacy_from_connectors,
@@ -81,7 +81,7 @@ def sorted_preimage_block(m, xs, heights, margin, n_samples=None):
     base_pts, targets = xs[mask], heights[:, mask]
     if n_samples is not None and len(base_pts) < n_samples:
         extra = np.linspace(base_pts[0], base_pts[-1], n_samples)
-        targets = _interp_rows(extra, base_pts, targets)
+        targets = np.array([np.interp(extra, base_pts, row) for row in targets])
         base_pts = extra
     cx = np.asarray(m.base.inverse(base_pts))
     keep = (cx >= margin - 1e-15) & (cx <= 1.0 - margin + 1e-15)
@@ -95,12 +95,14 @@ def sorted_preimage_block(m, xs, heights, margin, n_samples=None):
 
 BRANCH_ORDER_CASES = ([("linear", d, tau) for d in (2, 3, 4, -2, -3, -4)
                        for tau in ("zero", "linear", "inv_one_minus")]
-                      + [("sine", 2, "zero"), ("sine", -3, "zero")])
+                      + [("sine", 2, "zero"), ("sine", -3, "zero")]
+                      + [("sine", d, "linear") for d in (2, 3, -2, -3)])
 
 
 @pytest.mark.parametrize("kind, d, tau", BRANCH_ORDER_CASES)
 def test_branch_order_matches_mean_height_sort(kind, d, tau):
-    # children come out in ascending height by fiber monotonicity, as the sort put them
+    # children come out in ascending height by fiber monotonicity, as the sort put them,
+    # and the parent's nodes and heights, read through slices, are left unchanged
     circle = None if kind == "linear" else from_function(
         lambda y: d * y + 0.05 * np.sin(2 * np.pi * y))
     m = make_skew_product(BaseMap("contraction", (0.5, 0.9)),
@@ -111,7 +113,9 @@ def test_branch_order_matches_mean_height_sort(kind, d, tau):
     for n_samples in (None, 200):
         block = (xs, hs)
         for _ in range(2):                          # a seeded block, then its children
+            before = [a.copy() for a in block]
             got = _preimage_block(m, *block, 1e-3, n_samples)
+            assert all(np.array_equal(a, b) for a, b in zip(block, before))
             want = sorted_preimage_block(m, *block, 1e-3, n_samples)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -271,7 +275,7 @@ def _per_gap_repellers(m, c, depth, n_samples=1024):
         px, ph, _ = _preimage_block(m, c.xs, c.heights[None, :], c.margin, n_samples)
         xs = np.linspace(max(c.margin, c.xs[0], px[0]),
                          min(1.0 - c.margin, c.xs[-1], px[-1]), n_samples)
-        heights = list(_interp_rows(xs, px, ph))
+        heights = [np.interp(xs, px, row) for row in ph]
         cc = c.height_at(xs)
         u = cc + np.ceil(heights[0] - cc)
         stack = np.stack(heights + [heights[0] + 1.0])
@@ -308,7 +312,7 @@ def _per_gap_repellers(m, c, depth, n_samples=1024):
         xs_cmp = np.linspace(max(cp.xs[0], px[0]), min(cp.xs[-1], px[-1]), 257)
         ref = cp.height_at(xs_cmp)
         dists = [float(np.min([np.max(np.abs(h - ref - t)) for t in (-1, 0, 1)]))
-                 for h in _interp_rows(xs_cmp, px, ph)]
+                 for h in (np.interp(xs_cmp, px, row) for row in ph)]
         j, d0 = int(np.argmin(dists)), abs(m.degree)
         reps = [cp] + nest(cp, skip_gap=-1, extra_refine={j % d0, (j - 1) % d0})
     for r in reps:
@@ -419,11 +423,40 @@ def test_coded_field_from_invariant_connector(example_map):
 def test_interp_rows_is_np_interp_bit_for_bit():
     rng = np.random.default_rng(3)
     xp = np.sort(rng.uniform(0.0, 1.0, 50))
-    fp = rng.normal(size=(4, 50))
     x = np.concatenate([rng.uniform(-0.1, 1.1, 2000), xp])       # outside, inside, on nodes
-    got = _interp_rows(x, xp, fp)
-    for row, want in zip(got, fp):
-        assert np.array_equal(row, np.interp(x, xp, want))
+    seg = _segments(x, xp)
+    for fp in (rng.normal(size=(4, 50)), rng.normal(size=(6, 100))[::2, ::2]):  # one seg, twice
+        got = _interp(seg, fp)
+        for row, want in zip(got, fp):
+            assert np.array_equal(row, np.interp(x, xp, want))
+
+
+@pytest.mark.parametrize("d", [3, -2])
+def test_nest_finds_its_segments_once_with_np_interp_bits(d, monkeypatch):
+    # every level of _nest pulls through the segments of base(xs) in xs found once per
+    # nest, and each use gives np.interp's bits
+    segments, interp, found = connectors._segments, connectors._interp, []
+
+    def spy_segments(x, xp):
+        found.append((segments(x, xp), x, xp))
+        return found[-1][0]
+
+    def spy_interp(seg, fp):
+        x, xp = next((x, xp) for s, x, xp in found if s is seg)
+        got = interp(seg, fp)
+        for row, want in zip(got, fp):
+            assert np.array_equal(row, np.interp(x, xp, want))
+        return got
+
+    monkeypatch.setattr(connectors, "_segments", spy_segments)
+    monkeypatch.setattr(connectors, "_interp", spy_interp)
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.9)), _fiber("circle", d))
+    counts = []
+    for depth in (2, 7):
+        found.clear()
+        repelling_connectors(m, constant_connector(0.15), depth=depth)
+        counts.append(len(found))
+    assert counts[0] == counts[1]
 
 
 def reference_coding(m, seeds, depth, band, nx, ny):
@@ -558,7 +591,9 @@ def test_deep_coding_is_pinned(kind, d, depth):
 
 
 def test_deep_coding_memory_peak():
-    # 174.7 MiB with every level kept and the branch sort's copies (numpy 2.4)
+    # 174.7 MiB with every level kept and the branch sort's copies, 124.2 MiB with the
+    # parent's nodes copied and a second targets array in the inverse, 94.7 MiB with
+    # sliced runs and the inverse in place (numpy 2.4)
     m, reps = deep_repellers("linear", 3)
     ours = not tracemalloc.is_tracing()
     tracemalloc.start()
@@ -570,7 +605,7 @@ def test_deep_coding_memory_peak():
     finally:
         if ours:
             tracemalloc.stop()
-    assert peak < 150 * 2 ** 20
+    assert peak < 110 * 2 ** 20
 
 
 # --- the column kernel against the argmax/argmin loop it replaced -----------
