@@ -185,6 +185,10 @@ class AnnulusMapLift:
 
 def make_skew_product(base: BaseMap, fiber: FiberMap) -> AnnulusMapLift:
     """Validate a skew product on a 64 x 64 grid and read its degree from fiber equivariance."""
+    if base.kind == "samples":            # every entry: the grid can miss one
+        table = np.asarray(base.params[0], dtype=float)
+        if not np.all((table >= 0.0) & (table <= 1.0)):          # NaN fails this
+            raise BaseEscapes("base table values must be finite and in [0, 1]")
     xs = np.linspace(0.01, 0.99, 64)
     bx = np.asarray(base(xs))
     if not np.all((bx > 0.0) & (bx < 1.0)):        # NaN fails this and the checks below

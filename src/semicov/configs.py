@@ -50,8 +50,14 @@ def _insertions(value, name: str) -> list:
 
 
 def _lift(fn: Callable) -> Callable:
-    """Builder sampling the lift fn(x, **params) on the grid."""
-    return lambda grid, **p: from_function(lambda x: fn(x, **p), grid)
+    """Builder sampling the lift fn(x, **params) on the grid; the map's degree must be the
+    declared one (a huge amplitude can shift F(1) - F(0) by a whole number)."""
+    def make(grid, **p):
+        m = from_function(lambda x: fn(x, **p), grid)
+        if m.degree != p["degree"]:
+            raise ValidationError(f"map declares degree {p['degree']}, measured {m.degree:.6g}")
+        return m
+    return make
 
 
 def _arc(m, p, n_back, n_fwd, margin, value):

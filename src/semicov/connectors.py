@@ -25,6 +25,7 @@ from .numerics import circle_dist, frac
 from .semiconj2d import BandField2D
 
 MAX_LEVEL_LOG2 = 26                   # a coding level holds at most 2^26 preimage heights
+N_SAMPLES = 1024                      # nodes of a nest's shared window
 
 
 @dataclass(eq=False)
@@ -251,8 +252,8 @@ def _check_expansion(m: AnnulusMapLift, margin: float) -> float:
     return lo
 
 
-def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve, depth: int = 10,
-                         n_samples: int = 1024) -> list[ConnectorCurve]:
+def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve,
+                         depth: int = 10) -> list[ConnectorCurve]:
     """|d-1| repelling connectors from a free connector, to finite depth.
 
     For d > 1: the |d| preimage curves of the free connector cut the
@@ -270,31 +271,31 @@ def repelling_connectors(m: AnnulusMapLift, c: ConnectorCurve, depth: int = 10,
     lam = _check_expansion(m, margin)
     if not is_free(m, c):
         raise NotFree("connector meets its image")
-    reps = _nest(m, c, depth, n_samples)
+    reps = _nest(m, c, depth)
     if m.degree < 0:
-        reps += _nest(m, reps[0], depth, n_samples, invariant=True)
+        reps += _nest(m, reps[0], depth, invariant=True)
     for r in reps:
         r.metadata["fiber_expansion"] = lam
     return reps
 
 
-def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int, n_samples: int,
+def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int,
           invariant: bool = False) -> list[ConnectorCurve]:
     """Nest the gaps between consecutive preimage curves of c, all gaps at once.
 
     Gap k lies between the preimage curves lower[k] and upper[k] = lower[k+1]
-    (lower[0] + 1 for the last) on a shared window xs; each level replaces
-    every row of cur by its unique preimage inside its own gap, whose branch
-    offset is read off the side curve (lower for d > 0, upper for d < 0),
-    since consecutive preimage curves differ by one period in the fiber
-    image.  A free c's gap is dropped; for an invariant c, which bounds the
-    two gaps adjacent to it, those gaps start from the midline of the strip
-    between the preimages of their boundaries and no gap is dropped.  For
-    d < 0 a free c nests only the first gap kept.
+    (lower[0] + 1 for the last) on a shared window xs of N_SAMPLES nodes;
+    each level replaces every row of cur by its unique preimage inside its
+    own gap, whose branch offset is read off the side curve (lower for
+    d > 0, upper for d < 0), since consecutive preimage curves differ by one
+    period in the fiber image.  A free c's gap is dropped; for an invariant
+    c, which bounds the two gaps adjacent to it, those gaps start from the
+    midline of the strip between the preimages of their boundaries and no
+    gap is dropped.  For d < 0 a free c nests only the first gap kept.
     """
     margin = c.margin
-    px, ph, _ = _preimage_block(m, c.xs, c.heights[None, :], margin, n_samples)
-    xs = np.linspace(max(margin, c.xs[0], px[0]), min(1.0 - margin, c.xs[-1], px[-1]), n_samples)
+    px, ph, _ = _preimage_block(m, c.xs, c.heights[None, :], margin, N_SAMPLES)
+    xs = np.linspace(max(margin, c.xs[0], px[0]), min(1.0 - margin, c.xs[-1], px[-1]), N_SAMPLES)
     lower = _interp(_segments(xs, px), ph)
     upper = np.concatenate([lower[1:], lower[:1] + 1.0])
     seg = _segments(np.asarray(m.base(xs)), xs)        # every level pulls through base(xs)
@@ -457,7 +458,7 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
         values[i, :-1] = _code_column(heights[on, i], vals[on], ys[:-1])
     values[:, -1] = values[:, 0] + 1.0
 
-    field = BandField2D(band, values, 1, d,
+    field = BandField2D(band, values, d,
                         metadata={"depth": depth, "curves": len(vals),
                                   "coding": "repeller-preimage", "dropped_blocks": dropped,
                                   "level_curves": level_curves})

@@ -108,8 +108,8 @@ def periodic_gather(samples, plan):
     return out
 
 
-def band_plan(x, y, band: tuple[float, float], nx: int, ny: int, period):
-    """Bilinear plan on the (nx+1) x (ny+1) nodes of band x [0, 1]; x clipped, y periodic.
+def band_plan(x, y, band: tuple[float, float], nx: int, ny: int):
+    """Bilinear plan on the (nx+1) x (ny+1) nodes of band x [0, 1]; x clipped, y of period 1.
 
     Returns (idx, s, wx, wy, shift): idx = i*s + j is the flat index of each
     point's lower-left node in the row-major values, s = ny + 1 the row
@@ -118,7 +118,7 @@ def band_plan(x, y, band: tuple[float, float], nx: int, ny: int, period):
     a, b = band
     px = np.clip((np.asarray(x, dtype=float) - a) / (b - a) * nx, 0.0, nx)
     i = np.minimum(px.astype(np.int64), nx - 1)
-    j, wy, shift = periodic_plan(y, ny, period)
+    j, wy, shift = periodic_plan(y, ny, 1)
     s = ny + 1
     return i * s + j, s, px - i, wy, shift
 
@@ -171,25 +171,20 @@ def blocked(shape):
         yield sweep
 
 
-def contract(plan, gather, start, degree: int, orientation: int, tol: float,
-             max_iter: int | None = None):
-    """Iterate T(H) = H(F(.)) / degree from start, gluing H[..., -1] = H[..., 0] + orientation.
+def contract(plan, gather, start, degree: int, tol: float, max_iter: int | None = None):
+    """Iterate T(H) = H(F(.)) / degree from start, gluing H[..., -1] = H[..., 0] + 1.
 
     plan(rows) builds the plan p of a block of leading-axis rows, once per
     block of ``blocked``, in its pool; gather(H, p) returns H(F(.)) on those
-    rows, a new array that contract may overwrite.  start is made
-    contiguous once, so no block's gather copies a broadcast start.  Raises
-    ValueError unless orientation is +1 or -1.  Stops once a step is at
-    most tol*(1 - 1/|degree|), which bounds the distance to the fixed point
+    rows, a new array that contract may overwrite.  start is made contiguous
+    once, so no block's gather copies a broadcast start.  Stops once a step is
+    at most tol*(1 - 1/|degree|), which bounds the distance to the fixed point
     by tol, and raises MaxIterExceeded if max_iter steps do not get there;
-    max_iter defaults to twice the steps a 1/|degree| contraction needs,
-    plus 60, and at least one.  Returns (H, iterations, defect): one more
-    sweep measures |H(F(.)) - degree*H| of the H returned over its body,
-    every node but the glued one, and defect holds its maximum per leading
-    index of the body.
+    max_iter defaults to twice the steps a 1/|degree| contraction needs, plus
+    60, and at least one.  Returns (H, iterations, defect): one more sweep
+    measures |H(F(.)) - degree*H| of the H returned over its body, every node
+    but the glued one, and defect holds its maximum per leading index.
     """
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
     ad = abs(degree)
     if max_iter is None:
         max_iter = max(1, 2 * int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad))) + 60)
@@ -206,7 +201,7 @@ def contract(plan, gather, start, degree: int, orientation: int, tol: float,
                 change = np.subtract(body[rows], old[rows])
                 return np.abs(change, out=change).max(initial=0.0)
             changes = sweep(advance, plans)
-            new[..., -1] = new[..., 0] + orientation
+            new[..., -1] = new[..., 0] + 1
             changes.append(np.abs(new[..., -1] - cur[..., -1]).max())
             cur = new
             if np.max(changes) <= stop:

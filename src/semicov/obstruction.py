@@ -37,8 +37,8 @@ class WindingRecord:
 class WindingReport:
     """Scan records on a band, with the deviation bound M of the supplied field.
 
-    M is the field's deviation_bound, the node maximum of |H - orientation*y|,
-    exact for the bilinear field; implied_bound is 2M+1.
+    M is the field's deviation_bound, the node maximum of |H - y|, exact for
+    the bilinear field; implied_bound is 2M+1.
     """
 
     band: tuple[float, float]
@@ -136,8 +136,8 @@ def star_condition_scan(m: AnnulusMapLift, band: tuple[float, float], n_max: int
     are lifted in one pass; |d|^n_max above 2^MAX_STARTS_LOG2 is refused.
     When a semiconjugacy field is supplied, its band must contain the scan
     band (else OutOfDomain), and the report records as M the field's
-    deviation_bound, the node maximum of |H - orientation*y|, exact for the
-    bilinear field, with the implied winding bound 2M+1.
+    deviation_bound, the node maximum of |H - y|, exact for the bilinear
+    field, with the implied winding bound 2M+1.
 
     On a skew product with a monotone fiber, G_n is a monotone lift of
     degree d^n, so G_n^-1(G_n(y0) + j) lies within one unit of y0 for

@@ -2,8 +2,8 @@
 
 The lift H of the semiconjugacy is the unique fixed point of the operator
 T(H)(x) = H(F(x)) / d on the space of continuous H with H(x+1) = H(x) + o
-(orientation o = +-1), where T contracts the sup metric by 1/|d|.  Fields
-are stored on the same grid as the map and iterated to a requested
+(orientation o = +-1), where T contracts the sup metric by 1/|d|; T commutes
+with H -> -H, so only o = 1 fields are iterated, on the map's grid, to a
 distance-from-fixed-point tolerance via the Banach estimate.
 """
 from __future__ import annotations
@@ -54,29 +54,35 @@ def contraction_step(h: SemiconjugacyField1D, m: LiftedCircleMap) -> Semiconjuga
     """
     if h.degree != m.degree:
         raise DegreeMismatch(f"field degree {h.degree} vs map degree {m.degree}")
+    if h.orientation not in (1, -1):
+        raise ValueError("orientation must be +1 or -1")
     if not np.isfinite(h.samples).all():
         raise OutOfDomain("field samples must be finite")
-    new, _, defect = contract(_pullback(m, h.grid, h.orientation), periodic_gather, h.samples,
-                              m.degree, h.orientation, tol=np.inf, max_iter=1)
+    new, _, defect = contract(_pullback(m, h.grid), periodic_gather, h.orientation * h.samples,
+                              m.degree, tol=np.inf, max_iter=1)
+    new *= h.orientation                        # an orientation -1 field is negated in and out
     return SemiconjugacyField1D(new, h.orientation, h.degree, float(defect.max()))
 
 
-def _pullback(m: LiftedCircleMap, grid: int, orientation: int):
-    """rows -> the plan that gathers H at F of those grid nodes."""
+def _pullback(m: LiftedCircleMap, grid: int):
+    """rows -> the plan that gathers an orientation 1 H at F of those grid nodes."""
     nodes = np.linspace(0.0, 1.0, grid + 1)
-    return lambda rows: periodic_plan(m(nodes[rows]), grid, orientation)
+    return lambda rows: periodic_plan(m(nodes[rows]), grid, 1)
 
 
 def solve_semiconjugacy(m: LiftedCircleMap, orientation: int = 1,
                         tol: float = 1e-8) -> SemiconjugacyField1D:
-    """Fixed point of T to sup-distance tol, started from H0(x) = o*x.
+    """Fixed point of T to sup-distance tol from H0(x) = x, negated for orientation -1.
 
     Iteration stops when the step size drops below tol*(1 - 1/|d|), which
     bounds the remaining distance to the fixed point by tol.
     """
-    start = orientation * np.linspace(0.0, 1.0, m.grid + 1)
-    cur, it, defect = contract(_pullback(m, m.grid, orientation), periodic_gather, start,
-                               m.degree, orientation, tol)
+    if orientation not in (1, -1):
+        raise ValueError("orientation must be +1 or -1")
+    cur, it, defect = contract(_pullback(m, m.grid), periodic_gather,
+                               np.linspace(0.0, 1.0, m.grid + 1), m.degree, tol)
+    if orientation == -1:
+        np.negative(cur, out=cur)
     return SemiconjugacyField1D(cur, orientation, m.degree, float(defect.max()), it)
 
 
@@ -86,8 +92,7 @@ def rotation_number(m: LiftedCircleMap, x, tol: float = 1e-10):
     Equals lim F^n(x)/d^n; the limit exists for every continuous circle
     map of |degree| > 1 and the convergence is geometric.
     """
-    h = solve_semiconjugacy(m, 1, tol)
-    return h(x)
+    return solve_semiconjugacy(m, 1, tol)(x)
 
 
 @dataclass(frozen=True)

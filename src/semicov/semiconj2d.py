@@ -1,9 +1,8 @@
 """Semiconjugacy lifts for annulus coverings on invariant product bands.
 
 On a forward-invariant band [a,b] x S^1 the operator T(H) = H(F(.))/d
-contracts by 1/|d| in the sup metric and its fixed point H satisfies
-H(x, y+1) = H(x, y) + orientation and a uniform deviation bound
-|H(x,y) - orientation*y| <= M.
+contracts by 1/|d| in the sup metric; its fixed point H satisfies H(x, y+1)
+= H(x, y) + 1 and |H(x,y) - y| <= M, and -H is the orientation-reversing one.
 """
 from __future__ import annotations
 
@@ -24,12 +23,11 @@ class BandField2D:
     """Sampled semiconjugacy lift H on band x [0,1], bilinear in between.
 
     values[i, j] = H(x_i, y_j) on uniform nodes of band x [0, 1], with the
-    y_Ny = y_0 + 1 column kept exact.
+    H(x, y_Ny) = H(x, y_0) + 1 column kept exact.
     """
 
     band: tuple[float, float]
     values: np.ndarray                # shape (Nx, Ny+1)
-    orientation: int = 1
     degree: int = 2
     residual: float = float("nan")
     iterations: int = 0
@@ -45,22 +43,19 @@ class BandField2D:
 
     @property
     def deviation_bound(self) -> float:
-        """sup |H(x, y) - orientation*y|: the node maximum, exact for a bilinear field."""
-        ys = np.linspace(0.0, 1.0, self.ny + 1)
-        return float(np.max(np.abs(self.values - self.orientation * ys)))
+        """sup |H(x, y) - y|: the node maximum, exact for a bilinear field."""
+        return float(np.max(np.abs(self.values - np.linspace(0.0, 1.0, self.ny + 1))))
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         a, b = self.band
         if not np.all((x >= a - 1e-12) & (x <= b + 1e-12)):
             raise OutOfDomain(f"x outside band [{a}, {b}]")
-        plan = band_plan(x, y, self.band, len(self.values) - 1, self.ny, self.orientation)
-        v = band_gather(self.values, plan)
+        v = band_gather(self.values, band_plan(x, y, self.band, len(self.values) - 1, self.ny))
         return v if v.ndim else float(v)
 
 
-def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int,
-               orientation: int):
+def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int):
     """Nodes xs and ys, the base image fx of each row, and rows -> the gather plan
     of H at the images of those rows."""
     check_band(band, "band")
@@ -72,27 +67,25 @@ def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int,
     fx = m.base(xs)                       # a skew product's x image depends on the row only
 
     def image(rows):
-        return band_plan(fx[rows, None], m(xs[rows, None], ys)[1], band, nx - 1, ny,
-                         orientation)
+        return band_plan(fx[rows, None], m(xs[rows, None], ys)[1], band, nx - 1, ny)
     return xs, ys, fx, image
 
 
 def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
-                             tol: float = 1e-8, nx: int = 129, ny: int = 256,
-                             orientation: int = 1) -> BandField2D:
+                             tol: float = 1e-8, nx: int = 129, ny: int = 256) -> BandField2D:
     """Fixed point of T(H) = H(F(.))/d on an invariant product band.
 
     The band must satisfy base([a,b]) inside [a,b] on the sample grid
     (this is the compact invariant set in product form).  Stops when the
     iteration step is below tol*(1 - 1/|d|).
     """
-    _, ys, fx, image = _band_grid(m, band, nx, ny, orientation)
+    _, ys, fx, image = _band_grid(m, band, nx, ny)
     a, b = band
     if fx.min() < a - 1e-12 or fx.max() > b + 1e-12:
         raise BandNotInvariant(f"base image [{fx.min()}, {fx.max()}] leaves [{a}, {b}]")
-    start = np.broadcast_to(orientation * ys, (nx, ny + 1))
-    cur, it, defect = contract(image, band_gather, start, m.degree, orientation, tol)
-    return BandField2D((a, b), cur, orientation, m.degree, float(defect.max()), it)
+    start = np.broadcast_to(ys, (nx, ny + 1))
+    cur, it, defect = contract(image, band_gather, start, m.degree, tol)
+    return BandField2D((a, b), cur, m.degree, float(defect.max()), it)
 
 
 def check_fiber_surjectivity(h: BandField2D, x_level: float) -> bool:

@@ -49,6 +49,15 @@ def test_nan_base_sample_rejected():
         make_skew_product(BaseMap("samples", (values,)), FiberMap(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, -0.5])
+def test_bad_base_table_entry_between_the_checked_samples_rejected(bad):
+    # entry 500 of 1001 lies at x = 0.5, between two of the 64 points the map is sampled at
+    values = np.linspace(0.1, 0.9, 1001)
+    values[500] = bad
+    with pytest.raises(BaseEscapes, match=r"finite and in \[0, 1\]"):
+        make_skew_product(BaseMap("samples", (values,)), FiberMap(2))
+
+
 def test_nan_fiber_jump_rejected():
     nan_strip = lambda x, y: np.where((x > 0.5) & (x < 0.52), np.nan, 2.0 * y)
     with pytest.raises(NonIntegerDegree, match="nan"):

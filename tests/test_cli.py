@@ -357,6 +357,11 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
     ["star-scan", "--map", '{"base": {"family": "contraction"}, '
      '"fiber": {"family": "linear", "degree": 2}}',
      "--connector", '{"kind": "const", "height": 0.25}', "--nmax", "2", "--depth", "40"],
+    # amplitudes whose sine term shifts F(1) - F(0) away from the declared degree, which
+    # used to exit 0 with residuals of 4.5e15 and 1e292
+    ["semiconj1d", "--map", '{"family": "sine", "degree": 2, "amplitude": 4e31, "grid": 16}'],
+    ["semiconj1d", "--map", '{"family": "sine", "degree": 2, "amplitude": 1e308, "grid": 16}'],
+    ["rotation", "--map", '{"family": "sine", "degree": 2, "amplitude": 1e308, "grid": 16}'],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     argv, error = argv if isinstance(argv, tuple) else (argv, "ValidationError")

@@ -264,8 +264,9 @@ def test_repellers_negative_degree_smoke():
         assert circle_dist(got, want) < 1e-3
 
 
-def _per_gap_repellers(m, c, depth, n_samples=1024):
+def _per_gap_repellers(m, c, depth):
     """Reference nesting: one gap at a time, one np.interp per level and gap."""
+    n_samples = connectors.N_SAMPLES
     def pullback(fn, lower, upper, xs, bx):
         t = fn(bx)
         side = lower if m.degree > 0 else upper
@@ -371,15 +372,14 @@ RESIDUAL_CASES = ([("linear", d) for d in (2, -2, 3, -3, 4, -4)]
 @pytest.mark.parametrize("kind, d", RESIDUAL_CASES)
 def test_coded_field_residual_bound(kind, d):
     """Each repeller seeded with its own invariance value codes a field whose
-    residual is at most |d|^(1-depth).  Linear repellers are horizontal, so
-    64 nodes lose nothing; the sine repellers keep 128."""
+    residual is at most |d|^(1-depth)."""
     if kind == "linear":
-        fiber, n_samples = FiberMap(d), 64
+        fiber = FiberMap(d)
     else:
         wobble = from_function(lambda y: d * y + 0.08 * np.sin(2 * np.pi * y))
-        fiber, n_samples = FiberMap(d, circle=wobble, tau=TauSpec("linear", 0.05)), 128
+        fiber = FiberMap(d, circle=wobble, tau=TauSpec("linear", 0.05))
     m = make_skew_product(BaseMap("contraction", (0.5, 0.9)), fiber)
-    reps = repelling_connectors(m, constant_connector(0.15), depth=10, n_samples=n_samples)
+    reps = repelling_connectors(m, constant_connector(0.15), depth=10)
     for depth in (4, 5, 6, 7):
         coded = semiconjugacy_from_repellers(m, reps, depth=depth, band=(0.2, 0.8))
         assert coded.residual <= abs(d) ** (1 - depth)

@@ -13,7 +13,7 @@ from semicov.numerics import band_gather, band_plan, contract, periodic_gather, 
 from semicov.semiconj2d import BandField2D
 
 
-def _band_gather_2d(values, x, y, band, period):
+def _band_gather_2d(values, x, y, band):
     """The bilinear band gather by 2D fancy indexing, kept as the reference."""
     nx, ny = values.shape[0] - 1, values.shape[1] - 1
     a, b = band
@@ -21,25 +21,24 @@ def _band_gather_2d(values, x, y, band, period):
     i = np.minimum(px.astype(np.int64), nx - 1)
     wx = px - i
     ox = 1.0 - wx
-    j, wy, shift = periodic_plan(y, ny, period)
+    j, wy, shift = periodic_plan(y, ny, 1)
     oy = 1.0 - wy
     return (values[i, j] * ox * oy + values[i + 1, j] * wx * oy
             + values[i, j + 1] * ox * wy + values[i + 1, j + 1] * wx * wy + shift)
 
 
-def _values(rng, rows, ny, orientation):
+def _values(rng, rows, ny):
     ys = np.linspace(0.0, 1.0, ny + 1)
-    values = orientation * ys + 0.1 * rng.standard_normal((rows, ny + 1))
-    values[:, -1] = values[:, 0] + orientation
+    values = ys + 0.1 * rng.standard_normal((rows, ny + 1))
+    values[:, -1] = values[:, 0] + 1
     return values
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("rows, ny", [(2, 1), (3, 2), (17, 32), (65, 128)])
-def test_band_gather_matches_2d_reference(rows, ny, orientation):
+def test_band_gather_matches_2d_reference(rows, ny):
     rng = np.random.default_rng(rows * 1000 + ny)
     band = (0.2, 0.8)
-    values = _values(rng, rows, ny, orientation)
+    values = _values(rng, rows, ny)
     nx = rows - 1
     n = 500
     x = np.concatenate([rng.uniform(0.2, 0.8, n), rng.uniform(-0.5, 0.2, 50),
@@ -50,21 +49,21 @@ def test_band_gather_matches_2d_reference(rows, ny, orientation):
     for xs, ys in ((x, y), (x.reshape(4, -1), y.reshape(4, -1)),
                    (x[:, None], y[None, :8]), (x[:63, None], y[:504].reshape(63, 8)),
                    (np.float64(0.8), y), (x, -3.0)):
-        got = band_gather(values, band_plan(xs, ys, band, nx, ny, orientation))
-        want = _band_gather_2d(values, xs, ys, band, orientation)
+        got = band_gather(values, band_plan(xs, ys, band, nx, ny))
+        want = _band_gather_2d(values, xs, ys, band)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
-    field = BandField2D(band, values, orientation)
+    field = BandField2D(band, values)
     for px, py in ((0.8, 0.0), (0.2, -1.0), (0.5, 2.25), (0.37, -0.61)):
         got = field(np.asarray(px), np.asarray(py))
         assert isinstance(got, float)
-        assert got == float(_band_gather_2d(values, px, py, band, orientation))
+        assert got == float(_band_gather_2d(values, px, py, band))
     grid = np.meshgrid(np.linspace(0.2, 0.8, 9), np.linspace(-1.0, 1.0, 11), indexing="ij")
-    assert np.array_equal(field(*grid), _band_gather_2d(values, *grid, band, orientation))
+    assert np.array_equal(field(*grid), _band_gather_2d(values, *grid, band))
 
 
-def _contract_reference(lifted, start, degree, orientation, tol, max_iter=None):
+def _contract_reference(lifted, start, degree, tol, max_iter=None):
     """The whole-array fixed-point loop and residual per leading index, kept as the
     reference for the blocked one."""
     ad = abs(degree)
@@ -74,7 +73,7 @@ def _contract_reference(lifted, start, degree, orientation, tol, max_iter=None):
     cur, it, converged = start, max_iter, False
     for it in range(1, max_iter + 1):
         new = lifted(cur) / degree
-        new[..., -1] = new[..., 0] + orientation
+        new[..., -1] = new[..., 0] + 1
         change = float(np.max(np.abs(new - cur)))
         cur = new
         if change <= stop:
@@ -98,11 +97,10 @@ def checked(monkeypatch):
     converge; returns its results."""
     results = []
 
-    def contract_and_compare(plan, gather, start, degree, orientation, tol, max_iter=None):
-        got = contract(plan, gather, start, degree, orientation, tol, max_iter)
+    def contract_and_compare(plan, gather, start, degree, tol, max_iter=None):
+        got = contract(plan, gather, start, degree, tol, max_iter)
         whole = plan(slice(None))
-        want = _contract_reference(lambda v: gather(v, whole), start, degree, orientation, tol,
-                                   max_iter)
+        want = _contract_reference(lambda v: gather(v, whole), start, degree, tol, max_iter)
         assert want[2] is True
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
         assert got[2].tobytes() == want[3].tobytes()
@@ -122,28 +120,25 @@ def test_blocked_1d_contract_matches_reference(checked, residual_matches, grid, 
     m = from_function(lambda x: degree * x + 0.1 * np.sin(2 * np.pi * x) + 0.2, grid)
     h = semiconj1d.solve_semiconjugacy(m, orientation, 1e-9)
     step = semiconj1d.contraction_step(h, m)
-    start = orientation * np.linspace(0.0, 1.0, grid + 1)
+    start = np.linspace(0.0, 1.0, grid + 1)
     with pytest.raises(MaxIterExceeded, match="within 4 iterations"):
-        contract(semiconj1d._pullback(m, grid, orientation), periodic_gather, start, degree,
-                 orientation, 1e-9, max_iter=4)
+        contract(semiconj1d._pullback(m, grid), periodic_gather, start, degree, 1e-9, max_iter=4)
     assert [r[1] for r in checked] == [h.iterations, 1]
     for field, residual in ((h, h.residual), (step, step.residual)):
         residual_matches(residual, _grid_residual(field, m), field.samples, degree,
                          exact=grid == 4096)
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("degree", [2, -2, 3])
 @pytest.mark.parametrize("nx, ny", [(97, 1000), (300, 511)])    # rows 65 + 32; 128 + 128 + 44
-def test_blocked_band_contract_matches_reference(checked, nx, ny, degree, orientation):
+def test_blocked_band_contract_matches_reference(checked, nx, ny, degree):
     m = make_skew_product(BaseMap("contraction", (0.5, 0.7)),
                           FiberMap(degree, tau=TauSpec("linear", 0.1)))
-    h = semiconj2d.solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=nx, ny=ny,
-                                            orientation=orientation)
-    _, ys, _, image = semiconj2d._band_grid(m, (0.2, 0.8), nx, ny, orientation)
-    start = np.broadcast_to(orientation * ys, (nx, ny + 1))
+    h = semiconj2d.solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=nx, ny=ny)
+    _, ys, _, image = semiconj2d._band_grid(m, (0.2, 0.8), nx, ny)
+    start = np.broadcast_to(ys, (nx, ny + 1))
     with pytest.raises(MaxIterExceeded, match="within 4 iterations"):
-        contract(image, band_gather, start, degree, orientation, 1e-9, max_iter=4)
+        contract(image, band_gather, start, degree, 1e-9, max_iter=4)
     assert [r[1] for r in checked] == [h.iterations]
     assert float(checked[0][2].max()) == h.residual
 
@@ -158,8 +153,8 @@ def test_nan_prevents_convergence(nodes):
         return values[rows].copy()
 
     with pytest.raises(MaxIterExceeded, match="within 3 iterations"):
-        contract(lambda rows: rows, gather, start, 2, 1, 1e300, max_iter=3)
-    want = _contract_reference(lambda v: gather(v, slice(None)), start, 2, 1, 1e300, 3)
+        contract(lambda rows: rows, gather, start, 2, 1e300, max_iter=3)
+    want = _contract_reference(lambda v: gather(v, slice(None)), start, 2, 1e300, 3)
     assert want[1:3] == (3, False)
 
 
@@ -182,21 +177,19 @@ def test_lifted_value_at_the_glued_column_is_overwritten(shape):
     def gather(v, rows):    # the fixed point is start, whatever lifted says at the glued column
         return np.where(glued[rows], 1e6, 2.0 * v[rows])
 
-    got = contract(lambda rows: rows, gather, start, 2, 1, 1e-9)
-    want = _contract_reference(lambda v: gather(v, slice(None)), start, 2, 1, 1e-9)
+    got = contract(lambda rows: rows, gather, start, 2, 1e-9)
+    want = _contract_reference(lambda v: gather(v, slice(None)), start, 2, 1e-9)
     assert got[1] == want[1] == 1 and want[2]
     assert not got[2].any() and got[2].tobytes() == want[3].tobytes()
     assert got[0].tobytes() == want[0].tobytes()
 
 
 @pytest.mark.parametrize("orientation", [0, 2, 0.5])
-def test_solvers_reject_an_orientation_other_than_plus_or_minus_one(product_z2, orientation):
+def test_solvers_reject_an_orientation_other_than_plus_or_minus_one(orientation):
     m = from_function(lambda x: 2 * x + 0.1 * np.sin(2 * np.pi * x), 4096)
     field = semiconj1d.SemiconjugacyField1D(np.linspace(0.0, 1.0, 4097), orientation, 2)
     for solve in (lambda: semiconj1d.solve_semiconjugacy(m, orientation),
-                  lambda: semiconj1d.contraction_step(field, m),
-                  lambda: semiconj2d.solve_band_semiconjugacy(product_z2, (0.2, 0.8),
-                                                              orientation=orientation)):
+                  lambda: semiconj1d.contraction_step(field, m)):
         with pytest.raises(ValueError, match=r"^orientation must be \+1 or -1$"):
             solve()
 
@@ -255,26 +248,24 @@ def _assert_plans_equal(got, want):
             assert g == w
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
-def test_block_plans_of_the_1d_solver_join_to_the_whole_plan(orientation):
+def test_block_plans_of_the_1d_solver_join_to_the_whole_plan():
     grid = 2 ** 17 + 3
     m = from_function(lambda x: 3 * x + 0.1 * np.sin(2 * np.pi * x) + 0.2, grid)
-    plan = semiconj1d._pullback(m, grid, orientation)
+    plan = semiconj1d._pullback(m, grid)
     with numerics.blocked((grid + 1,)) as sweep:
         parts = sweep(plan)
     assert len(parts) == 3 and len(parts[-1][0]) == 4          # a partial last block
     # the whole plan as the 1D solver built it before: the map on every node at once
-    whole = periodic_plan(m(np.linspace(0.0, 1.0, grid + 1)), grid, orientation)
+    whole = periodic_plan(m(np.linspace(0.0, 1.0, grid + 1)), grid, 1)
     _assert_plans_equal(_concatenated(parts), whole)
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
-def test_block_plans_of_the_band_solvers_join_to_the_whole_plan(orientation):
+def test_block_plans_of_the_band_solvers_join_to_the_whole_plan():
     nx, ny, band = 300, 511, (0.2, 0.8)
     fiber = FiberMap(-3, circle=from_function(lambda x: -3 * x + 0.05 * np.sin(2 * np.pi * x)),
                      tau=TauSpec("linear", 0.1))
     m = make_skew_product(BaseMap("contraction", (0.5, 0.7)), fiber)
-    xs, ys, fx, image = semiconj2d._band_grid(m, band, nx, ny, orientation)
+    xs, ys, fx, image = semiconj2d._band_grid(m, band, nx, ny)
     with numerics.blocked((nx, ny + 1)) as sweep:
         parts = sweep(image)
     assert [len(p[0]) for p in parts] == [128, 128, 44]
@@ -283,7 +274,7 @@ def test_block_plans_of_the_band_solvers_join_to_the_whole_plan(orientation):
     mx, my = m(xg, yg)
     assert fx.tobytes() == mx[:, 0].tobytes()
     _assert_plans_equal(_concatenated(parts),
-                        band_plan(mx[:, :1], my, band, nx - 1, ny, orientation))
+                        band_plan(mx[:, :1], my, band, nx - 1, ny))
 
 
 def test_a_block_plan_error_keeps_its_type_and_message(monkeypatch):

@@ -31,13 +31,8 @@ READERS = [p for p in CALLERS if p.parent.name == "tests" or not p.name.startswi
 _REPELLER_GRID = ("test_coded_residual_reads_the_stored_node_values needs 37 x 100 nodes to "
                   "show rounding at non-dyadic nodes; at 65 x 128 its node gap reads 0")
 EXEMPT = {
-    "connectors.py: repelling_connectors(n_samples)":
-        "the d=+-4 depth-7 codings of test_coded_field_residual_bound run about three "
-        "times slower at the default 1024 samples",
     "connectors.py: semiconjugacy_from_repellers(nx)": _REPELLER_GRID,
     "connectors.py: semiconjugacy_from_repellers(ny)": _REPELLER_GRID,
-    "semiconj2d.py: solve_band_semiconjugacy(orientation)":
-        "it mirrors the 1D --orientation that the CLI sets and selects no code path of its own",
 }
 DEFAULT_EXEMPT = {
     "circle.py: find_periodic_points(tol)":
@@ -61,7 +56,9 @@ REMOVED = [("classify.py", "plateau_set", "plateau_tol"),
            ("semiconj2d.py", "check_fiber_surjectivity", "max_gap"),
            ("semiconj2d.py", "check_fiber_connector", "tol"),
            ("stability.py", "verify_perturbation", "r_samples"),
-           ("stability.py", "verify_perturbation", "disc_width")]
+           ("stability.py", "verify_perturbation", "disc_width"),
+           ("connectors.py", "repelling_connectors", "n_samples"),
+           ("semiconj2d.py", "solve_band_semiconjugacy", "orientation")]
 
 
 def defaulted_parameters(tree: ast.Module) -> list[tuple[str, int, list[tuple]]]:

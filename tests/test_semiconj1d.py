@@ -113,7 +113,25 @@ def test_solution_monotone_for_covering(sine2):
 def test_negative_orientation_is_negation(sine2):
     hp = solve_semiconjugacy(sine2, 1, 1e-10)
     hm = solve_semiconjugacy(sine2, -1, 1e-10)
-    assert np.max(np.abs(hm.samples + hp.samples)) <= 2e-9
+    assert np.array_equal(hm.samples, -hp.samples)
+
+
+@pytest.mark.parametrize("kind", ["linear", "sine", "non-covering"])
+@pytest.mark.parametrize("grid", [64, 1024])
+@pytest.mark.parametrize("d", [2, 3, -2, -3])
+def test_orientation_minus_one_solves_and_steps_are_the_negated_plus_one(d, grid, kind):
+    # linear with offset 0 fixes x = 0, where the +1 lift takes an exact zero
+    f = {"linear": lambda x: d * x,
+         "sine": lambda x: d * x + 0.1 * np.sin(2 * np.pi * x) + 0.2,
+         "non-covering": lambda x: d * x + 0.6 * np.sin(2 * np.pi * x)}[kind]
+    m = from_function(f, grid)
+    assert m.is_covering == (kind != "non-covering")
+    hp, hm = (solve_semiconjugacy(m, o, 1e-10) for o in (1, -1))
+    assert hm.orientation == -1 and np.array_equal(hm.samples, -hp.samples)
+    assert (hm.iterations, hm.residual) == (hp.iterations, hp.residual)
+    sp, sm = contraction_step(hp, m), contraction_step(hm, m)
+    assert sm.orientation == -1 and np.array_equal(sm.samples, -sp.samples)
+    assert sm.residual == sp.residual
 
 
 def test_rotation_number_examples(m2):

@@ -118,16 +118,15 @@ def _measure_whole_grid(field, m):
     return float(np.nanmax(r, initial=0.0)), int(np.count_nonzero(~np.isnan(r)))
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("degree", [2, -2, 3])
 @pytest.mark.parametrize("nx, ny, band", [(97, 1000, (0.2, 0.8)), (300, 511, (0.2, 0.8)),
                                           (129, 256, (0.25, 0.75))])
-def test_band_residual_matches_whole_grid(residual_matches, nx, ny, band, degree, orientation):
+def test_band_residual_matches_whole_grid(residual_matches, nx, ny, band, degree):
     # every image stays in the band; on the dyadic band and grid the
     # reference meets the nodes exactly, so it must agree bit for bit
     m = make_skew_product(BaseMap("contraction", (0.5, 0.7)),
                           FiberMap(degree, tau=TauSpec("linear", 0.1)))
-    h = solve_band_semiconjugacy(m, band, 1e-9, nx=nx, ny=ny, orientation=orientation)
+    h = solve_band_semiconjugacy(m, band, 1e-9, nx=nx, ny=ny)
     sup, count = _measure_whole_grid(h, m)
     assert count == nx * ny
     residual_matches(h.residual, sup, h.values, degree, exact=band == (0.25, 0.75))
@@ -157,19 +156,18 @@ def test_band_solver_rejects_an_empty_or_reversed_band(product_z2, band):
         solve_band_semiconjugacy(product_z2, band)
 
 
-def _deviation(values, ys, orientation):
-    """sup |H(x, y) - orientation*y| over the nodes, a maximum per block of rows: the
-    band solvers' own measurement before fields derived it, kept as the reference."""
+def _deviation(values, ys):
+    """sup |H(x, y) - y| over the nodes, a maximum per block of rows: the band
+    solvers' own measurement before fields derived it, kept as the reference."""
     with blocked(values.shape) as sweep:
-        return float(np.max(sweep(lambda rows: np.abs(values[rows] - orientation * ys).max())))
+        return float(np.max(sweep(lambda rows: np.abs(values[rows] - ys).max())))
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("nx, ny", [(33, 64), (300, 511)])
-def test_band_field_derives_nodes_and_deviation_bound(nx, ny, orientation):
+def test_band_field_derives_nodes_and_deviation_bound(nx, ny):
     # 300 x 512 nodes span three blocks of the reference's sweep
     m = make_skew_product(BaseMap("contraction", (0.5, 0.7)),
                           FiberMap(2, tau=TauSpec("linear", 0.1)))
-    h = solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=nx, ny=ny, orientation=orientation)
+    h = solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=nx, ny=ny)
     assert np.array_equal(h.x_samples, np.linspace(0.2, 0.8, nx))
-    assert h.deviation_bound == _deviation(h.values, np.linspace(0.0, 1.0, ny + 1), orientation)
+    assert h.deviation_bound == _deviation(h.values, np.linspace(0.0, 1.0, ny + 1))
