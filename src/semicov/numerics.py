@@ -96,9 +96,20 @@ def periodic_plan(x, grid: int, period):
     return i, pos - i, k * period
 
 
+def compact(plan):
+    """plan with its index (first) as int32 and its shift (last) in the narrowest signed
+    integer dtype that holds it bit for bit, else as it is; the gathers take both."""
+    index, *rest, shift = plan
+    narrow = np.min_scalar_type(min(int(shift.min()), ~int(shift.max())))   # ~hi = -hi - 1
+    exact = shift.astype(narrow) if narrow.kind == "i" and narrow.itemsize < 8 else shift
+    same = exact.astype(float).tobytes() == shift.tobytes()      # false on a -0.0 shift
+    return (index.astype(np.int32), *rest, exact if same else shift)
+
+
 def periodic_gather(samples, plan):
     """Values samples[i]*(1-w) + samples[i+1]*w + k*period of a periodic plan."""
     i, w, shift = plan
+    i = i.astype(np.intp, copy=False)               # a compact plan's index, widened once
     out = samples.take(i)
     out *= 1.0 - w
     upper = samples[1:].take(i)
@@ -130,6 +141,7 @@ def band_gather(values, plan):
     taken from views of values.ravel() offset by 0, s, 1 and s + 1.
     """
     idx, s, wx, wy, shift = plan
+    idx = idx.astype(np.intp, copy=False)           # a compact plan's index, widened once
     ox, oy = 1.0 - wx, 1.0 - wy
     v = np.asarray(values, dtype=float).ravel()
     out = v.take(idx)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .circle import LiftedCircleMap
 from .errors import DegreeMismatch, OutOfDomain
-from .numerics import contract, frac, periodic_gather, periodic_plan
+from .numerics import compact, contract, frac, periodic_gather, periodic_plan
 
 
 @dataclass(eq=False)
@@ -30,6 +30,10 @@ class SemiconjugacyField1D:
     degree: int
     residual: float = float("nan")
     iterations: int = 0
+
+    def __post_init__(self):
+        if self.orientation not in (1, -1):
+            raise ValueError("orientation must be +1 or -1")
 
     @property
     def grid(self) -> int:
@@ -54,20 +58,17 @@ def contraction_step(h: SemiconjugacyField1D, m: LiftedCircleMap) -> Semiconjuga
     """
     if h.degree != m.degree:
         raise DegreeMismatch(f"field degree {h.degree} vs map degree {m.degree}")
-    if h.orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
     if not np.isfinite(h.samples).all():
         raise OutOfDomain("field samples must be finite")
-    new, _, defect = contract(_pullback(m, h.grid), periodic_gather, h.orientation * h.samples,
-                              m.degree, tol=np.inf, max_iter=1)
+    new, _, defect = contract(_pullback(m, np.linspace(0.0, 1.0, h.grid + 1)), periodic_gather,
+                              h.orientation * h.samples, m.degree, tol=np.inf, max_iter=1)
     new *= h.orientation                        # an orientation -1 field is negated in and out
     return SemiconjugacyField1D(new, h.orientation, h.degree, float(defect.max()))
 
 
-def _pullback(m: LiftedCircleMap, grid: int):
-    """rows -> the plan that gathers an orientation 1 H at F of those grid nodes."""
-    nodes = np.linspace(0.0, 1.0, grid + 1)
-    return lambda rows: periodic_plan(m(nodes[rows]), grid, 1)
+def _pullback(m: LiftedCircleMap, nodes: np.ndarray):
+    """rows -> the compact plan that gathers an orientation 1 H at F of those grid nodes."""
+    return lambda rows: compact(periodic_plan(m(nodes[rows]), len(nodes) - 1, 1))
 
 
 def solve_semiconjugacy(m: LiftedCircleMap, orientation: int = 1,
@@ -79,8 +80,8 @@ def solve_semiconjugacy(m: LiftedCircleMap, orientation: int = 1,
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    cur, it, defect = contract(_pullback(m, m.grid), periodic_gather,
-                               np.linspace(0.0, 1.0, m.grid + 1), m.degree, tol)
+    nodes = np.linspace(0.0, 1.0, m.grid + 1)      # the plan's nodes and the start H0(x) = x
+    cur, it, defect = contract(_pullback(m, nodes), periodic_gather, nodes, m.degree, tol)
     if orientation == -1:
         np.negative(cur, out=cur)
     return SemiconjugacyField1D(cur, orientation, m.degree, float(defect.max()), it)

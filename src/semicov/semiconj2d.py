@@ -12,7 +12,7 @@ import numpy as np
 
 from .annulus import AnnulusMapLift
 from .errors import BandNotInvariant, OutOfDomain, ValidationError
-from .numerics import band_gather, band_plan, circle_dist, contract, max_circular_gap
+from .numerics import band_gather, band_plan, circle_dist, compact, contract, max_circular_gap
 from .schema import MAX_SIZE, band as check_band
 
 FIBER_TOL = 0.01      # turns: the largest fiber gap, and the largest miss of a level
@@ -56,8 +56,8 @@ class BandField2D:
 
 
 def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int):
-    """Nodes xs and ys, the base image fx of each row, and rows -> the gather plan
-    of H at the images of those rows."""
+    """Nodes xs and ys, the base image fx of each row, and rows -> the compact gather
+    plan of H at the images of those rows."""
     check_band(band, "band")
     if nx < 2 or ny < 1 or nx * (ny + 1) > MAX_SIZE:
         raise ValidationError(f"the band grid needs nx >= 2, ny >= 1 and at most {MAX_SIZE} "
@@ -67,7 +67,7 @@ def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int):
     fx = m.base(xs)                       # a skew product's x image depends on the row only
 
     def image(rows):
-        return band_plan(fx[rows, None], m(xs[rows, None], ys)[1], band, nx - 1, ny)
+        return compact(band_plan(fx[rows, None], m(xs[rows, None], ys)[1], band, nx - 1, ny))
     return xs, ys, fx, image
 
 

@@ -95,7 +95,7 @@ def radial_rho(eps: EpsilonSpec) -> RadialProfile:
     rho at sqrt(x).
     The edge values never touch the other caps at the seams, so the
     profile is continuous.  eps must be positive and finite at every
-    sampled radius (BadParams otherwise).
+    sampled radius, and 2*rho at most pi (BadParams otherwise).
     """
     samples_per_band, x_min = 512, 1e-12
 
@@ -132,8 +132,10 @@ def radial_rho(eps: EpsilonSpec) -> RadialProfile:
     # the eps cap above 1/2, refined geometrically toward the outer boundary
     top = 1.0 - np.geomspace(0.5, 1e-9, samples_per_band)
     top_vals = np.minimum(pieces[0][1][-1], cap(top))
-    return RadialProfile(np.concatenate([xs_all, top]),
-                         np.concatenate([vals_all, top_vals]))
+    rho = RadialProfile(np.concatenate([xs_all, top]), np.concatenate([vals_all, top_vals]))
+    if 2.0 * rho.values.max() > np.pi:          # the bump's outer knot 2*rho would pass the seam
+        raise BadParams(f"eps {eps} too large: 2*rho reaches {2.0 * rho.values.max()} > pi")
+    return rho
 
 
 @dataclass(eq=False)

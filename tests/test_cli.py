@@ -362,6 +362,11 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
     ["semiconj1d", "--map", '{"family": "sine", "degree": 2, "amplitude": 4e31, "grid": 16}'],
     ["semiconj1d", "--map", '{"family": "sine", "degree": 2, "amplitude": 1e308, "grid": 16}'],
     ["rotation", "--map", '{"family": "sine", "degree": 2, "amplitude": 1e308, "grid": 16}'],
+    # eps so large that the bump's window 2*rho passes the seam at pi, which used to exit 3
+    # naming a fiber jump, after a RuntimeWarning at 1e308
+    *[(["perturb", "--epsilon", json.dumps({"family": "const", "value": v})],
+       f"BadParams: eps EpsilonSpec(kind='const', value={v!r}, power=1.0) too large")
+      for v in (1e308, 3.21)],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     argv, error = argv if isinstance(argv, tuple) else (argv, "ValidationError")

@@ -122,7 +122,7 @@ def test_blocked_1d_contract_matches_reference(checked, residual_matches, grid, 
     step = semiconj1d.contraction_step(h, m)
     start = np.linspace(0.0, 1.0, grid + 1)
     with pytest.raises(MaxIterExceeded, match="within 4 iterations"):
-        contract(semiconj1d._pullback(m, grid), periodic_gather, start, degree, 1e-9, max_iter=4)
+        contract(semiconj1d._pullback(m, start), periodic_gather, start, degree, 1e-9, max_iter=4)
     assert [r[1] for r in checked] == [h.iterations, 1]
     for field, residual in ((h, h.residual), (step, step.residual)):
         residual_matches(residual, _grid_residual(field, m), field.samples, degree,
@@ -187,9 +187,10 @@ def test_lifted_value_at_the_glued_column_is_overwritten(shape):
 @pytest.mark.parametrize("orientation", [0, 2, 0.5])
 def test_solvers_reject_an_orientation_other_than_plus_or_minus_one(orientation):
     m = from_function(lambda x: 2 * x + 0.1 * np.sin(2 * np.pi * x), 4096)
-    field = semiconj1d.SemiconjugacyField1D(np.linspace(0.0, 1.0, 4097), orientation, 2)
+    # contraction_step takes a field, and the field refuses the orientation when built
     for solve in (lambda: semiconj1d.solve_semiconjugacy(m, orientation),
-                  lambda: semiconj1d.contraction_step(field, m)):
+                  lambda: semiconj1d.SemiconjugacyField1D(np.linspace(0.0, 1.0, 4097),
+                                                          orientation, 2)):
         with pytest.raises(ValueError, match=r"^orientation must be \+1 or -1$"):
             solve()
 
@@ -239,6 +240,16 @@ def _concatenated(parts):
     return out
 
 
+def _widened(plan):
+    """A compact plan with the whole plan's dtypes: an int64 index and a float64 shift."""
+    index, *rest, shift = plan
+    return [index.astype(np.int64), *rest, shift.astype(float)]
+
+
+def _assert_compact(parts, shift_dtype):
+    assert all(p[0].dtype == np.int32 and p[-1].dtype == shift_dtype for p in parts)
+
+
 def _assert_plans_equal(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -251,13 +262,15 @@ def _assert_plans_equal(got, want):
 def test_block_plans_of_the_1d_solver_join_to_the_whole_plan():
     grid = 2 ** 17 + 3
     m = from_function(lambda x: 3 * x + 0.1 * np.sin(2 * np.pi * x) + 0.2, grid)
-    plan = semiconj1d._pullback(m, grid)
+    nodes = np.linspace(0.0, 1.0, grid + 1)
+    plan = semiconj1d._pullback(m, nodes)
     with numerics.blocked((grid + 1,)) as sweep:
         parts = sweep(plan)
     assert len(parts) == 3 and len(parts[-1][0]) == 4          # a partial last block
+    _assert_compact(parts, np.int8)                             # F runs from 0.1 to 3.3
     # the whole plan as the 1D solver built it before: the map on every node at once
-    whole = periodic_plan(m(np.linspace(0.0, 1.0, grid + 1)), grid, 1)
-    _assert_plans_equal(_concatenated(parts), whole)
+    whole = periodic_plan(m(nodes), grid, 1)
+    _assert_plans_equal(_widened(_concatenated(parts)), whole)
 
 
 def test_block_plans_of_the_band_solvers_join_to_the_whole_plan():
@@ -269,12 +282,68 @@ def test_block_plans_of_the_band_solvers_join_to_the_whole_plan():
     with numerics.blocked((nx, ny + 1)) as sweep:
         parts = sweep(image)
     assert [len(p[0]) for p in parts] == [128, 128, 44]
+    _assert_compact(parts, np.int8)
     # the whole grid as the band solver built it before: the map on the meshgrid
     xg, yg = np.meshgrid(xs, np.linspace(0.0, 1.0, ny + 1), indexing="ij")
     mx, my = m(xg, yg)
     assert fx.tobytes() == mx[:, 0].tobytes()
-    _assert_plans_equal(_concatenated(parts),
+    _assert_plans_equal(_widened(_concatenated(parts)),
                         band_plan(mx[:, :1], my, band, nx - 1, ny))
+
+
+def _solve_both_ways(monkeypatch, module, solve):
+    """solve() with compact plans, and again with the float64-shift, int64-index plans of
+    before; returns both results and the shift dtypes the compact plans took."""
+    dtypes = []
+
+    def recording(plan):
+        plan = numerics.compact(plan)
+        dtypes.append(plan[-1].dtype)
+        return plan
+
+    monkeypatch.setattr(module, "compact", recording)
+    got = solve()
+    monkeypatch.setattr(module, "compact", lambda plan: plan)
+    return got, solve(), set(dtypes)
+
+
+@pytest.mark.parametrize("offset", [300.0, -300.0])
+@pytest.mark.parametrize("degree", [2, 3, -2, -3])
+def test_1d_solves_whose_shifts_overflow_int8_equal_the_float_shift_plan(monkeypatch, degree,
+                                                                          offset):
+    grid = 2 ** 17 + 3                                  # three blocks, a partial last one
+    m = from_function(lambda x: degree * x + offset + 0.1 * np.sin(2 * np.pi * x), grid)
+    field = semiconj1d.SemiconjugacyField1D(np.linspace(0.0, -1.0, grid + 1), -1, degree)
+    for solve in (lambda: semiconj1d.solve_semiconjugacy(m, 1, 1e-9),
+                  lambda: semiconj1d.contraction_step(field, m)):
+        got, want, dtypes = _solve_both_ways(monkeypatch, semiconj1d, solve)
+        assert dtypes == {np.dtype(np.int16)}           # F runs past 300 turns
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert (got.iterations, got.residual) == (want.iterations, want.residual)
+
+
+@pytest.mark.parametrize("degree", [2, 3, -2, -3])
+def test_band_solves_whose_shifts_overflow_int8_equal_the_float_shift_plan(monkeypatch, degree):
+    # tau = 30 / (1 - x) runs from 37.5 to 150 turns over the band
+    m = make_skew_product(BaseMap("contraction", (0.5, 0.7)),
+                          FiberMap(degree, tau=TauSpec("inv_one_minus", 30.0)))
+    got, want, dtypes = _solve_both_ways(
+        monkeypatch, semiconj2d,
+        lambda: semiconj2d.solve_band_semiconjugacy(m, (0.2, 0.8), 1e-9, nx=300, ny=511))
+    assert np.dtype(np.int16) in dtypes and dtypes <= {np.dtype(np.int8), np.dtype(np.int16)}
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.iterations, got.residual) == (want.iterations, want.residual)
+
+
+@pytest.mark.parametrize("shift, dtype", [
+    ([0.0, 127.0, -128.0], np.int8), ([0.0, 128.0], np.int16), ([-129.0, 5.0], np.int16),
+    ([2.0 ** 15, 0.0], np.int32), ([-(2.0 ** 31), 1.0], np.int32), ([2.0 ** 31, 0.0], np.float64),
+    ([1e300, 0.0], np.float64), ([-0.0, 1.0], np.float64), ([0.5, 1.0], np.float64)])
+def test_compact_takes_the_narrowest_shift_dtype_that_holds_it_bit_for_bit(shift, dtype):
+    index, shift = np.array([0, 7, 2 ** 24]), np.array(shift)
+    got = numerics.compact((index, 0.25, shift))
+    assert got[0].dtype == np.int32 and got[0].tolist() == index.tolist() and got[1] == 0.25
+    assert got[2].dtype == dtype and got[2].astype(float).tobytes() == shift.tobytes()
 
 
 def test_a_block_plan_error_keeps_its_type_and_message(monkeypatch):

@@ -37,6 +37,14 @@ def test_contraction_step_affine():
     assert np.max(np.abs(out.samples - (xs + 0.125))) < 1e-14
 
 
+@pytest.mark.parametrize("orientation", [0, 0.5, 2, -2])
+def test_a_field_refuses_an_orientation_other_than_plus_or_minus_one(orientation):
+    # a field built with orientation 0.5 used to evaluate H(1.25) = 0.75, and with 0
+    # plateau_set read one plateau over the whole circle
+    with pytest.raises(ValueError, match=r"^orientation must be \+1 or -1$"):
+        SemiconjugacyField1D(np.linspace(0, 1, 65), orientation, 2)
+
+
 def test_contraction_step_degree_mismatch(m2):
     with pytest.raises(DegreeMismatch):
         contraction_step(identity_field(m2.grid, 3), m2)
