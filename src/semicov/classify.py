@@ -194,13 +194,9 @@ class IntervalSignature:
     def identity_class(cls, orientation: int = 1) -> "IntervalSignature":
         return cls(orientation, None, None, identity_like=True)
 
-    @property
-    def resolved(self) -> bool:
-        return self.identity_like or self.fixed_point_count is not None
-
     def matches(self, other: "IntervalSignature") -> str:
         """'match' / 'mismatch' / 'uncertain', up to interval reversal."""
-        if not self.resolved or not other.resolved:
+        if any(s.fixed_point_count is None and not s.identity_like for s in (self, other)):
             return "uncertain"
         if self.identity_like or other.identity_like:
             return "match" if self.identity_like == other.identity_like else "mismatch"

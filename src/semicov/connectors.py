@@ -52,10 +52,6 @@ class ConnectorCurve:
                              "finite base samples")
 
     @property
-    def x_range(self) -> tuple[float, float]:
-        return float(self.xs[0]), float(self.xs[-1])
-
-    @property
     def reaches_lower(self) -> bool:
         return self.xs[0] <= 2.0 * self.margin
 
@@ -66,7 +62,7 @@ class ConnectorCurve:
     def height_at(self, x):
         x = np.asarray(x, dtype=float)
         if not np.all((x >= self.xs[0] - 1e-12) & (x <= self.xs[-1] + 1e-12)):
-            raise OutOfDomain(f"x outside curve range {self.x_range}")
+            raise OutOfDomain(f"x outside curve range ({self.xs[0]}, {self.xs[-1]})")
         v = np.interp(x, self.xs, self.heights)
         return v if v.ndim else float(v)
 
@@ -97,8 +93,8 @@ def _interp(seg, fp):
     return v
 
 
-def _preimage_block(m: AnnulusMapLift, xs: np.ndarray, heights: np.ndarray,
-                    margin: float, n_samples: int | None = None):
+def preimage_connectors(m: AnnulusMapLift, xs: np.ndarray, heights: np.ndarray,
+                        margin: float, n_samples: int | None = None):
     """Preimages of a block of curves (rows of heights) on shared nodes xs.
 
     Branch k solves g_x(w) = c(base(x)) + k, for the |d| offsets k of
@@ -136,13 +132,6 @@ def _preimage_block(m: AnnulusMapLift, xs: np.ndarray, heights: np.ndarray,
     if gap <= 1e-9:
         raise BranchCollision(f"branch separation {gap} below resolution")
     return cx, w.reshape(-1, len(cx)), offsets.ravel()
-
-
-def preimage_connectors(m: AnnulusMapLift, c: ConnectorCurve) -> list[ConnectorCurve]:
-    """The |d| preimage curves of a graph connector, sorted by height (see _preimage_block)."""
-    xs, hs, offsets = _preimage_block(m, c.xs, c.heights[None, :], c.margin)
-    return [ConnectorCurve(xs.copy(), h, c.margin, metadata={"offset": int(k)})
-            for h, k in zip(hs, offsets)]
 
 
 def is_free(m: AnnulusMapLift, c: ConnectorCurve) -> bool:
@@ -292,9 +281,13 @@ def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int,
     c, which bounds the two gaps adjacent to it, those gaps start from the
     midline of the strip between the preimages of their boundaries and no
     gap is dropped.  For d < 0 a free c nests only the first gap kept.
+
+    The nesting stops at the first level equal, bit for bit, to the one two
+    before it (a fixed point or a 2-cycle of rounding) and keeps the level of
+    the depth's parity; metadata["depth_gaps"] lists only the levels that ran.
     """
     margin = c.margin
-    px, ph, _ = _preimage_block(m, c.xs, c.heights[None, :], margin, N_SAMPLES)
+    px, ph, _ = preimage_connectors(m, c.xs, c.heights[None, :], margin, N_SAMPLES)
     xs = np.linspace(max(margin, c.xs[0], px[0]), min(1.0 - margin, c.xs[-1], px[-1]), N_SAMPLES)
     lower = _interp(_segments(xs, px), ph)
     upper = np.concatenate([lower[1:], lower[:1] + 1.0])
@@ -320,11 +313,14 @@ def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int,
     keep = np.arange(len(lower)) != k0
     if m.degree < 0 and not invariant:
         keep &= np.cumsum(keep) == 1
-    cur, side, gaps = cur[keep], side[keep], []
-    for _ in range(depth):
+    cur, side, gaps, prev = cur[keep], side[keep], [], None
+    for level in range(depth):
         new = pull(cur, side)
         gaps.append(np.max(np.abs(new - cur), axis=1))
-        cur = new
+        if prev is not None and np.array_equal(new, prev):    # period 2 from here on:
+            cur = new if (depth - level) % 2 else cur           # keep depth's parity
+            break
+        prev, cur = cur, new
     return [ConnectorCurve(xs.copy(), h, margin,
                            metadata={"gap_index": int(k), "depth": depth,
                                      "depth_gaps": [float(g[i]) for g in gaps]})
@@ -437,7 +433,7 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
         new = []
         for bx, hs, vs, mg in frontier:
             try:
-                cx, ch, offsets = _preimage_block(m, bx, hs, mg)
+                cx, ch, offsets = preimage_connectors(m, bx, hs, mg)
             except OutOfDomain:
                 dropped += 1
                 continue

@@ -89,16 +89,6 @@ class NoExpansion(SemicovError):
     """Fiber slope drops to 1 or below; finite-depth convergence not guaranteed."""
 
 
-# --- loop lifting ---
-
-class BranchAmbiguity(SemicovError):
-    """Inverse-branch continuation stayed ambiguous after step refinement."""
-
-
-class EndpointOutsideK(SemicovError):
-    """Lift endpoints must lie in the prescribed compact band."""
-
-
 # --- stability construction ---
 
 class BadParams(SemicovError):

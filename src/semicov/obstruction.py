@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annulus import AnnulusMapLift
-from .errors import (BranchAmbiguity, EndpointOutsideK, FiberNotMonotone, OutOfDomain,
-                     ValidationError)
+from .errors import FiberNotMonotone, OutOfDomain, ValidationError
 from .numerics import frac
 from .semiconj2d import BandField2D
 
@@ -67,7 +66,7 @@ class WindingReport:
 
 
 def _composite_fiber(m: AnnulusMapLift, x_start: float, n: int):
-    """Chain of base points and the composed fiber lift over x_start."""
+    """The composed fiber lift over x_start and its inverse."""
     xs_chain = [float(x_start)]
     for _ in range(n - 1):
         nxt = float(np.asarray(m.base(xs_chain[-1])))
@@ -85,44 +84,24 @@ def _composite_fiber(m: AnnulusMapLift, x_start: float, n: int):
             t = m.fiber.inverse(xc, t)
         return t
 
-    return xs_chain, forward, inverse
+    return forward, inverse
 
 
-def _lifts(forward, inverse, n: int, j: int, x: float, y0: np.ndarray) -> list[WindingRecord]:
+def lift_loop_winding(forward, inverse, n: int, j: int, x: float,
+                      y0: np.ndarray) -> list[WindingRecord]:
     """Records of the j-fold loop lifted through the chain from each start height y0 over x.
 
-    The winding against the reference connector at angle 0 is the floor
-    difference of the endpoint heights; an endpoint within 1e-8 of an
-    integer height is flagged ambiguous.
+    For skew products the lift from y0 is the unique monotone fiber solution
+    beta(t) with G_n(beta(t)) = G_n(y0) + j*t, so no branch continuation
+    ambiguity arises.  The winding against the reference connector at angle
+    0 is the floor difference of the endpoint heights; an endpoint within
+    1e-8 of an integer height is flagged ambiguous.
     """
     end = inverse(forward(y0) + j)
     winding = np.abs(np.floor(end) - np.floor(y0)).astype(int)
     amb = np.minimum(np.abs(end - np.round(end)), np.abs(y0 - np.round(y0))) < 1e-8
     return [WindingRecord(n, j, (float(x), y), e, w, a)
             for y, e, w, a in zip(y0.tolist(), end.tolist(), winding.tolist(), amb.tolist())]
-
-
-def lift_loop_winding(m: AnnulusMapLift, loop_x: float, n: int, j: int,
-                      start: tuple[float, float], band: tuple[float, float]) -> WindingRecord:
-    """Lift the j-fold loop over loop_x through n iterates from a preimage start point.
-
-    For skew products the lift is the unique monotone fiber solution
-    beta(t) with G_n(beta(t)) = G_n(start) + j*t, so no branch continuation
-    ambiguity arises; the record is the one-start case of _lifts.
-    """
-    if m.fiber.slope_range(np.array([start[0]]))[0] <= 0:
-        raise FiberNotMonotone("loop lifting needs a monotone fiber")
-    a, b = band
-    if not a - 1e-12 <= start[0] <= b + 1e-12:
-        raise EndpointOutsideK(f"start {start} outside band [{a}, {b}]")
-    if j < 1:
-        raise ValueError("loop multiplicity j must be >= 1")
-    xs_chain, forward, inverse = _composite_fiber(m, start[0], n)
-    base_img = float(np.asarray(m.base(xs_chain[-1])))
-    if abs(base_img - loop_x) > 1e-6:
-        raise BranchAmbiguity(
-            f"start is not an n-preimage of the loop fiber ({base_img} vs {loop_x})")
-    return _lifts(forward, inverse, n, j, start[0], np.array([float(start[1])]))[0]
 
 
 def star_condition_scan(m: AnnulusMapLift, band: tuple[float, float], n_max: int,
@@ -156,14 +135,14 @@ def star_condition_scan(m: AnnulusMapLift, band: tuple[float, float], n_max: int
                               f"more than 2^{MAX_STARTS_LOG2}")
     records: list[WindingRecord] = []
     for n in range(1, n_max + 1):
-        _, forward, inverse = _composite_fiber(m, x_anchor, n)
+        forward, inverse = _composite_fiber(m, x_anchor, n)
         g0 = float(forward(np.array([0.0]))[0])
         # all d^n fiber preimages of the loop base point over the anchor;
         # any d^n consecutive target offsets cover the branches mod 1
         first = np.ceil(g0 - base_angle) + np.arange(d ** n)
         starts = np.sort(frac(inverse(base_angle + first)))
         for j in sorted({1, max(1, int(np.ceil(d ** (n - 1) / 2))), max(1, d ** (n - 1))}):
-            records += _lifts(forward, inverse, n, j, x_anchor, starts)
+            records += lift_loop_winding(forward, inverse, n, j, x_anchor, starts)
     return WindingReport(band, records, None if h_field is None else h_field.deviation_bound)
 
 

@@ -57,7 +57,8 @@ def integer(value, name: str, least: int | None = None, most: int | None = None)
 positive = partial(number, positive=True)
 size = partial(integer, least=1, most=MAX_SIZE)
 span = partial(integer, least=2, most=MAX_SIZE)      # a grid with a node at each end
-count = partial(integer, least=0)
+# pieces an invariant arc adds to its first, 200 samples each: MAX_SIZE samples in all
+count = partial(integer, least=0, most=MAX_SIZE // 200 - 1)
 
 
 def sign(value, name: str) -> int:                   # an orientation: +1 or -1

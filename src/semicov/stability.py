@@ -62,21 +62,17 @@ class EpsilonSpec:
 
 
 class RadialProfile:
-    """Piecewise-linear radial function on [x_min, 1), log-spaced samples."""
+    """Piecewise-linear radial function on [xs[0], 1), log-spaced samples."""
 
     def __init__(self, xs: np.ndarray, values: np.ndarray):
         self.xs = np.asarray(xs, dtype=float)
         self.values = np.asarray(values, dtype=float)
         self._logx = np.log(self.xs)
 
-    @property
-    def x_min(self) -> float:
-        return float(self.xs[0])
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if not np.all((x >= self.x_min * (1 - 1e-12)) & (x < 1.0)):
-            raise OutOfDomain(f"radial profile defined on [{self.x_min}, 1)")
+        if not np.all((x >= self.xs[0] * (1 - 1e-12)) & (x < 1.0)):
+            raise OutOfDomain(f"radial profile defined on [{self.xs[0]}, 1)")
         v = np.interp(np.log(x), self._logx, self.values)
         return v if v.ndim else float(v)
 

@@ -367,6 +367,12 @@ STAR_MAP = {"base": {"family": "affine_to_one"},
     *[(["perturb", "--epsilon", json.dumps({"family": "const", "value": v})],
        f"BadParams: eps EpsilonSpec(kind='const', value={v!r}, power=1.0) too large")
       for v in (1e308, 3.21)],
+    # arc piece counts past 2^24 samples at 200 a piece: 10^5 forward pieces on a contraction
+    # base, none reaching the margin, used to run for 5 s, and 10^9 would need about 3 TB
+    *[["star-scan", "--map", '{"base": {"family": "contraction"}, '
+       '"fiber": {"family": "linear", "degree": 2}}', "--connector",
+       json.dumps({"kind": "invariant_arc", "p": [0.2, 0.0], key: n})]
+      for key, n in (("n_fwd", 10 ** 5), ("n_fwd", 10 ** 9), ("n_back", 10 ** 9))],
 ])
 def test_malformed_input_exits_3_with_one_line(argv, capsys):
     argv, error = argv if isinstance(argv, tuple) else (argv, "ValidationError")

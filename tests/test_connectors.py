@@ -5,11 +5,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from semicov import connectors
+from semicov import connectors, obstruction
 from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.circle import from_function
+from semicov.configs import annulus_map_from_config
 from semicov.connectors import (ConnectorCurve, _check_expansion, _code_column, _interp,
-                                _preimage_block, _segments, constant_connector,
+                                _segments, constant_connector,
                                 invariant_connector_from_arc, is_free,
                                 preimage_connectors, repelling_connectors,
                                 semiconjugacy_from_connectors,
@@ -28,26 +29,27 @@ def mean_height(curve):
 # --- preimages -----------------------------------------------------------------
 
 def test_preimage_square_roots_of_one(product_z2):
-    pre = preimage_connectors(product_z2, constant_connector(0.0))
-    assert [round(mean_height(c), 10) for c in pre] == [0.0, 0.5]
+    c = constant_connector(0.0)
+    _, pre, _ = preimage_connectors(product_z2, c.xs, c.heights[None, :], c.margin)
+    assert [round(float(np.mean(h)), 10) for h in pre] == [0.0, 0.5]
 
 
 def test_preimage_cube_roots():
     prod3 = make_skew_product(BaseMap("identity"), FiberMap(3))
-    pre = preimage_connectors(prod3, constant_connector(0.0))
-    assert [mean_height(c) for c in pre] == pytest.approx([0, 1 / 3, 2 / 3], abs=1e-12)
+    c = constant_connector(0.0)
+    _, pre, _ = preimage_connectors(prod3, c.xs, c.heights[None, :], c.margin)
+    assert [float(np.mean(h)) for h in pre] == pytest.approx([0, 1 / 3, 2 / 3], abs=1e-12)
 
 
 def test_preimage_example_closed_form(example_map):
     # solving 2w + 1/(1-x) = c + offset gives w = (c + offset - 1/(1-x))/2
     c0 = constant_connector(0.0)
-    pre = preimage_connectors(example_map, c0)
-    assert len(pre) == 2
-    for cv in pre:
-        off = cv.metadata["offset"]
-        expected = (off - 1.0 / (1.0 - cv.xs)) / 2.0
-        assert np.max(np.abs(cv.heights - expected)) < 1e-12
-    gap = pre[1].heights - pre[0].heights
+    xs, pre, offsets = preimage_connectors(example_map, c0.xs, c0.heights[None, :], c0.margin)
+    assert len(pre) == len(offsets) == 2
+    for h, off in zip(pre, offsets):
+        expected = (off - 1.0 / (1.0 - xs)) / 2.0
+        assert np.max(np.abs(h - expected)) < 1e-12
+    gap = pre[1] - pre[0]
     assert np.max(np.abs(gap - 0.5)) < 1e-12     # branches half a turn apart
 
 
@@ -55,10 +57,10 @@ def test_preimage_count_and_disjointness(contracting_z3):
     rng = np.random.default_rng(5)
     for _ in range(5):
         c = constant_connector(rng.uniform(0, 1))
-        pre = preimage_connectors(contracting_z3, c)
+        _, pre, _ = preimage_connectors(contracting_z3, c.xs, c.heights[None, :], c.margin)
         assert len(pre) == 3
         for a, b in zip(pre, pre[1:]):
-            assert np.min(b.heights - a.heights) > 1e-6
+            assert np.min(b - a) > 1e-6
 
 
 @pytest.mark.parametrize("at", [0, 7, -1])
@@ -73,7 +75,7 @@ def test_curve_rejects_non_finite_samples(where, bad, at):
         ConnectorCurve(arrays["xs"], arrays["heights"])
 
 
-def sorted_preimage_block(m, xs, heights, margin, n_samples=None):
+def sorted_preimage_connectors(m, xs, heights, margin, n_samples=None):
     """Reference: the preimage block with its branch rows sorted by mean height."""
     lo_img = float(np.asarray(m.base(margin)))
     hi_img = float(np.asarray(m.base(1.0 - margin)))
@@ -114,9 +116,9 @@ def test_branch_order_matches_mean_height_sort(kind, d, tau):
         block = (xs, hs)
         for _ in range(2):                          # a seeded block, then its children
             before = [a.copy() for a in block]
-            got = _preimage_block(m, *block, 1e-3, n_samples)
+            got = preimage_connectors(m, *block, 1e-3, n_samples)
             assert all(np.array_equal(a, b) for a, b in zip(block, before))
-            want = sorted_preimage_block(m, *block, 1e-3, n_samples)
+            want = sorted_preimage_connectors(m, *block, 1e-3, n_samples)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
             block = got[:2]
@@ -128,7 +130,7 @@ def test_branch_rows_out_of_order_fail_the_gap_check(contracting_z2, monkeypatch
     monkeypatch.setattr(FiberMap, "branches", lambda self, x, t: ascending(self, x, t)[..., ::-1])
     c = constant_connector(0.0)
     with pytest.raises(BranchCollision):
-        _preimage_block(contracting_z2, c.xs, c.heights[None, :], c.margin)
+        preimage_connectors(contracting_z2, c.xs, c.heights[None, :], c.margin)
 
 
 # --- freeness -----------------------------------------------------------------
@@ -244,13 +246,12 @@ def test_repellers_reject_base_moving_the_window():
 def test_repellers_approximately_invariant(contracting_z2):
     reps = repelling_connectors(contracting_z2, constant_connector(0.25), depth=10)
     r = reps[0]
-    pre = preimage_connectors(contracting_z2, r)
+    px, pre, _ = preimage_connectors(contracting_z2, r.xs, r.heights[None, :], r.margin)
     final_gap = r.metadata["depth_gaps"][-1]
     dists = []
-    for cv in pre:
-        common = (np.maximum(cv.xs[0], r.xs[0]), np.minimum(cv.xs[-1], r.xs[-1]))
-        xs = np.linspace(*common, 257)
-        dists.append(np.max(np.abs((cv.height_at(xs) - r.height_at(xs) + 0.5) % 1.0 - 0.5)))
+    for h in pre:
+        xs = np.linspace(max(px[0], r.xs[0]), min(px[-1], r.xs[-1]), 257)
+        dists.append(np.max(np.abs((np.interp(xs, px, h) - r.height_at(xs) + 0.5) % 1.0 - 0.5)))
     assert min(dists) <= 2 * final_gap
 
 
@@ -273,7 +274,7 @@ def _per_gap_repellers(m, c, depth):
         return m.fiber.inverse(xs, t + np.ceil(np.asarray(m.fiber(xs, side)) - t))
 
     def gap_structure(c):
-        px, ph, _ = _preimage_block(m, c.xs, c.heights[None, :], c.margin, n_samples)
+        px, ph, _ = preimage_connectors(m, c.xs, c.heights[None, :], c.margin, n_samples)
         xs = np.linspace(max(c.margin, c.xs[0], px[0]),
                          min(1.0 - c.margin, c.xs[-1], px[-1]), n_samples)
         heights = [np.interp(xs, px, row) for row in ph]
@@ -309,7 +310,7 @@ def _per_gap_repellers(m, c, depth):
     reps = nest(c)
     if m.degree < 0:
         cp = reps[0]
-        px, ph, _ = _preimage_block(m, cp.xs, cp.heights[None, :], c.margin, n_samples)
+        px, ph, _ = preimage_connectors(m, cp.xs, cp.heights[None, :], c.margin, n_samples)
         xs_cmp = np.linspace(max(cp.xs[0], px[0]), min(cp.xs[-1], px[-1]), 257)
         ref = cp.height_at(xs_cmp)
         dists = [float(np.min([np.max(np.abs(h - ref - t)) for t in (-1, 0, 1)]))
@@ -349,6 +350,50 @@ def test_repellers_match_per_gap_reference(d, kind, depth):
         a, b = (semiconjugacy_from_repellers(m, r, depth=1, band=(0.3, 0.7), nx=9, ny=16)
                 for r in (got, want))
         assert np.array_equal(a.values, b.values) and a.residual == b.residual
+
+
+EARLY_STOP_FIBERS = {   # nests that reach a fixed point, and ones that end in a 2-cycle
+    "linear d=2": {"family": "linear", "degree": 2},
+    "linear d=3": {"family": "linear", "degree": 3},
+    "sine d=2": {"family": "circle_map", "map": {"family": "sine", "degree": 2}},
+    "linear d=-2": {"family": "linear", "degree": -2},
+    "sine d=-3": {"family": "circle_map", "tau": {"family": "linear", "scale": 0.05},
+                  "map": {"family": "sine", "degree": -3, "amplitude": 0.08}},
+}
+
+
+@pytest.mark.parametrize("name", EARLY_STOP_FIBERS)
+def test_nest_stops_at_a_repeated_level(name):
+    # every level after the stop is one of the last two, by parity: the repellers equal
+    # the per-gap reference, which runs every level, and the gaps are its leading ones
+    m = annulus_map_from_config({"base": {"family": "contraction"},
+                                 "fiber": EARLY_STOP_FIBERS[name]})
+    c = constant_connector(0.15)
+    for depth in (60, 61, 400, 401):
+        got = repelling_connectors(m, c, depth=depth)
+        want = _per_gap_repellers(m, c, depth)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g.heights, w.heights)
+            gaps = g.metadata["depth_gaps"]
+            assert len(gaps) < 60 and gaps == w.metadata["depth_gaps"][:len(gaps)]
+        deep = repelling_connectors(m, c, depth=2 ** 24 + depth % 2)
+        assert all(np.array_equal(a.heights, b.heights) for a, b in zip(deep, got, strict=True))
+
+
+def test_program_calls_go_through_the_public_kernels(monkeypatch, contracting_z2):
+    # a layer tracer wraps the module attributes, so every program call must look them up
+    calls = []
+    for module, name in ((connectors, "preimage_connectors"), (obstruction, "lift_loop_winding")):
+        def counting(*args, _kernel=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(module, name, counting)
+    reps = repelling_connectors(contracting_z2, constant_connector(0.25), depth=3)
+    assert calls == ["preimage_connectors"]
+    semiconjugacy_from_repellers(contracting_z2, reps, depth=2, band=(0.2, 0.8))
+    assert calls == ["preimage_connectors"] * 3
+    obstruction.star_condition_scan(contracting_z2, (0.1, 0.9), 2)
+    assert calls == ["preimage_connectors"] * 3 + ["lift_loop_winding"] * 3
 
 
 # --- coded semiconjugacy -------------------------------------------------
@@ -466,12 +511,11 @@ def reference_coding(m, seeds, depth, band, nx, ny):
         new = []
         for cv in frontier:
             try:
-                pres = preimage_connectors(m, cv)
+                xs, hs, offsets = preimage_connectors(m, cv.xs, cv.heights[None, :], cv.margin)
             except OutOfDomain:
                 continue
-            for p in pres:
-                p.value = (cv.value + p.metadata["offset"]) / m.degree
-            new.extend(pres)
+            new.extend(ConnectorCurve(xs, h, cv.margin, value=(cv.value + k) / m.degree)
+                       for h, k in zip(hs, offsets))
         if not new:
             break
         families.extend(new)

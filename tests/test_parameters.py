@@ -1,12 +1,12 @@
 """Every defaulted parameter of a library function is passed by the program,
-at some call with another value, and every public function or class is named
-by the program.
+at some call with another value, and every public function or class, and every
+public method or property of a public class, is named by the program.
 
 A parameter that no call in ``src/``, ``perfbench/`` or
 ``tests/test_acceptance.py`` sets, or that every such call sets to a literal
 equal to its default, is a constant with extra steps, even when a unit test
-varies it; a public function or class that none of them names is surface
-only unit tests reach.  This catches the ones a refactor leaves behind.
+varies it; a public name that none of them reads (for a method or property,
+as an attribute outside its own class) is surface only unit tests reach.  This catches the ones a refactor leaves behind.
 ``EXEMPT``, ``DEFAULT_EXEMPT`` and ``UNNAMED_EXEMPT`` name the few kept, each
 with its reason.  Calls are matched by the callee's bare name, so a name
 shared by two functions pools their calls.  A function that the program also
@@ -38,11 +38,7 @@ DEFAULT_EXEMPT = {
     "circle.py: find_periodic_points(tol)":
         "perfbench/workloads.py passes tol=1e-9 by keyword, so dropping it changes the benchmark",
 }
-_TRACED = "perfbench/tracing.py wraps it by name and raises at install when it is gone"
-UNNAMED_EXEMPT = {
-    "connectors.py: preimage_connectors": _TRACED,
-    "obstruction.py: lift_loop_winding": _TRACED,
-}
+UNNAMED_EXEMPT: dict[str, str] = {}
 # parameters that only unit tests set, that the program passed only at their default, or that
 # the function's inputs determine, since gone
 REMOVED = [("classify.py", "plateau_set", "plateau_tol"),
@@ -146,19 +142,30 @@ def default_only(library, callers, readers=None) -> list[str]:
 
 def unnamed(library, callers) -> list[str]:
     """The public module-level functions and classes of library that no name or
-    attribute in callers reads, outside the function's or class's own body."""
-    named = set()
+    attribute in callers reads, and the public methods and properties of its public
+    classes that no attribute in callers reads, outside the function's or class's
+    own body."""
+    reads: dict[str, set] = {}          # name, or .attribute, -> the top-level bodies reading it
     for tree in callers:
         owner = {id(n): top.name for top in tree.body
                  if isinstance(top, (ast.FunctionDef, ast.ClassDef)) for n in ast.walk(top)}
         for n in ast.walk(tree):
             if isinstance(n, (ast.Name, ast.Attribute)):
-                name = n.id if isinstance(n, ast.Name) else n.attr
-                if owner.get(id(n)) != name:
-                    named.add(name)
-    return sorted(f"{path}: {node.name}" for path, tree in library for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_") and node.name not in named)
+                key = n.id if isinstance(n, ast.Name) else "." + n.attr
+                reads.setdefault(key, set()).add(owner.get(id(n)))
+    found = []
+    for path, tree in library:
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+                continue
+            outside = lambda key: reads.get(key, set()) - {top.name}
+            if not outside(top.name) and not outside("." + top.name):
+                found.append(f"{path}: {top.name}")
+            members = top.body if isinstance(top, ast.ClassDef) else []
+            found += [f"{path}: {top.name}.{f.name}" for f in members
+                      if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                      and not outside("." + f.name)]
+    return sorted(found)
 
 
 def test_unpassed_parameters_are_found():
@@ -192,12 +199,21 @@ def test_unnamed_functions_and_classes_are_found():
     lib = ast.parse("def used():\n    pass\ndef unused():\n    return unused()\n"
                     "def exported():\n    pass\ndef traced():\n    pass\n"
                     "def _private():\n    pass\nclass K:\n    def m(self) -> K:\n        pass\n"
-                    "class Annotated:\n    pass\nclass Method:\n    pass\n")
+                    "class Annotated:\n    pass\nclass Method:\n    pass\n"
+                    "class Curve:\n    @property\n    def ends(self):\n        return self.span()\n"
+                    "    def span(self):\n        return self.ends\n"
+                    "    def _own(self):\n        pass\n"
+                    "    def shared(self):\n        pass\n"
+                    "class _Hidden:\n    def hidden(self):\n        pass\n")
+    # a method or property read only inside its own class is unnamed, as is one of an
+    # unnamed class; an attribute read elsewhere names it, a bare name of its spelling does not
     callers = [lib, ast.parse("from lib import used, unused\nused()\nx: Annotated = k.Method\n"),
                ast.parse("from .lib import exported\n__all__ = ['exported']\n"),
-               ast.parse("TARGETS = ('lib:traced',)\n")]
+               ast.parse("TARGETS = ('lib:traced',)\n"),
+               ast.parse("def f(c: Curve):\n    span = 1\n    return c.ends\nc.shared()\n")]
     assert unnamed([("lib.py", lib)], callers) == [
-        "lib.py: K", "lib.py: exported", "lib.py: traced", "lib.py: unused"]
+        "lib.py: Curve.span", "lib.py: K", "lib.py: K.m", "lib.py: exported", "lib.py: traced",
+        "lib.py: unused"]
 
 
 def _library():
