@@ -145,11 +145,11 @@ def _semiconj2d(cfg: RunConfig, meta: dict):
     h = semiconj2d.solve_band_semiconjugacy(m, tuple(p["band"]), p["tol"],
                                             nx=int(p["nx"]), ny=int(p["ny"]))
     meta["residual"] = f"{h.residual:.3e}"
-    # each label formatted once, as the %.12g its float column would print
-    xs = ["%.12g" % x for x in h.x_samples.tolist()]
-    ys = ["%.12g" % y for y in np.linspace(0.0, 1.0, h.ny + 1).tolist()]
-    rows = zip([x for x in xs for _ in ys], ys * len(xs), h.values.ravel().tolist())
-    return _csv(["x", "y", "H"], rows, meta), 0
+    # _csv's rows, one % per x-row: its "x,y_j,%.12g" lines joined from labels formatted once
+    ys = ["%.12g,%%.12g\n" % y for y in np.linspace(0.0, 1.0, h.ny + 1).tolist()]
+    rows = (("%.12g," % x).join(["", *ys]) % tuple(row)
+            for x, row in zip(h.x_samples.tolist(), h.values.tolist()))
+    return _csv(["x", "y", "H"], (), meta) + "".join(rows), 0
 
 
 def _repellers(cfg: RunConfig, meta: dict):

@@ -26,6 +26,7 @@ from .semiconj2d import BandField2D
 
 MAX_LEVEL_LOG2 = 26                   # a coding level holds at most 2^26 preimage heights
 N_SAMPLES = 1024                      # nodes of a nest's shared window
+SPACING = 1e-14                       # base spacing below which an arc's samples are one
 
 
 @dataclass(eq=False)
@@ -161,7 +162,9 @@ def invariant_connector_from_arc(m: AnnulusMapLift, p: tuple[float, float],
     The base coordinate must strictly increase along the orbit of p.  The
     arc is iterated forward n_fwd times; backward pieces are inverse
     lifts, each anchored at the shared endpoint with the previous piece.
-    Pieces are clipped at the margins; the invariance residual
+    Pieces are clipped at the margins, and the forward ones end at the first
+    whose base range is at most SPACING, the curve's dedupe spacing: on an
+    attracting base point they would pile up.  The invariance residual
     sup |F(C) - C| over the overlap is stored in metadata.
     """
     x_p, y_p = float(p[0]), float(p[1])
@@ -180,6 +183,8 @@ def invariant_connector_from_arc(m: AnnulusMapLift, p: tuple[float, float],
                 pieces.append((nxt_x[keep], nxt_y[keep]))
             break
         pieces.append((nxt_x, nxt_y))
+        if np.ptp(nxt_x) <= SPACING:
+            break
         cur = (nxt_x, nxt_y)
 
     # backward inverse lifts; each new piece ends at the previous piece's
@@ -209,7 +214,7 @@ def invariant_connector_from_arc(m: AnnulusMapLift, p: tuple[float, float],
     ys = np.concatenate([py for _, py in pieces])
     order = np.argsort(xs)
     xs, ys = xs[order], ys[order]
-    keep = np.concatenate(([True], np.diff(xs) > 1e-14))
+    keep = np.concatenate(([True], np.diff(xs) > SPACING))
     curve = ConnectorCurve(xs[keep], ys[keep], margin)
 
     sample = curve.xs[:: max(1, len(curve.xs) // 512)]

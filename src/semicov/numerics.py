@@ -196,14 +196,41 @@ def contract(plan, gather, start, degree: int, tol: float, max_iter: int | None 
     60, and at least one.  Returns (H, iterations, defect): one more sweep
     measures |H(F(.)) - degree*H| of the H returned over its body, every node
     but the glued one, and defect holds its maximum per leading index.
+
+    A start of at most BLOCK points, the grids ``blocked`` makes one block
+    of, skips the sweeps: plan(slice(None)) once, then one whole-array loop
+    whose step maximum covers every node, the glued ones included (the same
+    maximum and NaN as the blocks' plus the glued column's), so the same bits.
     """
     ad = abs(degree)
     if max_iter is None:
         max_iter = max(1, 2 * int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad))) + 60)
     stop = tol * (1.0 - 1.0 / ad)
-    with blocked(start.shape) as sweep:
+    cur = np.ascontiguousarray(start)
+    defect = np.empty(len(cur[..., :-1]))
+
+    def measure(rows, p):                        # in 1D the last block's body is one node short
+        h = cur[..., :-1][rows]
+        r = gather(cur, p)[..., :h.shape[-1]]
+        np.subtract(r, degree * h, out=r)
+        np.max(np.abs(r, out=r), axis=tuple(range(1, r.ndim)), initial=0.0, out=defect[rows])
+
+    if cur.size <= BLOCK:
+        p, change = plan(slice(None)), np.empty(cur.shape)
+        for it in range(1, max_iter + 1):
+            new = gather(cur, p)
+            new /= degree
+            new[..., -1] = new[..., 0] + 1
+            np.subtract(new, cur, out=change)    # every node, the glued ones too
+            cur = new
+            if np.abs(change, out=change).max() <= stop:
+                break
+        else:
+            raise MaxIterExceeded(f"no convergence to {tol} within {max_iter} iterations")
+        measure(slice(None), p)
+        return cur, it, defect
+    with blocked(cur.shape) as sweep:
         plans = sweep(plan)
-        cur = np.ascontiguousarray(start)
         for it in range(1, max_iter + 1):
             new = np.empty(cur.shape)
             body, old = new[..., :-1], cur[..., :-1]    # the glued column is measured once glued
@@ -220,14 +247,5 @@ def contract(plan, gather, start, degree: int, tol: float, max_iter: int | None 
                 break
         else:
             raise MaxIterExceeded(f"no convergence to {tol} within {max_iter} iterations")
-        body = cur[..., :-1]
-        defect = np.empty(len(body))
-
-        def measure(rows, p):                    # in 1D the last block's body is one node short
-            h = body[rows]
-            r = gather(cur, p)[..., :h.shape[-1]]
-            np.subtract(r, degree * h, out=r)
-            np.max(np.abs(r, out=r), axis=tuple(range(1, r.ndim)), initial=0.0,
-                   out=defect[rows])
         sweep(measure, plans)
     return cur, it, defect

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +140,35 @@ def test_semiconj2d_rows_match_three_float_formatting(tmp_path, nx, ny):
             for i, x in enumerate(h.x_samples.tolist()) for j, y in enumerate(ys.tolist())]
     assert len(rows) == nx * (ny + 1)
     assert out.read_text().split("\n")[2:] == rows + [""]
+
+
+def _per_row_band_csv(h, meta):
+    """The band artifact as _csv formats it from one (x, y, H) tuple per row, kept as the
+    reference for the per-x-row template."""
+    xs = ["%.12g" % x for x in h.x_samples.tolist()]
+    ys = ["%.12g" % y for y in np.linspace(0.0, 1.0, h.ny + 1).tolist()]
+    rows = zip([x for x in xs for _ in ys], ys * len(xs), h.values.ravel().tolist())
+    return cli._csv(["x", "y", "H"], rows, meta)
+
+
+# x labels 0.2..0.8, then in exponent form; y labels in exponent form from 1/2^14 on
+@pytest.mark.parametrize("band, nx, ny", [((0.2, 0.8), 129, 256), ((1e-7, 3e-7), 5, 3),
+                                          ((0.25, 0.75), 3, 2 ** 14)])
+def test_band_artifact_text_matches_per_row_formatting(monkeypatch, band, nx, ny):
+    rng = np.random.default_rng(nx * ny)
+    values = rng.uniform(-2.0, 2.0, (nx, ny + 1))
+    flat = values.ravel()
+    specials = [-1.5, 1e-300, -1e-300, 1e17, -1e17, 123456789012345.6, -0.0, 0.0]
+    flat[rng.choice(flat.size, len(specials), replace=False)] = specials
+    field = semiconj2d.BandField2D(band, values, 2, residual=3.25e-9, iterations=7)
+    monkeypatch.setattr(semiconj2d, "solve_band_semiconjugacy", lambda *args, **kw: field)
+    cfg = parse_config({"command": "semiconj2d", "map": {"base": {"family": "identity"},
+                                                         "fiber": LINEAR2}})
+    meta = {"config_sha256": cfg.digest(), "nx": 129}
+    text, code = cli._semiconj2d(cfg, meta)
+    assert code == 0 and meta["residual"] == "3.250e-09"
+    assert text == _per_row_band_csv(field, meta)
+    assert text.count("\n") == 2 + nx * (ny + 1)
 
 
 @pytest.mark.parametrize("command, map_cfg", [
@@ -379,6 +409,24 @@ def test_malformed_input_exits_3_with_one_line(argv, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+
+def test_arc_pieces_stop_piling_up_on_an_attracting_base_point(capsys):
+    # the contraction's fixed point 0.5 attracts the forward pieces: they end once they
+    # shrink below the dedupe spacing, a few hundred pieces in, whatever n_fwd asks for
+    from semicov.connectors import invariant_connector_from_arc
+    m_cfg = {"base": {"family": "contraction"}, "fiber": {"family": "linear", "degree": 2}}
+    m = configs.annulus_map_from_config(m_cfg)
+    most = invariant_connector_from_arc(m, (0.2, 0.0), n_fwd=83885)
+    some = invariant_connector_from_arc(m, (0.2, 0.0), n_fwd=1000)
+    assert np.array_equal(most.xs, some.xs) and np.array_equal(most.heights, some.heights)
+    argv = ["star-scan", "--map", json.dumps(m_cfg), "--connector",
+            json.dumps({"kind": "invariant_arc", "p": [0.2, 0.0], "n_fwd": 83885})]
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ("error: OutOfDomain: no coding curves over x = 0.5; "
+                                       "lower the depth or shrink the band\n")
 
 
 def test_a_non_finite_fiber_value_in_a_worker_block_exits_3(monkeypatch, capsys):

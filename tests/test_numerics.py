@@ -114,7 +114,8 @@ def checked(monkeypatch):
 
 @pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("degree", [2, -2, 3])
-@pytest.mark.parametrize("grid", [4096, 2 ** 17 + 3])    # one block; a partial last block
+# one block; a partial last block; the most points of one block; the fewest of two
+@pytest.mark.parametrize("grid", [4096, 2 ** 17 + 3, 2 ** 16 - 1, 2 ** 16])
 def test_blocked_1d_contract_matches_reference(checked, residual_matches, grid, degree,
                                                orientation):
     m = from_function(lambda x: degree * x + 0.1 * np.sin(2 * np.pi * x) + 0.2, grid)
@@ -126,11 +127,12 @@ def test_blocked_1d_contract_matches_reference(checked, residual_matches, grid, 
     assert [r[1] for r in checked] == [h.iterations, 1]
     for field, residual in ((h, h.residual), (step, step.residual)):
         residual_matches(residual, _grid_residual(field, m), field.samples, degree,
-                         exact=grid == 4096)
+                         exact=grid in (4096, 2 ** 16))
 
 
 @pytest.mark.parametrize("degree", [2, -2, 3])
-@pytest.mark.parametrize("nx, ny", [(97, 1000), (300, 511)])    # rows 65 + 32; 128 + 128 + 44
+# rows 65 + 32; 128 + 128 + 44; 2^16 points in one block; 128 + 128 + 1
+@pytest.mark.parametrize("nx, ny", [(97, 1000), (300, 511), (256, 255), (257, 255)])
 def test_blocked_band_contract_matches_reference(checked, nx, ny, degree):
     m = make_skew_product(BaseMap("contraction", (0.5, 0.7)),
                           FiberMap(degree, tau=TauSpec("linear", 0.1)))
@@ -141,6 +143,36 @@ def test_blocked_band_contract_matches_reference(checked, nx, ny, degree):
         contract(image, band_gather, start, degree, 1e-9, max_iter=4)
     assert [r[1] for r in checked] == [h.iterations]
     assert float(checked[0][2].max()) == h.residual
+
+
+@pytest.mark.parametrize("degree", [2, -2, 3])
+def test_blocked_sweep_equals_the_one_block_loop(monkeypatch, degree):
+    m = from_function(lambda x: degree * x + 0.1 * np.sin(2 * np.pi * x) + 0.2, 4096)
+    band_map = make_skew_product(BaseMap("contraction", (0.5, 0.7)),
+                                 FiberMap(degree, tau=TauSpec("linear", 0.1)))
+    nodes = np.linspace(0.0, 1.0, 4097)
+    _, ys, _, image = semiconj2d._band_grid(band_map, (0.2, 0.8), 129, 256)
+    nan_1d, nan_band = nodes.copy(), np.broadcast_to(ys, (129, 257)).copy()
+    nan_1d[1234] = nan_band[64, 100] = np.nan
+
+    def solves():
+        hs = [semiconj1d.solve_semiconjugacy(m, o, 1e-9) for o in (1, -1)]
+        hs += [semiconj1d.contraction_step(h, m) for h in hs]
+        band = semiconj2d.solve_band_semiconjugacy(band_map, (0.2, 0.8), 1e-9)
+        for args in ((semiconj1d._pullback(m, nodes), periodic_gather, nan_1d),
+                     (image, band_gather, nan_band)):
+            with pytest.raises(MaxIterExceeded, match="within 3 iterations"):
+                contract(*args, degree, 1e300, max_iter=3)   # any finite step converges
+        return [(v.tobytes(), f.iterations, f.residual)
+                for v, f in [(h.samples, h) for h in hs] + [(band.values, band)]]
+
+    swept, blocked = [], numerics.blocked
+    monkeypatch.setattr(numerics, "blocked", lambda shape: swept.append(shape) or blocked(shape))
+    one = solves()
+    assert swept == []
+    monkeypatch.setattr(numerics, "BLOCK", 1000)      # 5 blocks of 1D nodes, 43 of band rows
+    assert solves() == one
+    assert swept == [(4097,)] * 4 + [(129, 257), (4097,), (129, 257)]
 
 
 @pytest.mark.parametrize("nodes", [4097, 2 ** 17 + 4])
