@@ -119,42 +119,37 @@ def periodic_gather(samples, plan):
     return out
 
 
-def band_plan(x, y, band: tuple[float, float], nx: int, ny: int):
-    """Bilinear plan on the (nx+1) x (ny+1) nodes of band x [0, 1]; x clipped, y of period 1.
-
-    Returns (idx, s, wx, wy, shift): idx = i*s + j is the flat index of each
-    point's lower-left node in the row-major values, s = ny + 1 the row
-    stride.  Needs nx >= 1.
-    """
+def band_rows(x, band: tuple[float, float], nx: int):
+    """Source row i and weight wx of x on the nx + 1 rows of band x [0, 1], x clipped."""
     a, b = band
     px = np.clip((np.asarray(x, dtype=float) - a) / (b - a) * nx, 0.0, nx)
     i = np.minimum(px.astype(np.int64), nx - 1)
+    return i, px - i
+
+
+def band_plan(x, y, band: tuple[float, float], nx: int, ny: int):
+    """Row-separable plan (idx, i, wx, wy, shift) on the (nx+1) x (ny+1) nodes of band x [0, 1].
+
+    Row r holds the points y[r] over the one base point x[r] (x clipped, y of
+    period 1): i[r] and wx[r] from ``band_rows`` blend the rows i and i + 1,
+    and idx = r*(ny + 1) + j is each point's lower node in the blended rows.
+    """
+    i, wx = band_rows(x, band, nx)
     j, wy, shift = periodic_plan(y, ny, 1)
-    s = ny + 1
-    return i * s + j, s, px - i, wy, shift
+    return j + (ny + 1) * np.arange(len(j))[:, None], i, wx, wy, shift
 
 
 def band_gather(values, plan):
-    """Bilinear values of a band plan, the four corner terms summed in order.
-
-    The corners (i, j), (i+1, j), (i, j+1) and (i+1, j+1) are the flat index
-    taken from views of values.ravel() offset by 0, s, 1 and s + 1.
-    """
-    idx, s, wx, wy, shift = plan
-    idx = idx.astype(np.intp, copy=False)           # a compact plan's index, widened once
-    ox, oy = 1.0 - wx, 1.0 - wy
-    v = np.asarray(values, dtype=float).ravel()
-    out = v.take(idx)
-    out *= ox
-    out *= oy
-    term = np.empty_like(out)
-    for offset, wa, wb in ((s, wx, oy), (1, ox, wy), (s + 1, wx, wy)):
-        v[offset:].take(idx, out=term, mode="clip")     # every corner is in range
-        term *= wa
-        term *= wb
-        out += term
-    out += shift
-    return out
+    """Values of a band plan: the rows values[i]*(1-wx) + values[i+1]*wx blended once, in
+    one buffer, then ``periodic_gather`` along y on the blend."""
+    idx, i, wx, wy, shift = plan
+    blend = values.take(i, axis=0)
+    blend *= (1.0 - wx)[:, None]
+    upper = values.take(i + 1, axis=0)
+    upper *= wx[:, None]
+    blend += upper
+    del upper                                       # freed before the y gather's temporaries
+    return periodic_gather(blend.ravel(), (idx, wy, shift))
 
 
 @contextlib.contextmanager
@@ -206,8 +201,6 @@ def contract(plan, gather, start, degree: int, tol: float, max_iter: int | None 
     if max_iter is None:
         max_iter = max(1, 2 * int(np.ceil(np.log(max(tol, 1e-300)) / np.log(1.0 / ad))) + 60)
     stop = tol * (1.0 - 1.0 / ad)
-    cur = np.ascontiguousarray(start)
-    defect = np.empty(len(cur[..., :-1]))
 
     def measure(rows, p):                        # in 1D the last block's body is one node short
         h = cur[..., :-1][rows]
@@ -215,8 +208,9 @@ def contract(plan, gather, start, degree: int, tol: float, max_iter: int | None 
         np.subtract(r, degree * h, out=r)
         np.max(np.abs(r, out=r), axis=tuple(range(1, r.ndim)), initial=0.0, out=defect[rows])
 
-    if cur.size <= BLOCK:
-        p, change = plan(slice(None)), np.empty(cur.shape)
+    if start.size <= BLOCK:
+        p, cur = plan(slice(None)), np.ascontiguousarray(start)
+        change = np.empty(cur.shape)
         for it in range(1, max_iter + 1):
             new = gather(cur, p)
             new /= degree
@@ -227,17 +221,18 @@ def contract(plan, gather, start, degree: int, tol: float, max_iter: int | None 
                 break
         else:
             raise MaxIterExceeded(f"no convergence to {tol} within {max_iter} iterations")
+        defect = np.empty(len(cur[..., :-1]))
         measure(slice(None), p)
         return cur, it, defect
-    with blocked(cur.shape) as sweep:
-        plans = sweep(plan)
+    with blocked(start.shape) as sweep:
+        plans = sweep(plan)                      # before the contiguous start: a lower peak
+        cur = np.ascontiguousarray(start)
         for it in range(1, max_iter + 1):
             new = np.empty(cur.shape)
-            body, old = new[..., :-1], cur[..., :-1]    # the glued column is measured once glued
 
-            def advance(rows, p):
+            def advance(rows, p):                # the glued column is measured once glued
                 np.divide(gather(cur, p), degree, out=new[rows])
-                change = np.subtract(body[rows], old[rows])
+                change = np.subtract(new[..., :-1][rows], cur[..., :-1][rows])
                 return np.abs(change, out=change).max(initial=0.0)
             changes = sweep(advance, plans)
             new[..., -1] = new[..., 0] + 1
@@ -247,5 +242,6 @@ def contract(plan, gather, start, degree: int, tol: float, max_iter: int | None 
                 break
         else:
             raise MaxIterExceeded(f"no convergence to {tol} within {max_iter} iterations")
+        defect = np.empty(len(cur[..., :-1]))
         sweep(measure, plans)
     return cur, it, defect

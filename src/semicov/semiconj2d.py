@@ -12,7 +12,8 @@ import numpy as np
 
 from .annulus import AnnulusMapLift
 from .errors import BandNotInvariant, OutOfDomain, ValidationError
-from .numerics import band_gather, band_plan, circle_dist, compact, contract, max_circular_gap
+from .numerics import (band_gather, band_plan, band_rows, circle_dist, compact, contract,
+                       max_circular_gap, periodic_plan)
 from .schema import MAX_SIZE, band as check_band
 
 FIBER_TOL = 0.01      # turns: the largest fiber gap, and the largest miss of a level
@@ -51,8 +52,13 @@ class BandField2D:
         a, b = self.band
         if not np.all((x >= a - 1e-12) & (x <= b + 1e-12)):
             raise OutOfDomain(f"x outside band [{a}, {b}]")
-        v = band_gather(self.values, band_plan(x, y, self.band, len(self.values) - 1, self.ny))
-        return v if v.ndim else float(v)
+        i, wx = band_rows(x, self.band, len(self.values) - 1)
+        j, wy, shift = periodic_plan(y, self.ny, 1)
+        s, v = self.ny + 1, self.values.ravel()
+        k, ox = i * s + j, 1.0 - wx     # band_gather's x-then-y order: its bits at node images
+        h = ((v.take(k) * ox + v[s:].take(k) * wx) * (1.0 - wy)
+             + (v[1:].take(k) * ox + v[s + 1:].take(k) * wx) * wy + shift)
+        return h if h.ndim else float(h)
 
 
 def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int):
@@ -67,7 +73,7 @@ def _band_grid(m: AnnulusMapLift, band: tuple[float, float], nx: int, ny: int):
     fx = m.base(xs)                       # a skew product's x image depends on the row only
 
     def image(rows):
-        return compact(band_plan(fx[rows, None], m(xs[rows, None], ys)[1], band, nx - 1, ny))
+        return compact(band_plan(fx[rows], m(xs[rows, None], ys)[1], band, nx - 1, ny))
     return xs, ys, fx, image
 
 

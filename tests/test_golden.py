@@ -43,7 +43,7 @@ CASES = {
     "compare": (["compare", "--a", json.dumps(BLOWUP_NS), "--b", json.dumps(BLOWUP_ID)], 1,
                 "4f3a846a4adc6bfc36cff305229fd3897be3cbf573a3edd082d72a1b85a565a3"),
     "semiconj2d": (["semiconj2d", "--map", json.dumps(BAND_MAP), "--band", "0.2,0.8"], 0,
-                   "a6c26aabdac8d451c13763dd50f6bfdde0d3f720a1969fcdf6a3d63cbad3aa8b"),
+                   "cefd0f975e3b9098d853336b991ed7740fd415c8a9dd8e9e20e2423d421b5eea"),
     "repellers": (["repellers", "--map", json.dumps(REPELLER_MAP), "--connector",
                    '{"kind": "const", "height": 0.25}', "--depth", "6"], 0,
                   "987fbfb2ce70a8e607881ff99386ea08c3512fca0410cb464983df8627780d34"),
@@ -65,6 +65,10 @@ SUPERSEDED = {
                   "deviation_bound is the coded field's node maximum 13.203125, exact for the "
                   "bilinear field, in place of a 64 x 128 sample that read 13.203063484251969; "
                   "implied_bound follows, 27.406126968503937 -> 27.40625"),
+    "semiconj2d": ("a6c26aabdac8d451c13763dd50f6bfdde0d3f720a1969fcdf6a3d63cbad3aa8b",
+                   "the band gather blends each image row's two source rows, then gathers "
+                   "along y (x then y), in place of summing four corner terms: rounding only, "
+                   "one H of 33153 moves in its 12th digit, 1e-12"),
 }
 
 

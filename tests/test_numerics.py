@@ -9,22 +9,35 @@ from semicov import numerics, semiconj1d, semiconj2d
 from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.circle import from_function
 from semicov.errors import MaxIterExceeded, OutOfDomain
-from semicov.numerics import band_gather, band_plan, contract, periodic_gather, periodic_plan
+from semicov.numerics import (band_gather, band_plan, contract, frac, periodic_gather,
+                              periodic_plan)
 from semicov.semiconj2d import BandField2D
 
 
+def _x_then_y(values, i, wx, j, wy, shift):
+    """Each point's rows i and i + 1 blended at its columns j and j + 1, then the two blends
+    along y, point by point by 2D fancy indexing."""
+    ox = 1.0 - wx
+    lo = values[i, j] * ox + values[i + 1, j] * wx
+    hi = values[i, j + 1] * ox + values[i + 1, j + 1] * wx
+    return lo * (1.0 - wy) + hi * wy + shift
+
+
 def _band_gather_2d(values, x, y, band):
-    """The bilinear band gather by 2D fancy indexing, kept as the reference."""
+    """The band gather of points (x, y), x then y, kept as the reference."""
     nx, ny = values.shape[0] - 1, values.shape[1] - 1
     a, b = band
     px = np.clip((np.asarray(x, dtype=float) - a) / (b - a) * nx, 0.0, nx)
     i = np.minimum(px.astype(np.int64), nx - 1)
-    wx = px - i
-    ox = 1.0 - wx
-    j, wy, shift = periodic_plan(y, ny, 1)
-    oy = 1.0 - wy
-    return (values[i, j] * ox * oy + values[i + 1, j] * wx * oy
-            + values[i, j + 1] * ox * wy + values[i + 1, j + 1] * wx * wy + shift)
+    return _x_then_y(values, i, px - i, *periodic_plan(y, ny, 1))
+
+
+def _band_plan_gather(values, plan):
+    """The band gather of a band plan, its point indices decoded into rows and columns and
+    each point taken on its own, kept as the reference."""
+    idx, i, wx, wy, shift = plan
+    r, j = np.divmod(idx.astype(np.int64), values.shape[1])
+    return _x_then_y(values, i[r], wx[r], j, wy, shift)
 
 
 def _values(rng, rows, ny):
@@ -45,22 +58,54 @@ def test_band_gather_matches_2d_reference(rows, ny):
                         rng.uniform(0.8, 1.5, 50), [0.2, 0.8, 0.8, np.nextafter(0.8, 0.0)]])
     y = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.integers(-4, 5, 100).astype(float),
                         [-1.0, 0.0, 1.0, -2.5]])
-    # (x[:63, None], ...) has one x per row, as the band solvers' plans do
-    for xs, ys in ((x, y), (x.reshape(4, -1), y.reshape(4, -1)),
-                   (x[:, None], y[None, :8]), (x[:63, None], y[:504].reshape(63, 8)),
+    # a band plan has one x per row, as the band solvers' plans do
+    for xs, ys in ((x, y.reshape(-1, 1)), (x[:63], y[:504].reshape(63, 8)),
+                   (x[:4], y.reshape(4, -1)), (x, np.full((len(x), 3), -3.0))):
+        plan = band_plan(xs, ys, band, nx, ny)
+        want = _band_gather_2d(values, xs[:, None], ys, band)
+        for p in (plan, numerics.compact(plan)):
+            got = band_gather(values, p)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert _band_plan_gather(values, p).tobytes() == want.tobytes()
+
+    # the field takes any points; x clipped to the band gives the clipped plan's values
+    field = BandField2D(band, values)
+    for xs, ys in ((x, y), (x.reshape(4, -1), y.reshape(4, -1)), (x[:, None], y[None, :8]),
                    (np.float64(0.8), y), (x, -3.0)):
-        got = band_gather(values, band_plan(xs, ys, band, nx, ny))
+        got = field(np.clip(xs, *band), ys)
         want = _band_gather_2d(values, xs, ys, band)
         assert got.shape == want.shape
-        assert np.array_equal(got, want)
-
-    field = BandField2D(band, values)
+        assert got.tobytes() == want.tobytes()
     for px, py in ((0.8, 0.0), (0.2, -1.0), (0.5, 2.25), (0.37, -0.61)):
         got = field(np.asarray(px), np.asarray(py))
         assert isinstance(got, float)
         assert got == float(_band_gather_2d(values, px, py, band))
     grid = np.meshgrid(np.linspace(0.2, 0.8, 9), np.linspace(-1.0, 1.0, 11), indexing="ij")
     assert np.array_equal(field(*grid), _band_gather_2d(values, *grid, band))
+
+
+@pytest.mark.parametrize("degree", [2, -2, 3])
+@pytest.mark.parametrize("base", ["contraction", "identity"])
+def test_field_at_node_images_equals_the_solver_gather(base, degree):
+    nx, ny, band = 300, 511, (0.2, 0.8)                # three blocks of 128, 128 and 44 rows
+    m = make_skew_product(BaseMap(base, (0.5, 0.7) if base == "contraction" else ()),
+                          FiberMap(degree, tau=TauSpec("linear", 0.1)))
+    h = semiconj2d.solve_band_semiconjugacy(m, band, 1e-9, nx=nx, ny=ny)
+    xs, ys, fx, image = semiconj2d._band_grid(m, band, nx, ny)
+    fy = m(xs[:, None], ys)[1]
+    plan = image(slice(None))
+    with numerics.blocked(h.values.shape) as sweep:
+        blocks = np.concatenate(sweep(lambda rows, p: band_gather(h.values, p), sweep(image)))
+    field = h(np.broadcast_to(fx[:, None], fy.shape), fy)
+    want = _band_gather_2d(h.values, fx[:, None], fy, band)
+    assert band_gather(h.values, plan).tobytes() == want.tobytes()
+    assert blocks.tobytes() == field.tobytes() == want.tobytes()
+    i, wx = plan[1], plan[2]
+    if base == "contraction":                           # every row blends two source rows
+        assert ((0.0 < wx) & (wx < 1.0)).all()
+    else:                                               # the last row's px is clipped to nx - 1
+        assert i[-1] == nx - 2 and wx[-1] == 1.0 and fx[-1] == band[1]
 
 
 def _contract_reference(lifted, start, degree, tol, max_iter=None):
@@ -100,7 +145,8 @@ def checked(monkeypatch):
     def contract_and_compare(plan, gather, start, degree, tol, max_iter=None):
         got = contract(plan, gather, start, degree, tol, max_iter)
         whole = plan(slice(None))
-        want = _contract_reference(lambda v: gather(v, whole), start, degree, tol, max_iter)
+        lifted = _band_plan_gather if gather is band_gather else gather
+        want = _contract_reference(lambda v: lifted(v, whole), start, degree, tol, max_iter)
         assert want[2] is True
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
         assert got[2].tobytes() == want[3].tobytes()
@@ -313,14 +359,25 @@ def test_block_plans_of_the_band_solvers_join_to_the_whole_plan():
     xs, ys, fx, image = semiconj2d._band_grid(m, band, nx, ny)
     with numerics.blocked((nx, ny + 1)) as sweep:
         parts = sweep(image)
-    assert [len(p[0]) for p in parts] == [128, 128, 44]
+    assert [len(p[1]) for p in parts] == [128, 128, 44]
     _assert_compact(parts, np.int8)
+    # a block's point index counts its own blended rows
+    firsts = np.cumsum([0] + [len(p[1]) for p in parts[:-1]])
+    whole = _widened(_concatenated([(p[0] + k * (ny + 1), *p[1:]) for p, k in zip(parts, firsts)]))
     # the whole grid as the band solver built it before: the map on the meshgrid
     xg, yg = np.meshgrid(xs, np.linspace(0.0, 1.0, ny + 1), indexing="ij")
     mx, my = m(xg, yg)
     assert fx.tobytes() == mx[:, 0].tobytes()
-    _assert_plans_equal(_widened(_concatenated(parts)),
-                        band_plan(mx[:, :1], my, band, nx - 1, ny))
+    _assert_plans_equal(whole, band_plan(mx[:, 0], my, band, nx - 1, ny))
+    idx, i, wx, wy, shift = whole
+    # per row: the source row and weight of the x image, x = a + (b - a) * (i + wx) / (nx - 1)
+    assert i.shape == wx.shape == (nx,) and i.dtype == np.int64
+    assert ((0 <= i) & (i <= nx - 2) & (0.0 <= wx) & (wx < 1.0)).all()
+    assert np.abs(0.2 + 0.6 * (i + wx) / (nx - 1) - fx).max() <= 1e-15
+    # per point: its row and the lower node of its y image, its y weight and its whole turns
+    j = np.floor(frac(my) * ny).astype(np.int64)
+    assert np.array_equal(idx, np.arange(nx)[:, None] * (ny + 1) + j)
+    assert np.array_equal(wy, frac(my) * ny - j) and np.array_equal(shift, np.floor(my))
 
 
 def _solve_both_ways(monkeypatch, module, solve):
