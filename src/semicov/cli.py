@@ -23,8 +23,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import (classify, configs, connectors, obstruction, schema, semiconj1d, semiconj2d,
-               stability)
+from . import (classify, configs, connectors, numerics, obstruction, schema, semiconj1d,
+               semiconj2d, stability)
 from .errors import SemicovError, ValidationError
 
 @dataclass
@@ -105,9 +105,15 @@ def _semiconj1d(cfg: RunConfig, meta: dict):
     p = cfg.params
     m = configs.circle_map_from_config(cfg.maps["map"])
     h = semiconj1d.solve_semiconjugacy(m, int(p["orientation"]), p["tol"])
-    xs = np.linspace(0.0, 1.0, h.grid + 1)
     meta["residual"] = f"{h.residual:.3e}"
-    return _csv(["x", "H"], zip(xs.tolist(), h.samples.tolist()), meta), 0
+    rows = _rows_1d if h.grid + 1 <= numerics.BLOCK else _rows_1d.__wrapped__
+    return _csv(["x", "H"], (), meta) + rows(h.grid) % tuple(h.samples.tolist()), 0
+
+
+@functools.lru_cache(maxsize=4)             # one-block grids only: a 2^24 grid keeps nothing
+def _rows_1d(grid: int) -> str:
+    """_csv's (x, H) rows as one %-template: each node's x label formatted once, then %.12g."""
+    return "".join(["%.12g,%%.12g\n" % x for x in np.linspace(0.0, 1.0, grid + 1).tolist()])
 
 
 def _rotation(cfg: RunConfig, meta: dict):

@@ -1,10 +1,11 @@
+import itertools
 import json
 import time
 
 import numpy as np
 import pytest
 
-from semicov import cli, configs, schema, semiconj2d
+from semicov import cli, configs, numerics, schema, semiconj1d, semiconj2d
 from semicov.cli import main, parse_config, run
 from semicov.errors import ParseError, ValidationError
 
@@ -169,6 +170,67 @@ def test_band_artifact_text_matches_per_row_formatting(monkeypatch, band, nx, ny
     assert code == 0 and meta["residual"] == "3.250e-09"
     assert text == _per_row_band_csv(field, meta)
     assert text.count("\n") == 2 + nx * (ny + 1)
+
+
+def _per_row_1d_csv(h, meta):
+    """The 1D artifact as _csv formats it from one (x, H) tuple per row, kept as the
+    reference for the row template."""
+    xs = np.linspace(0.0, 1.0, h.grid + 1)
+    return cli._csv(["x", "H"], zip(xs.tolist(), h.samples.tolist()), meta)
+
+
+def _first_difference(a: str, b: str):
+    """None if a == b, else the first differing pair of lines: pytest's own diff of two
+    texts of 2^20 lines takes minutes."""
+    lines = itertools.zip_longest(a.split("\n"), b.split("\n"))
+    return None if a == b else next((k, u, v) for k, (u, v) in enumerate(lines) if u != v)
+
+
+# grids up to 2^16 - 1 are one block and keep their template; 2^20's x labels print in
+# exponent form
+@pytest.mark.parametrize("grid", [16, 4096, 2 ** 16 - 1, 2 ** 16, 2 ** 20])
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_semiconj1d_artifact_text_matches_per_row_formatting(monkeypatch, grid, orientation):
+    rng = np.random.default_rng(grid)
+    samples = orientation * np.linspace(0.0, 1.0, grid + 1) + rng.uniform(-0.1, 0.1, grid + 1)
+    specials = [-0.0, 1e17, -1e17, 1e-300, -1.5, 123456789012345.6]
+    samples[rng.choice(grid + 1, len(specials), replace=False)] = specials
+    field = semiconj1d.SemiconjugacyField1D(samples, orientation, 2, residual=3.25e-9,
+                                            iterations=7)
+    monkeypatch.setattr(semiconj1d, "solve_semiconjugacy", lambda *args, **kw: field)
+    cfg = parse_config({"command": "semiconj1d", "map": LINEAR2, "orientation": orientation})
+    meta = {"config_sha256": cfg.digest(), "orientation": orientation, "tol": 1e-8}
+    cli._rows_1d.cache_clear()
+    first, code = cli._semiconj1d(cfg, meta)
+    assert code == 0 and meta["residual"] == "3.250e-09"
+    assert cli._rows_1d.cache_info().currsize == (grid + 1 <= numerics.BLOCK)
+    again, _ = cli._semiconj1d(cfg, meta)
+    assert _first_difference(first, _per_row_1d_csv(field, meta)) is None
+    assert _first_difference(again, first) is None
+    assert first.count("\n") == 2 + grid + 1
+
+
+def test_interleaved_1d_grids_write_the_bytes_of_fresh_runs(tmp_path):
+    def artifact(grid, orientation, name):
+        out = tmp_path / name
+        assert main(["semiconj1d", "--orientation", orientation, "--out", str(out), "--map",
+                     json.dumps({"family": "sine", "degree": 2, "grid": grid})]) == 0
+        return out.read_bytes().decode()          # exact bytes, no newline translation
+
+    runs = [(64, "+"), (2 ** 17, "-"), (64, "-"), (16, "+"), (2 ** 17, "+"), (64, "+")]
+    cli._rows_1d.cache_clear()
+    interleaved = []
+    for k, (grid, orientation) in enumerate(runs):
+        before = cli._rows_1d.cache_info()
+        interleaved.append(artifact(grid, orientation, f"{k}.csv"))
+        if grid + 1 > numerics.BLOCK:                 # above one block: built per call
+            assert cli._rows_1d.cache_info() == before
+    assert cli._rows_1d.cache_info().hits == 2        # the repeated 64 grids
+    fresh = []
+    for k, (grid, orientation) in enumerate(runs):
+        cli._rows_1d.cache_clear()
+        fresh.append(artifact(grid, orientation, f"fresh{k}.csv"))
+    assert [_first_difference(a, b) for a, b in zip(interleaved, fresh)] == [None] * len(runs)
 
 
 @pytest.mark.parametrize("command, map_cfg", [
