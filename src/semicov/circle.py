@@ -18,6 +18,7 @@ from .numerics import bisect_brackets, circle_dist, frac, periodic_gather, perio
 DEGREE_TOL = 1e-9
 MIN_SAMPLES = 16
 CHUNK = 2 ** 14                       # points per chunk of iterate: F^n of a chunk stays in L2
+STRIDE = 64                           # scan cells per coarse cell of find_periodic_points
 
 
 @dataclass(eq=False)
@@ -109,6 +110,13 @@ def find_periodic_points(m: LiftedCircleMap, n: int, tol: float = 1e-9
     brackets are bisected together to tolerance tol.  Only transversal
     roots are found; a run of sub-tolerance values is reported through its
     endpoints.
+
+    F^n of a covering is monotone, so on a coarse cell [a, b] of STRIDE scan
+    cells F^n(x) - x lies in [min(F^n(a), F^n(b)) - b, max(...) - a].  Only
+    cells whose bound, padded by max(1e-9, n L^n (L + S) 2^-46), reaches a
+    level are scanned: with L the largest slope and S the largest |sample|,
+    step j rounds by under 5 L^j (L + S) 2^-53 and each later step scales
+    that by at most L, so the pad exceeds twice the error of F^n - x.
     """
     if not m.is_covering:
         raise NotACovering("periodic point search needs a covering map")
@@ -116,20 +124,28 @@ def find_periodic_points(m: LiftedCircleMap, n: int, tol: float = 1e-9
         raise ValueError("n must be at least 1")
     npts = max(100_000, 64 * abs(m.degree) ** n)
     xs = np.linspace(0.0, 1.0, npts + 1)
-    g = m.iterate(xs, n) - xs
-    # candidate (interval i, level k): every integer k in [min, max] of g on [xs[i], xs[i+1]]
-    k_lo = np.ceil(np.minimum(g[:-1], g[1:]))
-    count = (np.floor(np.maximum(g[:-1], g[1:])) - k_lo + 1).astype(np.int64)
+    ends = np.append(np.arange(0, npts, STRIDE), npts)          # the coarse nodes
+    f = m.iterate(xs[ends], n)
+    slope = np.abs(np.diff(m.samples)).max() * m.grid
+    pad = max(1e-9, n * slope ** n * (slope + np.abs(m.samples).max()) * 2.0 ** -46)
+    lo = np.minimum(f[:-1], f[1:]) - xs[ends[1:]] - pad
+    hi = np.maximum(f[:-1], f[1:]) - xs[ends[:-1]] + pad
+    near = ends[:-1][np.ceil(lo) <= np.floor(hi)]
+    x = xs[np.minimum(near[:, None] + np.arange(STRIDE + 1), npts)]   # a row per kept cell
+    g = m.iterate(x, n) - x
+    # candidate (interval i, level k): every integer k in [min, max] of g on the interval
+    k_lo = np.ceil(np.minimum(g[:, :-1], g[:, 1:]).ravel())
+    count = (np.floor(np.maximum(g[:, :-1], g[:, 1:]).ravel()) - k_lo + 1).astype(np.int64)
     cells = np.flatnonzero(count)                   # only the cells that reach a level
     count, k_lo = count[cells], k_lo[cells]
-    i = np.repeat(cells, count)
+    i = np.repeat(cells + cells // STRIDE, count)   # the interval's left node in g.ravel()
     k = np.repeat(k_lo, count) + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
-    cross = (g[i] - k) * (g[i + 1] - k) < 0        # strict sign change of g - k
+    cross = (g.take(i) - k) * (g.take(i + 1) - k) < 0   # strict sign change of g - k
     i, k = i[cross], k[cross]
-    roots = [xs[g == np.floor(g)],                  # exact roots at an integer level
-             bisect_brackets(lambda x: m.iterate(x, n) - x - k, xs[i], xs[i + 1],
+    roots = [x[g == np.floor(g)],                   # exact roots at an integer level
+             bisect_brackets(lambda t: m.iterate(t, n) - t - k, x.take(i), x.take(i + 1),
                              xtol=min(tol, 1e-12))]
-    gap = max(tol, 2.0 / npts)
+    gap = max(tol, 2.0 / npts)                      # also drops a root repeated at a cell end
     kept: list[float] = []
     for r in np.sort(frac(np.concatenate(roots))):
         if not (kept and circle_dist(r, kept[-1]) <= gap):

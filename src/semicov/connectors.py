@@ -354,7 +354,9 @@ def semiconjugacy_from_repellers(m: AnnulusMapLift, repellers: list[ConnectorCur
     for r in repellers:
         bx = np.asarray(m.base(r.xs))
         on = (bx >= r.xs[0]) & (bx <= r.xs[-1])
-        k = round(float(np.median(m.fiber(r.xs[on], r.heights[on]) - r.height_at(bx[on]))))
+        t = np.sort(m.fiber(r.xs[on], r.heights[on]) - r.height_at(bx[on]))   # NaNs last
+        mid = t[-1:] if np.isnan(t[-1:]).any() else t[(t.size - 1) // 2:t.size // 2 + 1]
+        k = round(float(np.mean(mid)))      # np.median, whose NaN check imports numpy.ma
         seeds.append(ConnectorCurve(r.xs, r.heights, r.margin, value=k / (m.degree - 1)))
     return semiconjugacy_from_connectors(m, seeds, band, depth, nx, ny)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from semicov.circle import CHUNK, find_periodic_points, from_function, make_lift, model_lift
-from semicov.classify import blow_up
+from semicov.circle import (CHUNK, STRIDE, _minimal_periods, find_periodic_points, from_function,
+                            make_lift, model_lift)
+from semicov.classify import INSERT_KINDS, blow_up
 from semicov.errors import DegreeTooSmall, NonIntegerDegree, NotACovering, OutOfDomain
 from semicov.numerics import bisect_brackets, circle_dist, frac, sign_changes
 
@@ -126,6 +127,7 @@ def test_periodic_points_merge_across_angle_zero():
     assert [p for _, p in pts] == [1, 1]
     assert 0.0 < pts[0][0] < 1e-5
     assert pts[1][0] == pytest.approx(0.9, abs=1e-9)
+    assert pts == _full_scan_periodic_points(m, 1)
 
 
 def test_periodic_points_requires_covering():
@@ -176,6 +178,64 @@ def test_periodic_points_match_per_level_reference(make, n):
     got, ref = find_periodic_points(m, n), _per_level_periodic_points(m, n)
     assert [p for _, p in got] == [p for _, p in ref]
     assert np.all(np.abs(np.subtract([a for a, _ in got], [a for a, _ in ref])) <= 1e-12)
+
+
+def _full_scan_periodic_points(m, n, tol=1e-9):
+    """Reference search: F^n on every scan node, then the same brackets, bisection,
+    dedupe and periods as find_periodic_points."""
+    npts = max(100_000, 64 * abs(m.degree) ** n)
+    xs = np.linspace(0.0, 1.0, npts + 1)
+    g = m.iterate(xs, n) - xs
+    k_lo = np.ceil(np.minimum(g[:-1], g[1:]))
+    count = (np.floor(np.maximum(g[:-1], g[1:])) - k_lo + 1).astype(np.int64)
+    cells = np.flatnonzero(count)
+    count, k_lo = count[cells], k_lo[cells]
+    i = np.repeat(cells, count)
+    k = np.repeat(k_lo, count) + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    cross = (g[i] - k) * (g[i + 1] - k) < 0
+    i, k = i[cross], k[cross]
+    roots = [xs[g == np.floor(g)],
+             bisect_brackets(lambda x: m.iterate(x, n) - x - k, xs[i], xs[i + 1],
+                             xtol=min(tol, 1e-12))]
+    gap = max(tol, 2.0 / npts)
+    kept = []
+    for r in np.sort(frac(np.concatenate(roots))):
+        if not (kept and circle_dist(r, kept[-1]) <= gap):
+            kept.append(float(r))
+    if len(kept) > 1 and circle_dist(kept[0], kept[-1]) <= gap:
+        kept.pop()
+    return list(zip(kept, _minimal_periods(m, np.array(kept), n).tolist()))
+
+
+_SCAN_MAPS = {f"{family}{d}": make for d in (2, 3, -2, -3) for family, make in [
+    ("model", lambda d=d: model_lift(d)), ("sine", lambda d=d: _sine(d, 0.1, 0.3))]}
+_BLOW_UPS = [(d, kind) for d in (2, 3) for kind in sorted(INSERT_KINDS)] + [(-2, "identity")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(_SCAN_MAPS))
+def test_periodic_points_equal_the_full_scan(name, n):
+    m = _SCAN_MAPS[name]()
+    assert find_periodic_points(m, n) == _full_scan_periodic_points(m, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d, kind", _BLOW_UPS)
+def test_blow_up_periodic_points_equal_the_full_scan(d, kind, n):
+    m = blow_up(d, [{"base_angle": 1 / 7, "length": 0.03, "kind": kind},
+                    {"base_angle": 0, "length": 0.02, "kind": kind}])
+    assert m.is_covering
+    assert find_periodic_points(m, n) == _full_scan_periodic_points(m, n)
+
+
+def test_periodic_points_with_a_root_on_a_coarse_node_equal_the_full_scan():
+    # F(x) = 2x - 1/2 on a dyadic grid: at n = 11 the scan has 2^17 cells, and F^11 - x is
+    # exactly 0 at the coarse node 1/2, the shared end of two kept coarse cells
+    m, n = make_lift(2 * np.linspace(0.0, 1.0, 65) - 0.5), 11
+    assert 64 * abs(m.degree) ** n == 2 ** 17 and (0.5 * 2 ** 17) % STRIDE == 0
+    got = find_periodic_points(m, n)
+    assert got == _full_scan_periodic_points(m, n)
+    assert m.iterate(0.5, n) == 0.5 and (0.5, 1) in got
 
 
 @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, [0.25, np.nan]])

@@ -168,7 +168,7 @@ def test_band_artifact_text_matches_per_row_formatting(monkeypatch, band, nx, ny
     meta = {"config_sha256": cfg.digest(), "nx": 129}
     text, code = cli._semiconj2d(cfg, meta)
     assert code == 0 and meta["residual"] == "3.250e-09"
-    assert text == _per_row_band_csv(field, meta)
+    assert _first_difference(text, _per_row_band_csv(field, meta)) is None
     assert text.count("\n") == 2 + nx * (ny + 1)
 
 
