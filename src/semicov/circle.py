@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooSmall, NonIntegerDegree, NotACovering
+from .errors import DegreeTooSmall, NonIntegerDegree, NotACovering, ValidationError
 from .numerics import bisect_brackets, circle_dist, frac, periodic_gather, periodic_plan
+from .schema import MAX_SIZE
 
 DEGREE_TOL = 1e-9
 MIN_SAMPLES = 16
@@ -109,7 +110,8 @@ def find_periodic_points(m: LiftedCircleMap, n: int, tol: float = 1e-9
     grid, for every integer level k the scan interval reaches, and all
     brackets are bisected together to tolerance tol.  Only transversal
     roots are found; a run of sub-tolerance values is reported through its
-    endpoints.
+    endpoints.  The scan has max(100000, 64 |d|^n) cells; more than
+    MAX_SIZE raises ValidationError before anything is allocated.
 
     F^n of a covering is monotone, so on a coarse cell [a, b] of STRIDE scan
     cells F^n(x) - x lies in [min(F^n(a), F^n(b)) - b, max(...) - a].  Only
@@ -122,6 +124,10 @@ def find_periodic_points(m: LiftedCircleMap, n: int, tol: float = 1e-9
         raise NotACovering("periodic point search needs a covering map")
     if n < 1:
         raise ValueError("n must be at least 1")
+    # |d| >= 2, so n past log2(MAX_SIZE) alone is over the limit: no huge power
+    if n >= MAX_SIZE.bit_length() or 64 * abs(m.degree) ** n > MAX_SIZE:
+        raise ValidationError(f"n {n} needs 64*{abs(m.degree)}^{n} scan nodes, "
+                              f"more than {MAX_SIZE}")
     npts = max(100_000, 64 * abs(m.degree) ** n)
     xs = np.linspace(0.0, 1.0, npts + 1)
     ends = np.append(np.arange(0, npts, STRIDE), npts)          # the coarse nodes

@@ -49,29 +49,21 @@ HORIZON = 12            # forward images of a snapped angle that must match dete
 # point classification under the model map
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointClass:
-    kind: str                   # "periodic" | "preperiodic" | "wandering"
-    period: int | None = None
-    preperiod: int | None = None
-    depth_limited: bool = False
+# kind, period, preperiod and depth_limited of a record whose orbit is not resolved
+UNRESOLVED = ("wandering", None, None, True)
 
 
-def classify_circle_point(z: Fraction, d: int, max_period: int = 16) -> PointClass:
-    """Orbit type of the exact angle z = k/q under multiplication by d (mod 1).
+def _orbit_class(walk: list[int], max_period: int) -> tuple[str, int | None, int | None, bool]:
+    """Kind, period, preperiod and depth_limited of an exact angle k/q from its residue walk.
 
-    The orbit runs on the residues k -> d*k mod q as integers, and equal
-    residues are equal angles.  Snap a measured angle with
-    snap_structured_angle first.
+    walk is _orbit_walk(k, d, q, MAX_DEPTH + max_period): the preperiod is
+    where its repeat first sat and the period the distance to it.
     """
-    walk = _orbit_walk(z.numerator % z.denominator, d, z.denominator, MAX_DEPTH + max_period)
-    preperiod = walk.index(walk[-1])                # where the repeat first sat
+    preperiod = walk.index(walk[-1])
     period = len(walk) - 1 - preperiod
     if 0 < period <= max_period and preperiod <= MAX_DEPTH:
-        if preperiod == 0:
-            return PointClass("periodic", period=period)
-        return PointClass("preperiodic", period=period, preperiod=preperiod)
-    return PointClass("wandering", depth_limited=True)
+        return ("preperiodic" if preperiod else "periodic"), period, preperiod or None, False
+    return UNRESOLVED
 
 
 def _orbit_walk(w: int, d: int, q: int, steps: int) -> list[int]:
@@ -318,51 +310,46 @@ def classification_data(m: LiftedCircleMap, tol: float = 1e-8,
     measured = frac(h(np.array([0.5 * (a + b) for (a, b) in plateaus])))
     thetas = measured.tolist()
     snaps = snap_structured_angle(measured, m.degree, 5e-4, max_period)
+    # one residue walk per snapped angle k/q: a snap exists only for max_period >= 1,
+    # so the walk's MAX_DEPTH + max_period steps cover the HORIZON images corroborated
+    walks = [None if z is None else
+             _orbit_walk(z.numerator, m.degree, z.denominator, MAX_DEPTH + max_period)
+             for z in snaps]
     # plateau images are plateaus; a snap whose exact forward orbit misses the
     # detected plateau angles is a resolution artifact
-    corroborated = _orbit_corroborated(snaps, m.degree, measured, max(4.0 / h.grid, 1e-3))
+    corroborated = _orbit_corroborated(snaps, walks, measured, max(4.0 / h.grid, 1e-3))
     records = []
-    for (a, b), theta, snapped, ok in zip(plateaus, thetas, snaps, corroborated):
-        if not ok:
-            cls = PointClass("wandering", depth_limited=True)
-            angle = theta
-        else:
-            cls = classify_circle_point(snapped, m.degree, max_period)
-            angle = float(snapped)
-        if cls.kind == "periodic":
+    for (a, b), theta, snapped, walk, ok in zip(plateaus, thetas, snaps, walks, corroborated):
+        kind, period, preperiod, limited = _orbit_class(walk, max_period) if ok else UNRESOLVED
+        sig = IntervalSignature.identity_class()
+        if kind == "periodic":
             try:
-                sig = interval_signature(m, (a, b), cls.period)
+                sig = interval_signature(m, (a, b), period)
             except NotInvariant:
                 # the snapped angle's periodicity is not confirmed by the map
                 # itself; at this resolution the record cannot be trusted
-                cls = PointClass("wandering", depth_limited=True)
-                sig = IntervalSignature.identity_class()
-        else:
-            sig = IntervalSignature.identity_class()
-        records.append(PlateauRecord(angle, cls.kind, cls.period, cls.preperiod,
-                                     cls.depth_limited, (a, b), sig))
+                kind, period, preperiod, limited = UNRESOLVED
+        records.append(PlateauRecord(float(snapped) if ok else theta, kind, period, preperiod,
+                                     limited, (a, b), sig))
     records.sort(key=lambda r: r.image_angle)
     return ClassificationData(m.degree, records, h.grid)
 
 
-def _orbit_corroborated(thetas: list[Fraction | None], d: int, measured_angles: np.ndarray,
-                        tol: float) -> list[bool]:
+def _orbit_corroborated(thetas: list[Fraction | None], walks: list[list[int] | None],
+                        measured_angles: np.ndarray, tol: float) -> list[bool]:
     """Per angle: every exact forward image matches a detected plateau angle; None fails.
 
-    Each orbit runs on the residues of theta's numerator mod its denominator,
-    up to HORIZON steps or the first repeat, and is padded with its last
-    point.  Each image is measured against its two cyclic neighbours among
-    the sorted angles: circle_dist rounds monotonically on either side of
-    the image, so no other angle is nearer, even by an ulp.
+    Each orbit is theta's residue walk after its start, cut at HORIZON steps
+    (a walk ends at its first repeat), and is padded with its last point.
+    Each image is measured against its two cyclic neighbours among the
+    sorted angles: circle_dist rounds monotonically on either side of the
+    image, so no other angle is nearer, even by an ulp.
     """
     snapped = [i for i, theta in enumerate(thetas) if theta is not None]
     ok = [False] * len(thetas)
     if not snapped or len(measured_angles) == 0:
         return ok
-    orbits = []
-    for i in snapped:
-        q = thetas[i].denominator
-        orbits.append([w / q for w in _orbit_walk(thetas[i].numerator % q, d, q, HORIZON)[1:]])
+    orbits = [[w / thetas[i].denominator for w in walks[i][1:HORIZON + 1]] for i in snapped]
     width = max(map(len, orbits))
     images = np.array([orbit + orbit[-1:] * (width - len(orbit)) for orbit in orbits])
     s = np.sort(measured_angles)

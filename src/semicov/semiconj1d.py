@@ -43,12 +43,6 @@ class SemiconjugacyField1D:
         val = periodic_gather(self.samples, periodic_plan(x, self.grid, self.orientation))
         return val if val.ndim else float(val)
 
-    @property
-    def deviation_bound(self) -> float:
-        """sup |H(x) - o*x| over [0, 1]; equal on every [k, k+1] shift."""
-        xs = np.linspace(0.0, 1.0, self.grid + 1)
-        return float(np.max(np.abs(self.samples - self.orientation * xs)))
-
 
 def contraction_step(h: SemiconjugacyField1D, m: LiftedCircleMap) -> SemiconjugacyField1D:
     """One application of T(H) = H(F(.)) / d; a NaN or inf sample raises OutOfDomain.

@@ -4,7 +4,8 @@ import pytest
 from semicov.circle import (CHUNK, STRIDE, _minimal_periods, find_periodic_points, from_function,
                             make_lift, model_lift)
 from semicov.classify import INSERT_KINDS, blow_up
-from semicov.errors import DegreeTooSmall, NonIntegerDegree, NotACovering, OutOfDomain
+from semicov.errors import (DegreeTooSmall, NonIntegerDegree, NotACovering, OutOfDomain,
+                            ValidationError)
 from semicov.numerics import bisect_brackets, circle_dist, frac, sign_changes
 
 
@@ -134,6 +135,13 @@ def test_periodic_points_requires_covering():
     m = from_function(lambda x: 2 * x + 0.6 * np.sin(2 * np.pi * x))
     with pytest.raises(NotACovering):
         find_periodic_points(m, 1)
+
+
+@pytest.mark.parametrize("n", [19, 10 ** 7])
+def test_periodic_points_refuse_a_scan_above_max_size(n):
+    # 64 * 2^19 = 2^25 scan cells; n = 10^7 is refused before the power is taken
+    with pytest.raises(ValidationError, match="scan nodes"):
+        find_periodic_points(model_lift(2), n)
 
 
 def _per_level_periodic_points(m, n, tol=1e-9):

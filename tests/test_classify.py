@@ -1,3 +1,4 @@
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,7 @@ import pytest
 from semicov import classify, schema
 from semicov.circle import find_periodic_points, make_lift
 from semicov.classify import (INSERT_KINDS, Insertion, IntervalSignature, PlateauRecord,
-                              PointClass, _orbit_atoms, blow_up,
-                              classification_data, classify_circle_point,
+                              _orbit_atoms, blow_up, classification_data,
                               compare_classification, interval_signature,
                               plateau_set, snap_structured_angle, transform_insertions)
 from semicov.errors import Clash, NotInvariant, Overfull, ValidationError
@@ -26,31 +26,56 @@ EXPECTED_SIGNATURES = {
 
 # --- point classification -------------------------------------------------
 
+OrbitClass = namedtuple("OrbitClass", "kind period preperiod depth_limited",
+                        defaults=(None, None, False))
+
+
+def _walk(z, d, max_period=16):
+    """The one residue walk classification_data takes of a snapped angle z = k/q.
+
+    A snap is already reduced mod 1; the walk reduces k mod q itself here, so
+    that unreduced angles can be fed in too.
+    """
+    q = z.denominator
+    return classify._orbit_walk(z.numerator % q, d, q, classify.MAX_DEPTH + max_period)
+
+
+def _classify_point(z, d, max_period=16):
+    """Kind, period, preperiod and depth_limited of z, read from its one walk."""
+    return OrbitClass(*classify._orbit_class(_walk(z, d, max_period), max_period))
+
+
+def _corroborated(thetas, d, measured_angles, tol):
+    """_orbit_corroborated on the walks classification_data takes; None is not walked."""
+    walks = [None if z is None else _walk(z, d) for z in thetas]
+    return classify._orbit_corroborated(thetas, walks, measured_angles, tol)
+
+
 def test_classify_point_fixed():
-    assert classify_circle_point(Fraction(0), 2).kind == "periodic"
-    assert classify_circle_point(Fraction(0), 2).period == 1
+    assert _classify_point(Fraction(0), 2).kind == "periodic"
+    assert _classify_point(Fraction(0), 2).period == 1
 
 
 def test_classify_point_period_two():
-    c = classify_circle_point(Fraction(1, 3), 2)
+    c = _classify_point(Fraction(1, 3), 2)
     assert (c.kind, c.period) == ("periodic", 2)
 
 
 def test_classify_point_preperiodic():
     # 1/10 -> 1/5 -> 2/5 -> 4/5 -> 3/5 -> 1/5 enters a 4-cycle after one step
-    c = classify_circle_point(Fraction(1, 10), 2)
+    c = _classify_point(Fraction(1, 10), 2)
     assert (c.kind, c.preperiod, c.period) == ("preperiodic", 1, 4)
 
 
 def test_classify_point_reduces_the_angle_mod_1():
     # 4/3 and -1/3 are the period-2 point 1/3
     for z in (Fraction(4, 3), Fraction(-1, 3)):
-        c = classify_circle_point(z, 2)
+        c = _classify_point(z, 2)
         assert (c.kind, c.period, c.preperiod) == ("periodic", 2, None)
 
 
 def test_classify_point_wandering_flagged():
-    c = classify_circle_point(Fraction(7853981633974483, 10 ** 16), 2, max_period=8)
+    c = _classify_point(Fraction(7853981633974483, 10 ** 16), 2, max_period=8)
     assert c.kind == "wandering" and c.depth_limited
 
 
@@ -680,7 +705,7 @@ def test_plateaus_and_dip_roots_match_scalar_references(d, insertions, grid, mon
 
 
 def _fraction_classify_point(z, d, max_period, max_depth=24):
-    """classify_circle_point stepping the Fraction itself: (d * a) % 1."""
+    """The orbit class stepping the Fraction itself: (d * a) % 1."""
     def is_per(a):
         w = a
         for n in range(1, max_period + 1):
@@ -691,14 +716,14 @@ def _fraction_classify_point(z, d, max_period, max_depth=24):
 
     n = is_per(z)
     if n is not None:
-        return PointClass("periodic", period=n)
+        return OrbitClass("periodic", period=n)
     w = z
     for m in range(1, max_depth + 1):
         w = (d * w) % 1
         n = is_per(w)
         if n is not None:
-            return PointClass("preperiodic", period=n, preperiod=m)
-    return PointClass("wandering", depth_limited=True)
+            return OrbitClass("preperiodic", period=n, preperiod=m)
+    return OrbitClass("wandering", depth_limited=True)
 
 
 def _structured_denominators(d, q_max=10 ** 4):
@@ -722,14 +747,14 @@ def test_integer_orbits_match_fraction_reference(d):
     kinds = set()
     for max_period in (6, 16):
         for z in sorted(angles):
-            got = classify_circle_point(z, d, max_period)
+            got = _classify_point(z, d, max_period)
             assert got == _fraction_classify_point(z, d, max_period), z
             kinds.add(got.kind)
     assert kinds == {"periodic", "preperiodic", "wandering"}
 
 
 def _nested_classify_point(z, d, max_period, max_depth=24):
-    """classify_circle_point as nested loops: a period search at every preperiod."""
+    """The orbit class as nested loops: a period search at every preperiod."""
     q = z.denominator
 
     def is_per(a):
@@ -743,13 +768,13 @@ def _nested_classify_point(z, d, max_period, max_depth=24):
     w = z.numerator % q
     n = is_per(w)
     if n is not None:
-        return PointClass("periodic", period=n)
+        return OrbitClass("periodic", period=n)
     for m in range(1, max_depth + 1):
         w = d * w % q
         n = is_per(w)
         if n is not None:
-            return PointClass("preperiodic", period=n, preperiod=m)
-    return PointClass("wandering", depth_limited=True)
+            return OrbitClass("preperiodic", period=n, preperiod=m)
+    return OrbitClass("wandering", depth_limited=True)
 
 
 @pytest.mark.parametrize("d", [2, 3, -2, -3, 4, 5])
@@ -764,7 +789,7 @@ def test_orbit_walk_matches_nested_loops(d):
     kinds = set()
     for max_period in (16, 3, 1, 5):
         for z in sorted(angles):
-            got = classify_circle_point(z, d, max_period)
+            got = _classify_point(z, d, max_period)
             assert got == _nested_classify_point(z, d, max_period), z
             kinds.add(got.kind)
     assert kinds == {"periodic", "preperiodic", "wandering"}
@@ -805,19 +830,19 @@ def test_orbit_corroboration_matches_scalar_reference(d):
         measured = np.concatenate((frac(np.array(orbit) + shift)[keep], rng.random(3)))
         thetas.append(theta)
         seen.append(measured)
-        [got] = classify._orbit_corroborated([theta], d, measured, tol)
+        [got] = _corroborated([theta], d, measured, tol)
         assert got == _scalar_orbit_corroborated(theta, d, measured, tol), theta
         verdicts.append(got)
     # one call for orbits of every length against the first half's angles; None fails
     shared = np.concatenate(seen[:100])
-    batch = classify._orbit_corroborated([None] + thetas, d, shared, 1e-3)
+    batch = _corroborated([None] + thetas, d, shared, 1e-3)
     assert batch == [False] + [_scalar_orbit_corroborated(t, d, shared, 1e-3) for t in thetas]
     assert set(batch[1:101]) == set(batch[101:]) == {True, False}
-    assert classify._orbit_corroborated([Fraction(1, 3)], d, np.array([]), 1e-3) == [False]
+    assert _corroborated([Fraction(1, 3)], d, np.array([]), 1e-3) == [False]
     # dyadic orbit 1/2 -> 0 -> 0, each measured exactly 2^-10 away: the bound is inclusive
     measured = np.array([0.5 + 2.0 ** -10, 1.0 - 2.0 ** -10])
     for tol in (2.0 ** -10, 2.0 ** -11):
-        assert (classify._orbit_corroborated([Fraction(1, 4)], 2, measured, tol)
+        assert (_corroborated([Fraction(1, 4)], 2, measured, tol)
                 == [_scalar_orbit_corroborated(Fraction(1, 4), 2, measured, tol)]
                 == [tol == 2.0 ** -10])
     assert set(verdicts) == {True, False}
@@ -836,16 +861,16 @@ def _scalar_classification_data(m, tol=1e-8, max_period=16):
                 snapped, m.degree, measured, max(2.0 * plateau_tol, 1e-3)):
             snapped = None
         if snapped is None:
-            cls = PointClass("wandering", depth_limited=True)
+            cls = OrbitClass("wandering", depth_limited=True)
             angle = theta
         else:
-            cls = classify_circle_point(snapped, m.degree, max_period)
+            cls = _classify_point(snapped, m.degree, max_period)
             angle = float(snapped)
         if cls.kind == "periodic":
             try:
                 sig = interval_signature(m, (a, b), cls.period)
             except NotInvariant:
-                cls = PointClass("wandering", depth_limited=True)
+                cls = OrbitClass("wandering", depth_limited=True)
                 sig = IntervalSignature.identity_class()
         else:
             sig = IntervalSignature.identity_class()
@@ -875,6 +900,118 @@ def test_classification_data_matches_per_record_reference(seed):
             seen.update(r.kind for r in got)
     assert {"periodic", "wandering"} <= seen
 
+
+
+def _two_walk_classify_point(z, d, max_period):
+    """The orbit class from a walk of its own, as classification_data once took it."""
+    walk = classify._orbit_walk(z.numerator % z.denominator, d, z.denominator,
+                                classify.MAX_DEPTH + max_period)
+    preperiod = walk.index(walk[-1])
+    period = len(walk) - 1 - preperiod
+    if 0 < period <= max_period and preperiod <= classify.MAX_DEPTH:
+        if preperiod == 0:
+            return OrbitClass("periodic", period=period)
+        return OrbitClass("preperiodic", period=period, preperiod=preperiod)
+    return OrbitClass("wandering", depth_limited=True)
+
+
+def _horizon_walk_corroborated(thetas, d, measured_angles, tol):
+    """The batch corroboration walking each snapped angle HORIZON steps itself."""
+    snapped = [i for i, theta in enumerate(thetas) if theta is not None]
+    ok = [False] * len(thetas)
+    if not snapped or len(measured_angles) == 0:
+        return ok
+    orbits = []
+    for i in snapped:
+        q = thetas[i].denominator
+        orbits.append([w / q for w in classify._orbit_walk(thetas[i].numerator % q, d, q,
+                                                           classify.HORIZON)[1:]])
+    width = max(map(len, orbits))
+    images = np.array([orbit + orbit[-1:] * (width - len(orbit)) for orbit in orbits])
+    s = np.sort(measured_angles)
+    j = np.searchsorted(s, images)
+    near = s[np.stack((j % len(s), j - 1))]
+    hit = np.all(circle_dist(near, images).min(axis=0) <= tol, axis=1)
+    for i, verdict in zip(snapped, hit.tolist()):
+        ok[i] = verdict
+    return ok
+
+
+def _two_walk_classification_data(m, tol=1e-8, max_period=16):
+    """classification_data walking each snapped angle twice: HORIZON steps to
+    corroborate it, then MAX_DEPTH + max_period steps to classify it."""
+    h = solve_semiconjugacy(m, 1, tol)
+    plateaus = plateau_set(h)
+    measured = frac(h(np.array([0.5 * (a + b) for (a, b) in plateaus])))
+    snaps = snap_structured_angle(measured, m.degree, 5e-4, max_period)
+    corroborated = _horizon_walk_corroborated(snaps, m.degree, measured,
+                                              max(4.0 / h.grid, 1e-3))
+    records = []
+    for (a, b), theta, snapped, ok in zip(plateaus, measured.tolist(), snaps, corroborated):
+        if not ok:
+            cls = OrbitClass("wandering", depth_limited=True)
+            angle = theta
+        else:
+            cls = _two_walk_classify_point(snapped, m.degree, max_period)
+            angle = float(snapped)
+        if cls.kind == "periodic":
+            try:
+                sig = interval_signature(m, (a, b), cls.period)
+            except NotInvariant:
+                cls = OrbitClass("wandering", depth_limited=True)
+                sig = IntervalSignature.identity_class()
+        else:
+            sig = IntervalSignature.identity_class()
+        records.append(PlateauRecord(angle, *cls, (a, b), sig))
+    records.sort(key=lambda r: r.image_angle)
+    return records
+
+
+# one insertion each: every kind at d = 2 and 3, identity at d = -2 and -3
+TWO_WALK_BLOW_UPS = [
+    (2, "1/7", "north_south", 0.1), (2, "1/3", "south_north", 0.12), (2, "0", "advance", 0.1),
+    (2, "2/7", "retreat", 0.08), (2, "1/5", "identity", 0.06), (2, "1/6", "north_south", 0.08),
+    (3, "1/4", "north_south", 0.1), (3, "1/13", "south_north", 0.1), (3, "1/2", "advance", 0.12),
+    (3, "0", "retreat", 0.1), (3, "1/8", "identity", 0.08),
+    (-2, "1/3", "identity", 0.1), (-2, "1/5", "identity", 0.08),
+    (-3, "1/4", "identity", 0.1), (-3, "1/10", "identity", 0.08),
+]
+
+
+@pytest.mark.parametrize("d,base,kind,length", TWO_WALK_BLOW_UPS)
+def test_one_walk_records_equal_the_two_walk_records(d, base, kind, length):
+    m = blow_up(d, [{"base_angle": base, "length": length, "kind": kind}])
+    got = classification_data(m).records
+    want = _two_walk_classification_data(m)
+    assert got == want
+    assert (np.array([r.image_angle for r in got]).tobytes()
+            == np.array([r.image_angle for r in want]).tobytes())
+    assert any(r.kind != "wandering" for r in got)         # some walk's class was read
+
+
+@pytest.mark.parametrize("d,base,kind", [(2, "1/7", "north_south"), (3, "1/13", "advance"),
+                                         (-2, "1/5", "identity")])
+def test_classification_data_walks_each_snapped_orbit_once(d, base, kind, monkeypatch):
+    m = blow_up(d, [{"base_angle": base, "length": 0.1, "kind": kind}])   # blow_up walks too
+    walks, snaps = [], []
+    orbit_walk, snap = classify._orbit_walk, classify.snap_structured_angle
+
+    def counted_walk(*args):
+        walks.append(args)
+        return orbit_walk(*args)
+
+    def recorded_snap(*args):
+        snaps.extend(out := snap(*args))
+        return out
+
+    monkeypatch.setattr(classify, "_orbit_walk", counted_walk)
+    monkeypatch.setattr(classify, "snap_structured_angle", recorded_snap)
+    records = classification_data(m).records
+    snapped = [z for z in snaps if z is not None]
+    assert len(snaps) == len(records)
+    assert len(walks) == len(snapped) > 0
+    assert [args[:3] for args in walks] == [(z.numerator, d, z.denominator) for z in snapped]
+    assert any(r.kind == "periodic" for r in records)
 
 def _scalar_match_angles(xs, ys, tol):
     """_match_angles with one circle_dist call per pair and a (dist, i, j) tuple sort."""

@@ -42,7 +42,7 @@ UNNAMED_EXEMPT: dict[str, str] = {}
 # parameters that only unit tests set, that the program passed only at their default, or that
 # the function's inputs determine, since gone
 REMOVED = [("classify.py", "plateau_set", "plateau_tol"),
-           ("classify.py", "classify_circle_point", "max_depth"),
+           ("classify.py", "_orbit_class", "max_depth"),
            ("classify.py", "snap_structured_angle", "max_depth"),
            ("classify.py", "_orbit_corroborated", "horizon"),
            ("circle.py", "find_periodic_points", "scan"),

@@ -110,7 +110,8 @@ def test_solution_bounded_deviation_equal_on_shifts(sine2):
     for k in (-2, 1, 5):
         dev = np.abs(h(xs + k) - (xs + k))
         assert np.max(np.abs(dev - dev0)) < 1e-12
-    assert h.deviation_bound < 0.2
+    nodes = np.linspace(0.0, 1.0, h.grid + 1)
+    assert np.max(np.abs(h.samples - nodes)) < 0.2
 
 
 def test_solution_monotone_for_covering(sine2):
