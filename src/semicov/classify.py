@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import LiftedCircleMap, make_lift
+from .circle import LiftedCircleMap, make_lift, model_lift
 from .errors import Clash, NotACovering, NotInvariant, Overfull, ValidationError
 from .numerics import bisect_brackets, circle_dist, frac, sign_changes
 from .schema import REQUIRED, config, number, positive, take
@@ -570,8 +570,7 @@ def blow_up(degree: int, insertions, grid: int = 4096, depth: int = 12) -> Lifte
         raise ValueError("|degree| must exceed 1")
     specs = [Insertion.of(s) for s in insertions]
     if not specs:
-        xs = np.linspace(0.0, 1.0, grid + 1)
-        return make_lift(d * xs)
+        return model_lift(d, grid)
     for ins in specs:
         if ins.kind not in INSERT_KINDS:
             raise ValidationError(f"unknown insert kind {ins.kind!r}; "

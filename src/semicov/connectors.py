@@ -26,6 +26,7 @@ from .semiconj2d import BandField2D
 
 MAX_LEVEL_LOG2 = 26                   # a coding level holds at most 2^26 preimage heights
 N_SAMPLES = 1024                      # nodes of a nest's shared window
+NX, NY = 65, 128                      # the coding grid: NX columns, NY + 1 rows
 SPACING = 1e-14                       # base spacing below which an arc's samples are one
 
 
@@ -164,8 +165,7 @@ def invariant_connector_from_arc(m: AnnulusMapLift, p: tuple[float, float],
     lifts, each anchored at the shared endpoint with the previous piece.
     Pieces are clipped at the margins, and the forward ones end at the first
     whose base range is at most SPACING, the curve's dedupe spacing: on an
-    attracting base point they would pile up.  The invariance residual
-    sup |F(C) - C| over the overlap is stored in metadata.
+    attracting base point they would pile up.
     """
     x_p, y_p = float(p[0]), float(p[1])
     fx, fy = m(x_p, y_p)
@@ -216,13 +216,7 @@ def invariant_connector_from_arc(m: AnnulusMapLift, p: tuple[float, float],
     xs, ys = xs[order], ys[order]
     keep = np.concatenate(([True], np.diff(xs) > SPACING))
     curve = ConnectorCurve(xs[keep], ys[keep], margin)
-
-    sample = curve.xs[:: max(1, len(curve.xs) // 512)]
-    ix, iy = m(sample, curve.height_at(sample))
-    ok = (ix >= curve.xs[0]) & (ix <= curve.xs[-1])
-    residual = float(np.max(np.abs(iy[ok] - curve.height_at(ix[ok])))) if ok.any() else np.inf
-    curve.metadata.update({"invariance_residual": residual,
-                           "pieces": len(pieces),
+    curve.metadata.update({"pieces": len(pieces),
                            "boundary_accumulating": curve.reaches_lower and curve.reaches_upper})
     return curve
 
@@ -337,8 +331,7 @@ def _nest(m: AnnulusMapLift, c: ConnectorCurve, depth: int,
 # ---------------------------------------------------------------------------
 
 def semiconjugacy_from_repellers(m: AnnulusMapLift, repellers: list[ConnectorCurve],
-                                 band: tuple[float, float], depth: int = 8,
-                                 nx: int = 65, ny: int = 128) -> BandField2D:
+                                 band: tuple[float, float], depth: int = 8) -> BandField2D:
     """Semiconjugacy field coded by repellers and their preimage families.
 
     A repeller r that the fiber maps onto its lift r + k (k the median of
@@ -347,8 +340,8 @@ def semiconjugacy_from_repellers(m: AnnulusMapLift, repellers: list[ConnectorCur
     preimage curve of a curve with lifted value v and branch offset c
     receives (v + c)/d.  Grid points take the midpoint of the value
     interval of their enclosing pair of curves.  The residual is measured
-    on the grid; tests assert it is at most |d|^(1-depth) at depths 4-7,
-    on linear fibers with |d| <= 4 and on a sine fiber with |d| <= 3.
+    on the coding grid; tests assert it is at most |d|^(1-depth) at depths
+    4-7, on linear fibers with |d| <= 4 and on a sine fiber with |d| <= 3.
     """
     seeds = []
     for r in repellers:
@@ -358,7 +351,7 @@ def semiconjugacy_from_repellers(m: AnnulusMapLift, repellers: list[ConnectorCur
         mid = t[-1:] if np.isnan(t[-1:]).any() else t[(t.size - 1) // 2:t.size // 2 + 1]
         k = round(float(np.mean(mid)))      # np.median, whose NaN check imports numpy.ma
         seeds.append(ConnectorCurve(r.xs, r.heights, r.margin, value=k / (m.degree - 1)))
-    return semiconjugacy_from_connectors(m, seeds, band, depth, nx, ny)
+    return semiconjugacy_from_connectors(m, seeds, band, depth)
 
 
 def _code_column(hs: np.ndarray, vs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -382,8 +375,7 @@ def _code_column(hs: np.ndarray, vs: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve],
-                                  band: tuple[float, float], depth: int = 8,
-                                  nx: int = 65, ny: int = 128) -> BandField2D:
+                                  band: tuple[float, float], depth: int = 8) -> BandField2D:
     """Recursive preimage coding seeded by curves with fixed lifted values.
 
     Seeds must satisfy h(f(seed)) = m_d(h(seed)) for their declared values
@@ -393,23 +385,21 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
 
     A level is a list of blocks (xs, heights (n_curves, n_nodes), values,
     margin); a block's children share the base preimages of its nodes, so
-    they form one block.  Each block is evaluated at the nx columns when it
+    they form one block.  Each block is evaluated at the NX columns when it
     is built and keeps only those heights, so only the frontier and the
     level being built hold nodes; blocks are collected in level and block
-    order, so ties go to the earlier curve.  Each of the nx columns is then
+    order, so ties go to the earlier curve.  Each of the NX columns is then
     coded by _code_column: one stable sort of the C curve keys and one
-    searchsorted of the ny rows below y = 1, O((C + ny) log C) per column;
+    searchsorted of the NY rows below y = 1, O((C + NY) log C) per column;
     the row y = 1 is row y = 0 plus one.  metadata["level_curves"] counts curves per level,
     seeds first, and metadata["dropped_blocks"] the blocks whose
     preimages left the margins.  The residual sup |H(F(p)) - d H(p)| mod 1 runs
     over the nodes p whose image stays in the band, H(p) read from the stored values.
 
-    Raises ValidationError for nx < 2, ny < 1, depth < 0, a band outside
-    0 < a < b < 1 or no seeds, and before building a level of more than
-    2^MAX_LEVEL_LOG2 heights: |d| times the frontier's curves x nodes.
+    Raises ValidationError for depth < 0, a band outside 0 < a < b < 1 or
+    no seeds, and before building a level of more than 2^MAX_LEVEL_LOG2
+    heights: |d| times the frontier's curves x nodes.
     """
-    if nx < 2 or ny < 1:
-        raise ValidationError(f"the coding grid needs nx >= 2 and ny >= 1, got {nx} x {ny}")
     if depth < 0:
         raise ValidationError(f"the coding depth must be >= 0, got {depth}")
     schema.band(band, "the coding band")
@@ -418,8 +408,8 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
     if any(s.value is None for s in seeds):
         raise ValueError("seed curves need declared lifted values")
     d = m.degree
-    xs = np.linspace(band[0], band[1], nx)
-    ys = np.linspace(0.0, 1.0, ny + 1)
+    xs = np.linspace(band[0], band[1], NX)
+    ys = np.linspace(0.0, 1.0, NY + 1)
     coded = []                          # per block: column heights, values, inside row
 
     def code(block):
@@ -452,7 +442,7 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
     heights = np.concatenate([c[0] for c in coded])
     vals = np.concatenate([c[1] for c in coded])
     inside = np.repeat([c[2] for c in coded], [len(c[1]) for c in coded], axis=0)
-    values = np.empty((nx, ny + 1))
+    values = np.empty((NX, NY + 1))
     for i, x in enumerate(xs):
         on = inside[:, i]
         if not on.any():
@@ -461,7 +451,7 @@ def semiconjugacy_from_connectors(m: AnnulusMapLift, seeds: list[ConnectorCurve]
         values[i, :-1] = _code_column(heights[on, i], vals[on], ys[:-1])
     values[:, -1] = values[:, 0] + 1.0
 
-    field = BandField2D(band, values, d,
+    field = BandField2D(band, values,
                         metadata={"depth": depth, "curves": len(vals),
                                   "coding": "repeller-preimage", "dropped_blocks": dropped,
                                   "level_curves": level_curves})

@@ -29,7 +29,6 @@ class BandField2D:
 
     band: tuple[float, float]
     values: np.ndarray                # shape (Nx, Ny+1)
-    degree: int = 2
     residual: float = float("nan")
     iterations: int = 0
     metadata: dict = field(default_factory=dict)
@@ -91,7 +90,7 @@ def solve_band_semiconjugacy(m: AnnulusMapLift, band: tuple[float, float],
         raise BandNotInvariant(f"base image [{fx.min()}, {fx.max()}] leaves [{a}, {b}]")
     start = np.broadcast_to(ys, (nx, ny + 1))
     cur, it, defect = contract(image, band_gather, start, m.degree, tol)
-    return BandField2D((a, b), cur, m.degree, float(defect.max()), it)
+    return BandField2D((a, b), cur, float(defect.max()), it)
 
 
 def check_fiber_surjectivity(h: BandField2D, x_level: float) -> bool:

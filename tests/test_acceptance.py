@@ -233,8 +233,7 @@ def test_c11_winding_bound():
                           FiberMap(2, tau=TauSpec("inv_one_minus", 1.0)))
     c = invariant_connector_from_arc(m, (0.5, 0.0), n_back=9, n_fwd=16, margin=1e-5)
     c.value = 0.0
-    field = semiconjugacy_from_connectors(m, [c], depth=8, band=(0.1, 0.9),
-                                          nx=65, ny=128)
+    field = semiconjugacy_from_connectors(m, [c], depth=8, band=(0.1, 0.9))
     report = star_condition_scan(m, (0.1, 0.9), 6, h_field=field)
     ok = report.deviation_bound is not None
     ok &= report.max_winding <= 2 * report.deviation_bound + 1

@@ -377,10 +377,13 @@ def test_compare_unresolved_signature_inconclusive():
 
 # --- blow-up construction ----------------------------------------------------
 
-def test_blow_up_no_insertions_is_model(m2):
-    m = blow_up(2, [])
-    xs = np.linspace(0, 1, 257)
-    assert np.max(np.abs(m(xs) - m2(xs))) < 1e-12
+def test_blow_up_no_insertions_is_model():
+    # byte for byte the lift sampled from d * x on the blow-up's grid
+    for d in (2, 3, -2, -3):
+        for grid in (16, 4096):
+            m, want = blow_up(d, [], grid=grid), make_lift(d * np.linspace(0.0, 1.0, grid + 1))
+            assert m.samples.tobytes() == want.samples.tobytes()
+            assert (m.degree, m.grid, m.is_covering) == (d, grid, True)
 
 
 def test_blow_up_overfull():

@@ -161,7 +161,7 @@ def test_band_artifact_text_matches_per_row_formatting(monkeypatch, band, nx, ny
     flat = values.ravel()
     specials = [-1.5, 1e-300, -1e-300, 1e17, -1e17, 123456789012345.6, -0.0, 0.0]
     flat[rng.choice(flat.size, len(specials), replace=False)] = specials
-    field = semiconj2d.BandField2D(band, values, 2, residual=3.25e-9, iterations=7)
+    field = semiconj2d.BandField2D(band, values, residual=3.25e-9, iterations=7)
     monkeypatch.setattr(semiconj2d, "solve_band_semiconjugacy", lambda *args, **kw: field)
     cfg = parse_config({"command": "semiconj2d", "map": {"base": {"family": "identity"},
                                                          "fiber": LINEAR2}})
@@ -315,7 +315,7 @@ def test_perturb_cli(tmp_path):
 def test_perturb_cli_exits_1_when_its_certificate_fails(tmp_path):
     # power 25: eps is positive and finite, but the sampled maximum of |g - p2| / eps sits
     # at x = 1 - 1e-9, where |g - p2| reads double-precision rounding (about 1e-15)
-    # against eps about 1e-211 (ROADMAP item 1)
+    # against eps about 1e-211 (ROADMAP item 3)
     out = tmp_path / "report.json"
     code = main(["perturb", "--epsilon", '{"family": "edge_poly", "value": 0.1, "power": 25}',
                  "--grid", "20000", "--out", str(out)])

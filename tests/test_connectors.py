@@ -9,8 +9,8 @@ from semicov import connectors, obstruction
 from semicov.annulus import BaseMap, FiberMap, TauSpec, make_skew_product
 from semicov.circle import from_function
 from semicov.configs import annulus_map_from_config
-from semicov.connectors import (ConnectorCurve, _check_expansion, _code_column, _interp,
-                                _segments, constant_connector,
+from semicov.connectors import (NX, NY, ConnectorCurve, _check_expansion, _code_column,
+                                _interp, _segments, constant_connector,
                                 invariant_connector_from_arc, is_free,
                                 preimage_connectors, repelling_connectors,
                                 semiconjugacy_from_connectors,
@@ -347,7 +347,7 @@ def test_repellers_match_per_gap_reference(d, kind, depth):
         assert np.array_equal(g.xs, w.xs) and np.array_equal(g.heights, w.heights)
         assert g.metadata == w.metadata
     if depth == 1:       # the coding sees the same seeds
-        a, b = (semiconjugacy_from_repellers(m, r, depth=1, band=(0.3, 0.7), nx=9, ny=16)
+        a, b = (semiconjugacy_from_repellers(m, r, depth=1, band=(0.3, 0.7))
                 for r in (got, want))
         assert np.array_equal(a.values, b.values) and a.residual == b.residual
 
@@ -450,8 +450,7 @@ def test_coded_field_from_invariant_connector(example_map):
     c = invariant_connector_from_arc(example_map, (0.5, 0.0),
                                      n_back=9, n_fwd=16, margin=1e-5)
     c.value = 0.0
-    field = semiconjugacy_from_connectors(example_map, [c], depth=8,
-                                          band=(0.1, 0.9), nx=65, ny=128)
+    field = semiconjugacy_from_connectors(example_map, [c], depth=8, band=(0.1, 0.9))
     # the coded field is the connector-offset ansatz H = y - C(x)
     for x in (0.1, 0.5, 0.9):
         ys = np.linspace(0, 1, 9)
@@ -551,9 +550,8 @@ def seeded(m, height, rep_depth=8):
 def test_batched_coding_matches_per_curve_reference(d, depth, height):
     m = make_skew_product(BaseMap("contraction", (0.5, 0.9)), FiberMap(d))
     seeds = seeded(m, height)
-    field = semiconjugacy_from_connectors(m, seeds, depth=depth, band=(0.2, 0.8),
-                                          nx=17, ny=32)
-    values, curves = reference_coding(m, seeds, depth, (0.2, 0.8), 17, 32)
+    field = semiconjugacy_from_connectors(m, seeds, depth=depth, band=(0.2, 0.8))
+    values, curves = reference_coding(m, seeds, depth, (0.2, 0.8), NX, NY)
     assert np.array_equal(field.values, values)
     assert field.metadata["curves"] == curves
     levels = field.metadata["level_curves"]
@@ -566,8 +564,8 @@ def test_batched_coding_sine_fiber_matches_reference():
     wobble = from_function(lambda x: 2 * x + 0.05 * np.sin(2 * np.pi * x))
     m = make_skew_product(BaseMap("contraction", (0.5, 0.9)), FiberMap(2, circle=wobble))
     seeds = seeded(m, 0.25, rep_depth=6)
-    field = semiconjugacy_from_connectors(m, seeds, depth=4, band=(0.2, 0.8), nx=17, ny=32)
-    values, curves = reference_coding(m, seeds, 4, (0.2, 0.8), 17, 32)
+    field = semiconjugacy_from_connectors(m, seeds, depth=4, band=(0.2, 0.8))
+    values, curves = reference_coding(m, seeds, 4, (0.2, 0.8), NX, NY)
     assert np.max(np.abs(field.values - values)) <= 1e-12
     assert field.metadata["curves"] == curves
 
@@ -576,12 +574,11 @@ def test_coding_counts_dropped_blocks(contracting_z2):
     # the base preimages of [0.3, 0.31] move away from 0.5 by 1/0.9 per
     # level and leave the margins after nine levels
     seed = ConnectorCurve(np.linspace(0.3, 0.31, 16), np.zeros(16), value=0.0)
-    field = semiconjugacy_from_connectors(contracting_z2, [seed], depth=12,
-                                          band=(0.3, 0.31), nx=5, ny=8)
+    field = semiconjugacy_from_connectors(contracting_z2, [seed], depth=12, band=(0.3, 0.31))
     levels = field.metadata["level_curves"]
     assert field.metadata["dropped_blocks"] == 1
     assert len(levels) < 13 and levels == [2 ** k for k in range(len(levels))]
-    values, curves = reference_coding(contracting_z2, [seed], 12, (0.3, 0.31), 5, 8)
+    values, curves = reference_coding(contracting_z2, [seed], 12, (0.3, 0.31), NX, NY)
     assert np.array_equal(field.values, values) and field.metadata["curves"] == curves
 
 
@@ -590,9 +587,8 @@ def test_coding_breaks_ties_by_level_and_block_order(contracting_z2):
     # preimages, coincide at every column: the earlier block's values win
     seeds = [ConnectorCurve(np.linspace(0.01, 0.99, n), np.zeros(n), value=v)
              for n, v in ((64, 0.0), (33, 0.25))]
-    field = semiconjugacy_from_connectors(contracting_z2, seeds, depth=3, band=(0.3, 0.7),
-                                          nx=9, ny=16)
-    values, _ = reference_coding(contracting_z2, seeds, 3, (0.3, 0.7), 9, 16)
+    field = semiconjugacy_from_connectors(contracting_z2, seeds, depth=3, band=(0.3, 0.7))
+    values, _ = reference_coding(contracting_z2, seeds, 3, (0.3, 0.7), NX, NY)
     assert np.array_equal(field.values, values)
     assert field.metadata["level_curves"] == [2, 4, 8, 16]
 
@@ -706,18 +702,17 @@ def gathered_residual(m, field):
     return float(np.max(res[ok])), float(np.max(np.abs(field(xg, yg) - field.values[:, :-1])))
 
 
-@pytest.mark.parametrize("band, nx, ny", [((0.2, 0.8), 65, 128), ((0.23, 0.71), 37, 100)])
+@pytest.mark.parametrize("band", [(0.2, 0.8), (0.23, 0.71)],
+                         ids=[f"band{i}-{NX}-{NY}" for i in range(2)])
 @pytest.mark.parametrize("d, depth", [(2, 10), (3, 5), (-2, 6)])
-def test_coded_residual_reads_the_stored_node_values(d, depth, band, nx, ny):
-    # the gather returns the stored value at a node up to rounding, which only a
-    # non-dyadic band shows; the residual moves by at most d times that
+def test_coded_residual_reads_the_stored_node_values(d, depth, band):
+    # on the coding grid the gather returns the stored value at every node, so the
+    # residual read from the stored values is the one read back through the gather
     m = make_skew_product(BaseMap("contraction", (0.5, 0.9)), FiberMap(d))
     reps = repelling_connectors(m, constant_connector(0.25 / abs(d - 1)), depth=10)
-    field = semiconjugacy_from_repellers(m, reps, depth=depth, band=band, nx=nx, ny=ny)
+    field = semiconjugacy_from_repellers(m, reps, depth=depth, band=band)
     want, node_gap = gathered_residual(m, field)
-    assert abs(field.residual - want) <= abs(d) * node_gap
-    if band == (0.2, 0.8):                  # the annulus-coding fields: exact nodes
-        assert node_gap == 0.0 and field.residual == want
+    assert node_gap == 0.0 and field.residual == want
 
 
 def _dyadic_copies(rng):
@@ -765,16 +760,14 @@ def test_coding_rejects_columns_without_curves(contracting_z2):
     seed = constant_connector(0.0, margin=0.3)
     seed.value = 0.0
     with pytest.raises(OutOfDomain, match="no coding curves over x = 0.1"):
-        semiconjugacy_from_connectors(contracting_z2, [seed], (0.1, 0.9), depth=0, nx=9, ny=16)
+        semiconjugacy_from_connectors(contracting_z2, [seed], (0.1, 0.9), depth=0)
 
 
-@pytest.mark.parametrize("kwargs", [{"nx": 1}, {"nx": 0}, {"ny": 0}, {"ny": -3},
-                                    {"band": (0.8, 0.2)}, {"band": (0.5, 0.5)},
+@pytest.mark.parametrize("kwargs", [{"band": (0.8, 0.2)}, {"band": (0.5, 0.5)},
                                     {"band": (0.0, 0.5)}, {"band": (0.5, 1.0)},
                                     {"depth": -1}, {"seeds": []}])
 def test_coding_rejects_degenerate_inputs(contracting_z2, kwargs):
-    args = {"seeds": [constant_connector(0.0)], "depth": 2, "band": (0.3, 0.7),
-            "nx": 9, "ny": 16, **kwargs}
+    args = {"seeds": [constant_connector(0.0)], "depth": 2, "band": (0.3, 0.7), **kwargs}
     args["seeds"] = [ConnectorCurve(s.xs, s.heights, s.margin, value=0.0) for s in args["seeds"]]
     with pytest.raises(ValidationError) as err:
         semiconjugacy_from_connectors(contracting_z2, **args)

@@ -131,8 +131,7 @@ def test_star_scan_example_within_bound(example_map):
     c = invariant_connector_from_arc(example_map, (0.5, 0.0),
                                      n_back=9, n_fwd=16, margin=1e-5)
     c.value = 0.0
-    field = semiconjugacy_from_connectors(example_map, [c], depth=8,
-                                          band=(0.1, 0.9), nx=65, ny=128)
+    field = semiconjugacy_from_connectors(example_map, [c], depth=8, band=(0.1, 0.9))
     report = star_condition_scan(example_map, (0.1, 0.9), 6, h_field=field)
     assert report.deviation_bound == field.deviation_bound
     assert report.implied_bound == 2 * report.deviation_bound + 1

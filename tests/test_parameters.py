@@ -15,6 +15,9 @@ skipped, because its calls cannot be read statically; a unit test that reads
 one as a value, say to check that a patch was undone, calls nothing through
 it.  An import or a string does not name a function: the re-exports of
 ``__init__.py`` and the tracer's ``"module:function"`` targets do not count.
+Methods and properties are matched by bare attribute name too, so one class's
+readers would hide another's dead method: ``POOLED`` lists each such name
+that two or more public classes share, with the program reader of each class.
 """
 import ast
 import functools
@@ -28,17 +31,21 @@ CALLERS = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.
                   ROOT / "tests" / "test_acceptance.py"])
 READERS = [p for p in CALLERS if p.parent.name == "tests" or not p.name.startswith("test_")]
 
-_REPELLER_GRID = ("test_coded_residual_reads_the_stored_node_values needs 37 x 100 nodes to "
-                  "show rounding at non-dyadic nodes; at 65 x 128 its node gap reads 0")
-EXEMPT = {
-    "connectors.py: semiconjugacy_from_repellers(nx)": _REPELLER_GRID,
-    "connectors.py: semiconjugacy_from_repellers(ny)": _REPELLER_GRID,
-}
+EXEMPT: dict[str, str] = {}
 DEFAULT_EXEMPT = {
     "circle.py: find_periodic_points(tol)":
         "perfbench/workloads.py passes tol=1e-9 by keyword, so dropping it changes the benchmark",
 }
 UNNAMED_EXEMPT: dict[str, str] = {}
+# bare method and property names of two or more public classes: class -> its program reader
+POOLED = {
+    "inverse": {"BaseMap": "connectors.preimage_connectors",
+                "FiberMap": "connectors.preimage_connectors",
+                "LiftedCircleMap": "annulus.FiberMap.inverse",
+                "SelfConjugacy": "tests/test_acceptance.py: test_c05_self_conjugacy_group"},
+    "grid": {"LiftedCircleMap": "classify.interval_signature",
+             "SemiconjugacyField1D": "classify.plateau_set"},
+}
 # parameters that only unit tests set, that the program passed only at their default, or that
 # the function's inputs determine, since gone
 REMOVED = [("classify.py", "plateau_set", "plateau_tol"),
@@ -54,7 +61,11 @@ REMOVED = [("classify.py", "plateau_set", "plateau_tol"),
            ("stability.py", "verify_perturbation", "r_samples"),
            ("stability.py", "verify_perturbation", "disc_width"),
            ("connectors.py", "repelling_connectors", "n_samples"),
-           ("semiconj2d.py", "solve_band_semiconjugacy", "orientation")]
+           ("semiconj2d.py", "solve_band_semiconjugacy", "orientation"),
+           ("connectors.py", "semiconjugacy_from_repellers", "nx"),
+           ("connectors.py", "semiconjugacy_from_repellers", "ny"),
+           ("connectors.py", "semiconjugacy_from_connectors", "nx"),
+           ("connectors.py", "semiconjugacy_from_connectors", "ny")]
 
 
 def defaulted_parameters(tree: ast.Module) -> list[tuple[str, int, list[tuple]]]:
@@ -168,6 +179,19 @@ def unnamed(library, callers) -> list[str]:
     return sorted(found)
 
 
+def pooled(library) -> dict[str, list[str]]:
+    """The public method and property names shared by two or more public classes of
+    library, each with the sorted classes that define it."""
+    owners: dict[str, list[str]] = {}
+    for _, tree in library:
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                for f in top.body:
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                        owners.setdefault(f.name, []).append(top.name)
+    return {name: sorted(cls) for name, cls in owners.items() if len(cls) > 1}
+
+
 def test_unpassed_parameters_are_found():
     lib = ast.parse("def f(a, b=1, *, c=2, d=3):\n    pass\n"
                     "class K:\n    def m(self, x, y=0):\n        pass\n"
@@ -236,6 +260,19 @@ def test_no_parameter_is_passed_only_its_default():
 
 def test_every_public_function_and_class_is_named():
     assert unnamed(_library(), _callers_and_readers()[0]) == sorted(UNNAMED_EXEMPT)
+
+
+def test_pooled_names_are_found():
+    lib = ast.parse("class A:\n    def m(self):\n        pass\n    def _p(self):\n        pass\n"
+                    "class B:\n    @property\n    def m(self):\n        pass\n"
+                    "    def _p(self):\n        pass\n    def n(self):\n        pass\n"
+                    "class _C:\n    def n(self):\n        pass\n")
+    assert pooled([("lib.py", lib)]) == {"m": ["A", "B"]}
+
+
+def test_every_pooled_name_lists_its_readers():
+    # a name that a new class shares fails here until its readers are named in POOLED
+    assert pooled(_library()) == {name: sorted(readers) for name, readers in POOLED.items()}
 
 
 @pytest.mark.parametrize("module, function, parameter", REMOVED)
